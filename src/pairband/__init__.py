@@ -15,11 +15,10 @@ from .channel import (
     f_value,
     g_value,
     path_loss_db,
-    rate,
     sample_shadowing,
 )
 from .latency_energy import SystemConfig, UserProfile
-from .bandwidth import AllocationReport, PairBandwidthBound
+from .bandwidth import AllocationReport
 from .pairing import Matching, PairCostMatrix
 from .distortion import DistortionTable, SimilarityModel
 from .solver import Scenario, SolveResult

@@ -3,21 +3,24 @@
 Given a fixed pairing, the remaining problem is to split B_max across
 the K groups so that total transmit energy  sum_k p_k * xi_k(b_k)  is
 minimized, where xi_k(b) = max{Q/F_i(b), Q/F_j(b)} is the airtime of the
-group's slower user.  Three structural facts make this easy:
+group's slower user.  That user is the pair's weaker one (smaller g/N0,
+see :func:`~pairband.latency_energy.weaker_user`) at every bandwidth, so
+every pair-level quantity below is computed for that user alone, with
+F, G meaning its rate and gradient.  Three structural facts make this
+easy:
 
 * The latency budget turns into a per-group lower bound L_k: the unique
-  root of F(b) = Q/Delta for the pair's weaker user (F is strictly
-  increasing with a finite asymptote, so the root exists iff
-  Q/Delta < f_limit and Delta > 0).
+  root of F(b) = Q/Delta (F is strictly increasing with a finite
+  asymptote, so the root exists iff Q/Delta < f_limit and Delta > 0).
 
-* xi_k is differentiable with -d/db [p*Q/F(b)] = G(b) strictly
+* xi_k = Q/F is differentiable with -d/db [p*Q/F(b)] = G(b) strictly
   decreasing, so the KKT system reduces to a single multiplier Theta:
-  b_k* = max{L_k, b_tilde_k(Theta*)}, with Theta* chosen so the
+  b_k* = max{L_k, G_k^-1(Theta*)}, with Theta* chosen so the
   bandwidths sum to B_max.
 
 * sum_k b_k(Theta) is non-increasing in Theta, hence Theta* is found by
-  plain bisection on (0, Theta_max], Theta_max = max_k max{G_i(L_k),
-  G_j(L_k)}.
+  plain bisection on (0, Theta_max], Theta_max = max_k G_k(L_k): at or
+  above it every group sits at L_k.
 
 All root-finding is bracketed bisection: inner roots to 1e-12 relative,
 the outer multiplier to 1e-9 relative, so the inner solves always
@@ -31,19 +34,16 @@ import math
 from dataclasses import dataclass
 
 from .channel import RateParams, f_limit, f_value, g_value
-from .latency_energy import SystemConfig, UserProfile, delta_slack, e_const
+from .latency_energy import SystemConfig, UserProfile, delta_slack, e_const, weaker_user
 
 __all__ = [
-    "PairBandwidthBound",
     "AllocationReport",
     "b_min_user",
     "b_min_pair",
     "g_inverse",
-    "tilde_b",
     "kkt_allocate",
     "check_feasibility",
     "evaluate_fixed_allocation",
-    "total_bandwidth_at",
 ]
 
 # Bisection tolerances: inner roots must out-resolve the outer multiplier.
@@ -51,20 +51,6 @@ _INNER_REL_TOL = 1e-12
 _OUTER_REL_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_BISECT = 400
-
-
-@dataclass(frozen=True)
-class PairBandwidthBound:
-    """Minimum bandwidth a pair needs to meet the latency deadline.
-
-    ``feasible`` is False when the deadline cannot be met at any finite
-    bandwidth (non-positive slack, or required rate at/above the weaker
-    user's saturation rate); then ``b_min`` is +inf.
-    """
-
-    pair: tuple[int, int]
-    b_min: float
-    feasible: bool
 
 
 @dataclass(frozen=True)
@@ -146,15 +132,16 @@ def b_min_pair(
     j: UserProfile,
     cfg: SystemConfig,
     power: float,
-) -> PairBandwidthBound:
-    """Pair-level minimum bandwidth max{b_min_i, b_min_j} for (i, j)."""
-    delta = delta_slack(i, j, cfg)
-    bi = b_min_user(delta, cfg.rate_params(i, 1.0, power), cfg.payload_bits, cfg.b_max)
-    bj = b_min_user(delta, cfg.rate_params(j, 1.0, power), cfg.payload_bits, cfg.b_max)
-    b_min = max(bi, bj)
-    return PairBandwidthBound(
-        pair=(i.id, j.id), b_min=b_min, feasible=math.isfinite(b_min)
-    )
+) -> float:
+    """Minimum bandwidth pair (i, j) needs to meet the deadline: the
+    weaker user's root.
+
+    +inf when the deadline cannot be met at any finite bandwidth
+    (non-positive slack, or required rate at/above the weaker user's
+    saturation rate).
+    """
+    params = cfg.rate_params(weaker_user((i, j), cfg), power)
+    return b_min_user(delta_slack(i, j, cfg), params, cfg.payload_bits, cfg.b_max)
 
 
 def g_inverse(
@@ -203,53 +190,12 @@ def g_inverse(
     return 0.5 * (lo + hi)
 
 
-def tilde_b(
-    theta: float,
-    pair: tuple[UserProfile, UserProfile],
-    power: float,
-    cfg: SystemConfig,
-) -> float:
-    """Unconstrained KKT bandwidth of one pair at multiplier theta.
-
-    Invert G for user i; if user i's airtime dominates there
-    (Q/F_i >= Q/F_j, ties to i), keep it, otherwise invert for user j.
-    Because which user is slower never changes with b (it is set by the
-    gain-to-noise ratio), the branch test picks the slower user's
-    inverse.
-    """
-    i, j = pair
-    q = cfg.payload_bits
-    params_i = cfg.rate_params(i, 1.0, power)
-    params_j = cfg.rate_params(j, 1.0, power)
-    b_i = g_inverse(theta, power, q, params_i, cfg.b_max)
-    if q / f_value(b_i, params_i) >= q / f_value(b_i, params_j):
-        return b_i
-    return g_inverse(theta, power, q, params_j, cfg.b_max)
-
-
-def _xi(pair: tuple[UserProfile, UserProfile], b: float, power: float, cfg: SystemConfig) -> float:
-    """Group airtime xi(b) = max{Q/F_i(b), Q/F_j(b)} [s]."""
-    i, j = pair
-    fi = f_value(b, cfg.rate_params(i, b, power))
-    fj = f_value(b, cfg.rate_params(j, b, power))
-    if fi <= 0.0 or fj <= 0.0:
+def _xi(b: float, params: RateParams, payload_bits: float) -> float:
+    """Group airtime xi(b) = Q/F(b) of the weaker user [s]."""
+    fv = f_value(b, params)
+    if fv <= 0.0:
         return math.inf
-    return max(cfg.payload_bits / fi, cfg.payload_bits / fj)
-
-
-def total_bandwidth_at(
-    theta: float,
-    pairs: list[tuple[UserProfile, UserProfile]],
-    powers: list[float],
-    lower_bounds: list[float],
-    cfg: SystemConfig,
-) -> float:
-    """sum_k max{L_k, b_tilde_k(theta)} — the non-increasing map the
-    multiplier bisection searches."""
-    return sum(
-        max(lb, tilde_b(theta, pair, p, cfg))
-        for pair, p, lb in zip(pairs, powers, lower_bounds)
-    )
+    return payload_bits / fv
 
 
 def _infeasible_report(
@@ -275,33 +221,32 @@ def kkt_allocate(
     users: list[UserProfile],
     matching,
     cfg: SystemConfig,
-    bounds: list[PairBandwidthBound],
+    bounds: list[float],
 ) -> AllocationReport:
     """Optimal bandwidth split for one matching via multiplier bisection.
 
-    Requires every pair bound to be latency-feasible (see
-    :func:`check_feasibility` for the wrapping that handles the latency
-    case).  Group k's power is cfg.group_powers[k], keyed by the pair's
-    position in the matching.
+    ``bounds`` are the pairs' minimum bandwidths (:func:`b_min_pair`).
+    When any is +inf no bandwidth meets the deadline and the report's
+    reason is \"latency\".  Group k's power is cfg.group_powers[k],
+    keyed by the pair's position in the matching.
     """
-    if any(not bd.feasible for bd in bounds):
-        raise ValueError("kkt_allocate requires latency-feasible bounds for all pairs")
-
     by_id = {u.id: u for u in users}
     pairs = [(by_id[a], by_id[b]) for a, b in matching.pairs]
     powers = list(cfg.group_powers)
-    lower = [bd.b_min for bd in bounds]
+    lower = list(bounds)
     k = len(pairs)
     if len(lower) != k or len(powers) != k:
         raise ValueError("bounds/powers must have one entry per group")
+    if any(math.isinf(lb) for lb in lower):
+        return _infeasible_report("latency", tuple(lower), (), math.inf, math.inf)
 
+    q = cfg.payload_bits
+    params = [cfg.rate_params(weaker_user(pair, cfg), p) for pair, p in zip(pairs, powers)]
     budget = cfg.e_max - e_const(users, cfg)
     sum_lower = math.fsum(lower)
 
     if sum_lower > cfg.b_max * (1.0 + _OUTER_REL_TOL):
-        obj = math.fsum(
-            p * _xi(pair, lb, p, cfg) for pair, p, lb in zip(pairs, powers, lower)
-        )
+        obj = math.fsum(p * _xi(lb, prm, q) for p, lb, prm in zip(powers, lower, params))
         return _infeasible_report(
             "bandwidth_sum", tuple(lower), tuple(lower), obj,
             e_const(users, cfg) + obj,
@@ -309,20 +254,22 @@ def kkt_allocate(
 
     # Theta_max: the largest gradient value any group attains at its
     # lower bound; above it every group sits at L_k.
-    q = cfg.payload_bits
-    theta_max = 0.0
-    for pair, p, lb in zip(pairs, powers, lower):
-        for u in pair:
-            theta_max = max(
-                theta_max, g_value(lb, p, q, cfg.rate_params(u, lb, p))
-            )
+    theta_max = max(
+        g_value(lb, p, q, prm) for p, lb, prm in zip(powers, lower, params)
+    )
 
     if cfg.b_max - sum_lower <= _OUTER_REL_TOL * cfg.b_max:
         # Degenerate corner: the lower bounds already exhaust the band.
         b_star = list(lower)
         theta_star = theta_max
     else:
-        total_at = lambda th: total_bandwidth_at(th, pairs, powers, lower, cfg)
+        def allocation_at(theta: float) -> list[float]:
+            return [
+                max(lb, g_inverse(theta, p, q, prm, cfg.b_max))
+                for p, lb, prm in zip(powers, lower, params)
+            ]
+
+        total_at = lambda th: sum(allocation_at(th))
         hi = theta_max
         lo = 0.5 * theta_max
         for _ in range(_MAX_BISECT):
@@ -349,12 +296,9 @@ def kkt_allocate(
             raise RuntimeError("bandwidth multiplier bisection did not converge")
 
         theta_star = hi
-        b_star = [
-            max(lb, tilde_b(theta_star, pair, p, cfg))
-            for pair, p, lb in zip(pairs, powers, lower)
-        ]
+        b_star = allocation_at(theta_star)
 
-    obj = math.fsum(p * _xi(pair, b, p, cfg) for pair, p, b in zip(pairs, powers, b_star))
+    obj = math.fsum(p * _xi(b, prm, q) for p, b, prm in zip(powers, b_star, params))
     energy_total = e_const(users, cfg) + obj
     if _exceeds(obj, budget):
         return _infeasible_report(
@@ -385,9 +329,6 @@ def check_feasibility(users: list[UserProfile], matching, cfg: SystemConfig) -> 
         b_min_pair(by_id[a], by_id[b], cfg, cfg.group_powers[k])
         for k, (a, b) in enumerate(matching.pairs)
     ]
-    if any(not bd.feasible for bd in bounds):
-        lower = tuple(bd.b_min for bd in bounds)
-        return _infeasible_report("latency", lower, (), math.inf, math.inf)
     return kkt_allocate(users, matching, cfg, bounds)
 
 
@@ -407,19 +348,17 @@ def evaluate_fixed_allocation(
     by_id = {u.id: u for u in users}
     pairs = [(by_id[a], by_id[b]) for a, b in matching.pairs]
     powers = list(cfg.group_powers)
-    bounds = [
-        b_min_pair(i, j, cfg, p) for (i, j), p in zip(pairs, powers)
-    ]
-    lower = tuple(bd.b_min for bd in bounds)
+    lower = tuple(b_min_pair(i, j, cfg, p) for (i, j), p in zip(pairs, powers))
 
     obj = math.fsum(
-        p * _xi(pair, b, p, cfg) for pair, p, b in zip(pairs, powers, bandwidths)
+        p * _xi(b, cfg.rate_params(weaker_user(pair, cfg), p), cfg.payload_bits)
+        for pair, p, b in zip(pairs, powers, bandwidths)
     )
     used = math.fsum(bandwidths)
     energy_total = e_const(users, cfg) + obj
 
     reason = None
-    if any(b < bd.b_min * (1.0 - 1e-12) for b, bd in zip(bandwidths, bounds)):
+    if any(b < lb * (1.0 - 1e-12) for b, lb in zip(bandwidths, lower)):
         reason = "latency"  # covers infeasible pairs too (b_min = inf)
     elif used > cfg.b_max * (1.0 + _OUTER_REL_TOL):
         reason = "bandwidth_sum"

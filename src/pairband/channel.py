@@ -14,7 +14,9 @@ without bound.
 Everything downstream (minimum-bandwidth roots, the water-filling
 multiplier search) leans on three analytic facts proved here and checked
 in the test-suite: F is strictly increasing, strictly concave, and the
-gradient map G(b) = p*Q*F'(b)/F(b)^2 is strictly decreasing.
+gradient map G(b) = p*Q*F'(b)/F(b)^2 is strictly decreasing.  F also
+grows with g/N0 at every b, so of the two users sharing a group the one
+with the smaller g/N0 is the slower one at every bandwidth.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "path_loss_db",
     "sample_shadowing",
     "gain_from_db",
-    "rate",
     "f_value",
     "f_prime",
     "f_limit",
@@ -80,13 +81,12 @@ class ChannelGain:
 
 @dataclass(frozen=True)
 class RateParams:
-    """Arguments of the rate expression for one user in one group.
+    """Link parameters of the rate expression for one user in one group.
 
-    bandwidth b_k [Hz], power p_k [W], gain |h_u|^2 [linear], noise PSD
-    N0 [W/Hz].
+    power p_k [W], gain |h_u|^2 [linear], noise PSD N0 [W/Hz]; the
+    bandwidth is the argument of the rate functions.
     """
 
-    bandwidth: float
     power: float
     gain_linear: float
     noise_psd: float
@@ -98,21 +98,14 @@ class RateParams:
             raise ValueError("noise_psd must be positive")
         if self.gain_linear <= 0:
             raise ValueError("gain_linear must be positive")
-        if self.bandwidth < 0:
-            raise ValueError("bandwidth must be non-negative")
 
 
-def rate(params: RateParams) -> float:
-    """Per-user rate b*log2(1 + g*p/(2*N0*b + g*p)) in bits/s.
+def f_value(b: float, params: RateParams) -> float:
+    """Per-user rate F(b) = b*log2(1 + g*p/(2*N0*b + g*p)) in bits/s.
 
     Continuously extended to 0 at b = 0 so downstream bisection brackets
     never need a special case.
     """
-    return f_value(params.bandwidth, params)
-
-
-def f_value(b: float, params: RateParams) -> float:
-    """The concave rate function F(b); same expression as :func:`rate`."""
     if b < 0:
         raise ValueError("bandwidth must be non-negative")
     if b == 0.0:

@@ -7,8 +7,9 @@ Commands
 
 All structured outputs are deterministic: JSON with sorted keys, CSV
 with a fixed column order and repr-formatted floats, no timestamps.
-Exit codes: 0 success, 2 usage error, 3 invalid input, 4 globally
-infeasible instance.
+Exit codes: 0 success, 1 numerical failure (a root or multiplier
+bracket that could not be closed), 2 usage error, 3 invalid input,
+4 globally infeasible instance.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .scenario import (
 from .solver import STRATEGIES, SolveResult, solve, sweep_bandwidth
 
 EXIT_OK = 0
+EXIT_NUMERICAL = 1
 EXIT_USAGE = 2
 EXIT_INVALID_INPUT = 3
 EXIT_INFEASIBLE = 4
@@ -290,6 +292,8 @@ def cmd_sweep(args) -> int:
         raise InputError("--bmax list must be non-empty")
     if sorted(args.bmax) != args.bmax:
         raise InputError("--bmax values must be ascending")
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     scn = load_scenario(path)
     overrides = _overrides(args, keys=("tmax", "emax", "dmax"))
     template = scn.template
@@ -336,6 +340,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except RuntimeError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

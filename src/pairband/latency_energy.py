@@ -9,7 +9,10 @@ decode times:
 
 Only the transmit term depends on bandwidth, so the latency budget
 T_max reduces to a slack Delta_ij = T_max - (sum of compute delays)
-that max{t_i, t_j} must fit into.  Similarly, compute energy is fixed
+that max{t_i, t_j} must fit into.  That max is always the airtime of
+the pair's weaker user (:func:`weaker_user`), which is what the
+bandwidth layer computes with; the two-user forms below are kept as the
+independent re-check.  Similarly, compute energy is fixed
 once the user set is known (it does not depend on the matching), which
 lets the solver fold it into a constant offset and budget only the
 transmit energy.
@@ -20,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelGain, RateParams, f_limit, f_value
+from .channel import ChannelGain, RateParams, f_value
 
 __all__ = [
     "UserProfile",
@@ -28,9 +31,9 @@ __all__ = [
     "tau_bs",
     "tau_rx",
     "delta_slack",
+    "weaker_user",
     "transmit_time",
     "group_time",
-    "compute_energy_pair",
     "e_const",
     "transmit_energy",
 ]
@@ -93,11 +96,9 @@ class SystemConfig:
     def __post_init__(self) -> None:
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
-        for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd"):
+        for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd", "payload_bits"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.payload_bits < 0:
-            raise ValueError("payload_bits must be non-negative")
         if len(self.group_powers) != self.n_users // 2:
             raise ValueError("group_powers must have one entry per group (N/2)")
         if any(p <= 0 for p in self.group_powers):
@@ -107,9 +108,8 @@ class SystemConfig:
         """Noise PSD seen by ``user`` (per-user override or global)."""
         return user.noise_psd if user.noise_psd is not None else self.noise_psd
 
-    def rate_params(self, user: UserProfile, b: float, power: float) -> RateParams:
+    def rate_params(self, user: UserProfile, power: float) -> RateParams:
         return RateParams(
-            bandwidth=b,
             power=power,
             gain_linear=user.channel.gain_linear,
             noise_psd=self.noise_for(user),
@@ -135,11 +135,24 @@ def delta_slack(i: UserProfile, j: UserProfile, cfg: SystemConfig) -> float:
     return cfg.t_max - tau_bs(i, cfg) - tau_rx(i, cfg) - tau_bs(j, cfg) - tau_rx(j, cfg)
 
 
+def weaker_user(pair: tuple[UserProfile, UserProfile], cfg: SystemConfig) -> UserProfile:
+    """The pair member with the smaller g/N0, ties to the first.
+
+    F grows with g*p/N0 at every bandwidth, so this user's rate is the
+    pair's rate: its minimum-bandwidth root, gradient inverse and
+    airtime are the pair's.
+    """
+    i, j = pair
+    if j.channel.gain_linear / cfg.noise_for(j) < i.channel.gain_linear / cfg.noise_for(i):
+        return j
+    return i
+
+
 def transmit_time(b: float, user: UserProfile, power: float, cfg: SystemConfig) -> float:
     """Airtime Q / F_u(b) for one user [s]; inf when the rate is zero."""
     if b <= 0:
         return math.inf
-    fv = f_value(b, cfg.rate_params(user, b, power))
+    fv = f_value(b, cfg.rate_params(user, power))
     if fv <= 0.0:
         return math.inf
     return cfg.payload_bits / fv
@@ -177,14 +190,6 @@ def _rx_energy(user: UserProfile, cfg: SystemConfig) -> float:
     )
 
 
-def compute_energy_pair(
-    pair: tuple[UserProfile, UserProfile], cfg: SystemConfig
-) -> float:
-    """Compute energy of one pair: both BS encodes plus both decodes [J]."""
-    i, j = pair
-    return _bs_energy(i, cfg) + _bs_energy(j, cfg) + _rx_energy(i, cfg) + _rx_energy(j, cfg)
-
-
 def e_const(users: list[UserProfile], cfg: SystemConfig) -> float:
     """Total compute energy over all users [J].
 
@@ -205,13 +210,3 @@ def transmit_energy(
         transmit_time(b, j, power, cfg),
     )
     return power * t_air
-
-
-def pair_f_limit(
-    pair: tuple[UserProfile, UserProfile], power: float, cfg: SystemConfig
-) -> float:
-    """Saturation rate of the pair's slower user (the binding one)."""
-    i, j = pair
-    lim_i = f_limit(cfg.rate_params(i, 1.0, power))
-    lim_j = f_limit(cfg.rate_params(j, 1.0, power))
-    return min(lim_i, lim_j)

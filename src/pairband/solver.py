@@ -32,7 +32,6 @@ import numpy as np
 
 from .bandwidth import (
     AllocationReport,
-    PairBandwidthBound,
     b_min_pair,
     evaluate_fixed_allocation,
     kkt_allocate,
@@ -106,14 +105,15 @@ def _cost_matrix(scenario: Scenario) -> PairCostMatrix:
 
 
 class _BoundCache:
-    """Per-pair minimum-bandwidth roots, computed once per (pair, power)."""
+    """Per-pair minimum bandwidths (+inf when latency-infeasible),
+    computed once per (pair, power)."""
 
     def __init__(self, users: tuple[UserProfile, ...], cfg: SystemConfig):
         self._users = {u.id: u for u in users}
         self._cfg = cfg
-        self._cache: dict[tuple[int, int, float], PairBandwidthBound] = {}
+        self._cache: dict[tuple[int, int, float], float] = {}
 
-    def get(self, i: int, j: int, power: float) -> PairBandwidthBound:
+    def get(self, i: int, j: int, power: float) -> float:
         key = (min(i, j), max(i, j), power)
         if key not in self._cache:
             self._cache[key] = b_min_pair(
@@ -121,7 +121,7 @@ class _BoundCache:
             )
         return self._cache[key]
 
-    def for_matching(self, matching: Matching) -> list[PairBandwidthBound]:
+    def for_matching(self, matching: Matching) -> list[float]:
         return [
             self.get(i, j, self._cfg.group_powers[k])
             for k, (i, j) in enumerate(matching.pairs)
@@ -129,20 +129,9 @@ class _BoundCache:
 
 
 def _check_with_bounds(
-    scenario: Scenario, matching: Matching, bounds: list[PairBandwidthBound]
+    scenario: Scenario, matching: Matching, bounds: list[float]
 ) -> AllocationReport:
-    if any(not bd.feasible for bd in bounds):
-        lower = tuple(bd.b_min for bd in bounds)
-        return AllocationReport(
-            bandwidths=(),
-            theta_star=math.nan,
-            lower_bounds=lower,
-            objective=math.inf,
-            bandwidth_used=math.inf,
-            energy_total=math.inf,
-            feasible=False,
-            infeasibility_reason="latency",
-        )
+    """Verdict on one candidate matching, from its cached pair bounds."""
     return kkt_allocate(list(scenario.users), matching, scenario.cfg, bounds)
 
 
@@ -167,9 +156,9 @@ def _globally_infeasible(scenario: Scenario, costs: PairCostMatrix, cache: _Boun
         for j in range(i + 1, n):
             if not math.isfinite(costs.costs[i, j]):
                 continue
-            bd = cache.get(i, j, power)
-            if bd.feasible:
-                weights[i, j] = weights[j, i] = bd.b_min
+            b_min = cache.get(i, j, power)
+            if math.isfinite(b_min):
+                weights[i, j] = weights[j, i] = b_min
     best = mwpm(PairCostMatrix(n=n, costs=weights))
     if best is None:
         return True
@@ -413,6 +402,9 @@ def sweep_bandwidth(
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
+
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     tasks = [
         (template, tuple(b_max_values), tuple(strategies), w_count, seed)

@@ -30,12 +30,11 @@ def gain_channel(gain_linear: float) -> ChannelGain:
 
 
 def make_params(
-    b: float = 1.0e6,
     power: float = 1.0,
     gain: float = 1.0e-11,
     noise: float = NOISE,
 ) -> RateParams:
-    return RateParams(bandwidth=b, power=power, gain_linear=gain, noise_psd=noise)
+    return RateParams(power=power, gain_linear=gain, noise_psd=noise)
 
 
 def make_user(
@@ -207,17 +206,17 @@ def random_instance(rng, k=2, b_max=None, t_max=2.0):
 def active_gradient(pair, b, power, cfg):
     """Gradient of the binding (slower) user of the pair at bandwidth b."""
     i, j = pair
-    fi = f_value(b, cfg.rate_params(i, b, power))
-    fj = f_value(b, cfg.rate_params(j, b, power))
+    fi = f_value(b, cfg.rate_params(i, power))
+    fj = f_value(b, cfg.rate_params(j, power))
     u = i if fi <= fj else j
-    return g_value(b, power, cfg.payload_bits, cfg.rate_params(u, b, power))
+    return g_value(b, power, cfg.payload_bits, cfg.rate_params(u, power))
 
 
 def group_airtime(pair, b, power, cfg):
     i, j = pair
     return max(
-        cfg.payload_bits / f_value(b, cfg.rate_params(i, b, power)),
-        cfg.payload_bits / f_value(b, cfg.rate_params(j, b, power)),
+        cfg.payload_bits / f_value(b, cfg.rate_params(i, power)),
+        cfg.payload_bits / f_value(b, cfg.rate_params(j, power)),
     )
 
 

@@ -11,6 +11,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairband.bandwidth import (
     b_min_pair,
@@ -19,11 +21,9 @@ from pairband.bandwidth import (
     evaluate_fixed_allocation,
     g_inverse,
     kkt_allocate,
-    tilde_b,
-    total_bandwidth_at,
 )
 from pairband.channel import f_limit, f_value, g_value
-from pairband.latency_energy import delta_slack, e_const, group_time
+from pairband.latency_energy import delta_slack, e_const, group_time, transmit_energy
 from pairband.pairing import Matching
 from support import (
     NOISE,
@@ -105,33 +105,30 @@ class TestBMinPair:
         j = make_user(1, gain=1e-12)
         bound = b_min_pair(i, j, cfg, 1.0)
         delta = delta_slack(i, j, cfg)
-        expect = b_min_user(delta, cfg.rate_params(j, 1.0, 1.0), cfg.payload_bits)
-        assert bound.feasible
-        assert bound.b_min == pytest.approx(expect, rel=1e-9)
-        assert bound.pair == (0, 1)
+        expect = b_min_user(delta, cfg.rate_params(j, 1.0), cfg.payload_bits)
+        assert math.isfinite(bound)
+        assert bound == pytest.approx(expect, rel=1e-9)
 
     def test_identical_users_match_single_root(self):
         cfg = make_cfg(t_max=2.0)
         i, j = make_user(0), make_user(1)
         bound = b_min_pair(i, j, cfg, 1.0)
         delta = delta_slack(i, j, cfg)
-        expect = b_min_user(delta, cfg.rate_params(i, 1.0, 1.0), cfg.payload_bits)
-        assert bound.b_min == pytest.approx(expect, rel=1e-9)
+        expect = b_min_user(delta, cfg.rate_params(i, 1.0), cfg.payload_bits)
+        assert bound == pytest.approx(expect, rel=1e-9)
 
     def test_deadline_met_exactly_at_root(self):
         cfg = make_cfg(t_max=2.0)
         i = make_user(0, gain=4e-12)
         j = make_user(1, gain=9e-13, dec=1.3)
         bound = b_min_pair(i, j, cfg, 1.0)
-        assert group_time((i, j), bound.b_min, 1.0, cfg) == pytest.approx(
+        assert group_time((i, j), bound, 1.0, cfg) == pytest.approx(
             cfg.t_max, rel=1e-9
         )
 
     def test_compute_delays_alone_can_break_the_deadline(self):
         cfg = make_cfg(t_max=0.1)  # below the four compute delays
-        bound = b_min_pair(make_user(0), make_user(1), cfg, 1.0)
-        assert not bound.feasible
-        assert bound.b_min == math.inf
+        assert b_min_pair(make_user(0), make_user(1), cfg, 1.0) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -174,67 +171,70 @@ class TestGInverse:
             g_inverse(0.0, 1.0, 1.3e6, make_params())
 
 
+def _two_group_report(pair0, pair1, cfg):
+    """Allocation for groups (pair0, pair1), each given in its own order."""
+    users = [*pair0, *pair1]
+    matching = Matching(
+        pairs=((pair0[0].id, pair0[1].id), (pair1[0].id, pair1[1].id)),
+        total_cost=0.0,
+    )
+    return check_feasibility(users, matching, cfg)
+
+
 class TestTildeB:
+    """b_tilde(theta), a pair's unconstrained KKT share: its weaker
+    user's gradient inverse, which the allocator gives every group
+    above its lower bound."""
+
     def test_identical_users_reduce_to_single_inverse(self):
-        cfg = make_cfg()
+        cfg = make_cfg(4, b_max=6e6, t_max=2.0)
         i, j = make_user(0), make_user(1)
-        params = cfg.rate_params(i, 1.0, 1.0)
-        theta = g_value(2e6, 1.0, cfg.payload_bits, params)
-        assert tilde_b(theta, (i, j), 1.0, cfg) == pytest.approx(
-            g_inverse(theta, 1.0, cfg.payload_bits, params, cfg.b_max), rel=1e-12
-        )
+        report = _two_group_report((i, j), (make_user(2, gain=3e-12), make_user(3)), cfg)
+        assert report.feasible
+        theta, b = report.theta_star, report.bandwidths[0]
+        assert b > report.lower_bounds[0]
+        for u in (i, j):
+            params = cfg.rate_params(u, 1.0)
+            assert b == pytest.approx(
+                g_inverse(theta, 1.0, cfg.payload_bits, params, cfg.b_max), rel=1e-12
+            )
 
     def test_weaker_user_owns_the_bandwidth(self):
-        cfg = make_cfg()
+        cfg = make_cfg(4, b_max=8e6, t_max=2.0)
         strong = make_user(0, gain=1e-10)
-        weak = make_user(1, gain=1e-12)
-        params_w = cfg.rate_params(weak, 1.0, 1.0)
-        for b0 in (1e5, 1e6, 1e7):
-            theta = g_value(b0, 1.0, cfg.payload_bits, params_w)
-            expect = g_inverse(theta, 1.0, cfg.payload_bits, params_w, cfg.b_max)
-            # Order in the pair must not matter: the slower user decides.
-            assert tilde_b(theta, (strong, weak), 1.0, cfg) == pytest.approx(
-                expect, rel=1e-9
-            )
-            assert tilde_b(theta, (weak, strong), 1.0, cfg) == pytest.approx(
-                expect, rel=1e-9
-            )
+        weak = make_user(1, gain=3e-13)
+        other = (make_user(2, gain=3e-12), make_user(3, gain=5e-12))
+        # Order in the pair must not matter: the slower user decides.
+        report = _two_group_report((strong, weak), other, cfg)
+        swapped = _two_group_report((weak, strong), other, cfg)
+        assert report.feasible
+        assert swapped.bandwidths == report.bandwidths
+        assert swapped.theta_star == report.theta_star
+        theta, b = report.theta_star, report.bandwidths[0]
+        assert b > report.lower_bounds[0]
+        q = cfg.payload_bits
+        params_w = cfg.rate_params(weak, 1.0)
+        params_s = cfg.rate_params(strong, 1.0)
+        assert b == pytest.approx(g_inverse(theta, 1.0, q, params_w, cfg.b_max), rel=1e-12)
+        # The stronger user's inverse is a different bandwidth.
+        assert abs(g_inverse(theta, 1.0, q, params_s, cfg.b_max) - b) > 1e-5 * b
 
     def test_decreasing_in_theta(self):
-        cfg = make_cfg()
-        pair = (make_user(0, gain=1e-11), make_user(1, gain=3e-12))
-        thetas = np.logspace(-9, -5, 20)
-        vals = [tilde_b(float(t), pair, 1.0, cfg) for t in thetas]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-class TestTotalBandwidthMap:
-    def test_nonincreasing_in_theta(self):
-        rng = np.random.default_rng(11)
-        users, cfg, matching = random_instance(rng, k=3)
-        pairs = paired_users(users, matching)
-        powers = list(cfg.group_powers)
-        lower = [
-            b_min_pair(i, j, cfg, p).b_min for (i, j), p in zip(pairs, powers)
+        # Widening the band lowers theta* and raises every share above
+        # its bound, so sum_k max{L_k, b_tilde_k(theta)} is
+        # non-increasing in theta.
+        pair0 = (make_user(0, gain=1e-11), make_user(1, gain=3e-12))
+        pair1 = (make_user(2, gain=2e-12), make_user(3, gain=4e-12))
+        reports = [
+            _two_group_report(pair0, pair1, make_cfg(4, b_max=float(b), t_max=2.0))
+            for b in np.linspace(4e6, 40e6, 10)
         ]
-        thetas = np.logspace(-10, -4, 40)
-        totals = [
-            total_bandwidth_at(float(t), pairs, powers, lower, cfg) for t in thetas
-        ]
-        assert all(a >= b for a, b in zip(totals, totals[1:]))
-
-    def test_floors_at_summed_lower_bounds(self):
-        rng = np.random.default_rng(12)
-        users, cfg, matching = random_instance(rng, k=2)
-        pairs = paired_users(users, matching)
-        powers = list(cfg.group_powers)
-        lower = [
-            b_min_pair(i, j, cfg, p).b_min for (i, j), p in zip(pairs, powers)
-        ]
-        huge_theta = 1.0  # far above any gradient at these scales
-        assert total_bandwidth_at(huge_theta, pairs, powers, lower, cfg) == (
-            pytest.approx(math.fsum(lower), rel=1e-12)
-        )
+        assert all(r.feasible for r in reports)
+        thetas = [r.theta_star for r in reports]
+        assert all(a > b for a, b in zip(thetas, thetas[1:]))
+        for k in range(2):
+            shares = [r.bandwidths[k] for r in reports]
+            assert all(a < b for a, b in zip(shares, shares[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +292,8 @@ class TestKktAllocate:
         pairs = paired_users(users, matching)
         xi = [
             max(
-                cfg.payload_bits / f_value(b, cfg.rate_params(i, b, p)),
-                cfg.payload_bits / f_value(b, cfg.rate_params(j, b, p)),
+                cfg.payload_bits / f_value(b, cfg.rate_params(i, p)),
+                cfg.payload_bits / f_value(b, cfg.rate_params(j, p)),
             )
             for (i, j), b, p in zip(pairs, report.bandwidths, cfg.group_powers)
         ]
@@ -312,15 +312,15 @@ class TestKktAllocate:
             b_min_pair(by_id[a], by_id[b], cfg, p)
             for (a, b), p in zip(matching.pairs, cfg.group_powers)
         ]
-        pinched = replace(cfg, b_max=math.fsum(bd.b_min for bd in bounds))
+        pinched = replace(cfg, b_max=math.fsum(bounds))
         report = kkt_allocate(users, matching, pinched, bounds)
         assert report.feasible
-        assert report.bandwidths == tuple(bd.b_min for bd in bounds)
+        assert report.bandwidths == tuple(bounds)
         # Multiplier sits at the top of the gradient range: no group
         # would prefer to shrink below its bound.
-        for bd, p, (a, b) in zip(bounds, pinched.group_powers, matching.pairs):
+        for lb, p, (a, b) in zip(bounds, pinched.group_powers, matching.pairs):
             assert active_gradient(
-                (by_id[a], by_id[b]), bd.b_min, p, pinched
+                (by_id[a], by_id[b]), lb, p, pinched
             ) <= report.theta_star * (1.0 + 1e-9)
 
     def test_sum_of_bounds_above_band_is_infeasible(self):
@@ -331,7 +331,7 @@ class TestKktAllocate:
             b_min_pair(by_id[a], by_id[b], cfg, p)
             for (a, b), p in zip(matching.pairs, cfg.group_powers)
         ]
-        pinched = replace(cfg, b_max=0.99 * math.fsum(bd.b_min for bd in bounds))
+        pinched = replace(cfg, b_max=0.99 * math.fsum(bounds))
         report = kkt_allocate(users, matching, pinched, bounds)
         assert not report.feasible
         assert report.infeasibility_reason == "bandwidth_sum"
@@ -356,16 +356,22 @@ class TestKktAllocate:
         assert report.infeasibility_reason == "latency"
 
     def test_allocator_requires_feasible_bounds(self):
-        users = [make_user(i) for i in range(4)]
-        cfg = make_cfg(4, t_max=0.1)
+        # An infinite bound gets no allocation: the verdict is latency.
+        users = [make_user(0), make_user(1), make_user(2, dec=50.0), make_user(3)]
+        cfg = make_cfg(4, t_max=2.0)
         by_id = {u.id: u for u in users}
         matching = consecutive_matching(4)
         bounds = [
             b_min_pair(by_id[a], by_id[b], cfg, p)
             for (a, b), p in zip(matching.pairs, cfg.group_powers)
         ]
-        with pytest.raises(ValueError):
-            kkt_allocate(users, matching, cfg, bounds)
+        assert math.isfinite(bounds[0]) and bounds[1] == math.inf
+        report = kkt_allocate(users, matching, cfg, bounds)
+        assert not report.feasible
+        assert report.infeasibility_reason == "latency"
+        assert report.bandwidths == ()
+        assert report.lower_bounds == tuple(bounds)
+        assert report.objective == report.energy_total == math.inf
 
     def test_grid_oracle_agreement_two_groups(self):
         rng = np.random.default_rng(31)
@@ -448,3 +454,71 @@ class TestEvaluateFixedAllocation:
         scored = evaluate_fixed_allocation(users, matching, tight, [share, share])
         assert not scored.feasible
         assert scored.infeasibility_reason == "energy"
+
+
+# ---------------------------------------------------------------------------
+# The weaker-user shortcut against the two-user form
+
+
+_gains = st.floats(min_value=1e-13, max_value=1e-10)
+_noise_overrides = st.one_of(
+    st.none(), st.floats(min_value=0.25, max_value=4.0).map(lambda f: f * NOISE)
+)
+
+
+@st.composite
+def _user_pair(draw, first_id=0):
+    """Two users, with per-user noise overrides and, half the time, an
+    exact tie in g/N0 (gain and noise scaled by one power of two)."""
+    gain_i, noise_i = draw(_gains), draw(_noise_overrides)
+    if draw(st.booleans()):
+        scale = 2.0 ** draw(st.integers(min_value=-3, max_value=3))
+        gain_j = gain_i * scale
+        noise_j = (NOISE if noise_i is None else noise_i) * scale
+    else:
+        gain_j, noise_j = draw(_gains), draw(_noise_overrides)
+    decs = st.floats(min_value=0.6, max_value=1.4)
+    return (
+        make_user(first_id, gain=gain_i, noise=noise_i, dec=draw(decs)),
+        make_user(first_id + 1, gain=gain_j, noise=noise_j, dec=draw(decs)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pair=_user_pair(),
+    t_max=st.floats(min_value=0.2, max_value=4.0),
+    power=st.floats(min_value=0.25, max_value=4.0),
+)
+def test_prop_b_min_pair_is_max_of_user_roots(pair, t_max, power):
+    cfg = make_cfg(2, t_max=t_max, powers=(power,))
+    delta = delta_slack(*pair, cfg)
+    roots = [
+        b_min_user(delta, cfg.rate_params(u, power), cfg.payload_bits, cfg.b_max)
+        for u in pair
+    ]
+    assert b_min_pair(*pair, cfg, power) == max(roots)
+
+
+@st.composite
+def _instance(draw):
+    k = draw(st.integers(min_value=1, max_value=3))
+    users = [u for g in range(k) for u in draw(_user_pair(2 * g))]
+    powers = tuple(draw(st.floats(min_value=0.25, max_value=4.0)) for _ in range(k))
+    cfg = make_cfg(2 * k, b_max=4.0e6 * k, t_max=2.0, powers=powers)
+    return users, cfg, consecutive_matching(2 * k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instance=_instance())
+def test_prop_objective_is_sum_of_transmit_energies(instance):
+    users, cfg, matching = instance
+    report = check_feasibility(users, matching, cfg)
+    if report.feasible:
+        expect = math.fsum(
+            transmit_energy(pair, b, p, cfg)
+            for pair, b, p in zip(
+                paired_users(users, matching), report.bandwidths, cfg.group_powers
+            )
+        )
+        assert report.objective == pytest.approx(expect, rel=1e-12)

@@ -20,7 +20,6 @@ from pairband.channel import (
     f_value,
     g_value,
     path_loss_db,
-    rate,
     sample_shadowing,
 )
 from support import NOISE, make_params
@@ -118,8 +117,9 @@ class TestRateParamsValidation:
             make_params(**kwargs)
 
     def test_rejects_negative_bandwidth(self):
+        # Bandwidth is the rate's argument, not a link field.
         with pytest.raises(ValueError):
-            make_params(b=-1.0)
+            f_value(-1.0, make_params())
 
 
 # ---------------------------------------------------------------------------
@@ -133,12 +133,8 @@ class TestRate:
     def test_half_point_closed_form(self):
         # With hp = 2 N0 b the in-log term is 1/2, so F = b log2(1.5).
         b = 1.0e6
-        params = make_params(b=b, power=1.0, gain=2.0 * NOISE * b, noise=NOISE)
+        params = make_params(power=1.0, gain=2.0 * NOISE * b, noise=NOISE)
         assert f_value(b, params) == pytest.approx(b * LOG2_OF_1_5, rel=1e-12)
-
-    def test_rate_uses_own_bandwidth(self):
-        params = make_params(b=2.0e6)
-        assert rate(params) == f_value(2.0e6, params)
 
     def test_strictly_increasing_over_ten_decades(self):
         params = make_params()
@@ -183,16 +179,13 @@ class TestRate:
 class TestFLimit:
     def test_unit_closed_form(self):
         # hp = 2 N0  ->  limit = 1/ln 2.
-        params = make_params(b=1.0, power=1.0, gain=2.0 * NOISE, noise=NOISE)
+        params = make_params(power=1.0, gain=2.0 * NOISE, noise=NOISE)
         assert f_limit(params) == pytest.approx(ONE_OVER_LN2, rel=1e-12)
 
     def test_linear_in_power(self):
         p1 = make_params(power=1.0)
         p2 = make_params(power=2.0)
         assert f_limit(p2) == pytest.approx(2.0 * f_limit(p1), rel=1e-12)
-
-    def test_independent_of_bandwidth(self):
-        assert f_limit(make_params(b=1.0)) == f_limit(make_params(b=1e9))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +223,7 @@ class TestGradientG:
     def test_closed_form_composition(self):
         params = make_params()
         b, p, q = 2.0e6, 1.5, 1.3e6
-        params = make_params(b=b, power=p)
+        params = make_params(power=p)
         expect = p * q * f_prime(b, params) / f_value(b, params) ** 2
         assert g_value(b, p, q, params) == pytest.approx(expect, rel=1e-12)
 
@@ -271,7 +264,7 @@ bandwidths = st.floats(min_value=1e3, max_value=1e9)
 @settings(max_examples=60, deadline=None)
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_rate_positive_below_limit(gain, power, b):
-    params = RateParams(bandwidth=b, power=power, gain_linear=gain, noise_psd=NOISE)
+    params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
     val = f_value(b, params)
     assert 0.0 < val < f_limit(params)
 
@@ -279,7 +272,7 @@ def test_prop_rate_positive_below_limit(gain, power, b):
 @settings(max_examples=60, deadline=None)
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_derivative_matches_finite_difference(gain, power, b):
-    params = RateParams(bandwidth=b, power=power, gain_linear=gain, noise_psd=NOISE)
+    params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
     fd = central_diff(lambda x: f_value(x, params), b, 1e-6 * b)
     assert f_prime(b, params) == pytest.approx(fd, rel=1e-5)
 
@@ -287,7 +280,7 @@ def test_prop_derivative_matches_finite_difference(gain, power, b):
 @settings(max_examples=60, deadline=None)
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_gradient_positive_decreasing_locally(gain, power, b):
-    params = RateParams(bandwidth=b, power=power, gain_linear=gain, noise_psd=NOISE)
+    params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
     g_here = g_value(b, power, 1.3e6, params)
     g_up = g_value(1.5 * b, power, 1.3e6, params)
     assert g_here > 0

@@ -10,6 +10,7 @@ from pairband import __version__
 from pairband.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID_INPUT,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
     METRIC_COLUMNS,
@@ -214,6 +215,23 @@ class TestSolve:
             run("solve", str(small_scenario), "--strategy", "annealing")
         assert exc.value.code == EXIT_USAGE
 
+    def test_zero_payload_is_invalid_input(self, small_scenario, tmp_path, capsys):
+        doc = json.loads(small_scenario.read_text())
+        doc["config"]["payload_bits"] = 0
+        path = tmp_path / "zero_payload.json"
+        path.write_text(json.dumps(doc))
+        assert run("solve", str(path)) == EXIT_INVALID_INPUT
+        assert "payload_bits must be positive" in capsys.readouterr().err
+
+    def test_numerical_failure_exits_1(self, small_scenario, monkeypatch, capsys):
+        def failing_solve(*args, **kwargs):
+            raise RuntimeError("bracket expansion failed for b_min")
+
+        monkeypatch.setattr("pairband.cli.solve", failing_solve)
+        assert run("solve", str(small_scenario)) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err == "error: numerical failure: bracket expansion failed for b_min\n"
+
 
 class TestSweep:
     def test_rows_and_preamble(self, small_scenario, tmp_path):
@@ -304,6 +322,16 @@ class TestSweep:
         )
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, small_scenario, tmp_path, capsys, jobs):
+        code = run(
+            "sweep", str(small_scenario), "--bmax", "9e6", "--seeds", "1",
+            "--jobs", jobs, "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_bad_bmax_literal_is_a_usage_error(self, small_scenario, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(
@@ -331,4 +359,5 @@ class TestTopLevel:
         assert __version__ in capsys.readouterr().out
 
     def test_exit_codes_are_distinct(self):
-        assert len({EXIT_OK, EXIT_USAGE, EXIT_INVALID_INPUT, EXIT_INFEASIBLE}) == 4
+        codes = {EXIT_OK, EXIT_NUMERICAL, EXIT_USAGE, EXIT_INVALID_INPUT, EXIT_INFEASIBLE}
+        assert len(codes) == 5

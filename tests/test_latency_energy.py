@@ -12,15 +12,14 @@ from pairband.channel import f_limit, f_value
 from pairband.latency_energy import (
     SystemConfig,
     UserProfile,
-    compute_energy_pair,
     delta_slack,
     e_const,
     group_time,
-    pair_f_limit,
     tau_bs,
     tau_rx,
     transmit_energy,
     transmit_time,
+    weaker_user,
 )
 from support import NOISE, make_cfg, make_user
 
@@ -55,8 +54,11 @@ class TestTauRx:
         assert tau_rx(u, cfg) == pytest.approx(0.1, rel=1e-12)
 
     def test_zero_payload(self):
-        cfg = make_cfg(payload=0.0)
-        assert tau_rx(make_user(0), cfg) == 0.0
+        # A payload must be positive; the config refuses a zero one
+        # before any delay is computed.
+        for payload in (0.0, -1.0):
+            with pytest.raises(ValueError, match="payload_bits"):
+                make_cfg(payload=payload)
 
     def test_scales_with_decoder_size(self):
         cfg = make_cfg()
@@ -97,7 +99,7 @@ class TestTransmitTime:
         cfg = make_cfg()
         u = make_user(0)
         b = 2.0e6
-        fv = f_value(b, cfg.rate_params(u, b, 1.0))
+        fv = f_value(b, cfg.rate_params(u, 1.0))
         assert transmit_time(b, u, 1.0, cfg) == pytest.approx(
             cfg.payload_bits / fv, rel=1e-12
         )
@@ -107,7 +109,7 @@ class TestTransmitTime:
         cfg = make_cfg()
         u = make_user(0)
         b = 3.0e6
-        fv = f_value(b, cfg.rate_params(u, b, 1.0))
+        fv = f_value(b, cfg.rate_params(u, 1.0))
         cfg1 = replace(cfg, payload_bits=fv)
         assert transmit_time(b, u, 1.0, cfg1) == pytest.approx(1.0, rel=1e-12)
 
@@ -197,18 +199,18 @@ class TestComputeEnergy:
         )
         i = make_user(0, q_bits=2.0, enc=3.0, coeff=0.0)
         j = make_user(1, q_bits=2.0, enc=3.0, coeff=0.0)
-        assert compute_energy_pair((i, j), cfg) == pytest.approx(1200.0, rel=1e-12)
+        assert e_const([i, j], cfg) == pytest.approx(1200.0, rel=1e-12)
 
     def test_zero_coefficients_zero_energy(self):
         cfg = replace(make_cfg(), bs_energy_coeff=0.0)
         i = make_user(0, coeff=0.0)
         j = make_user(1, coeff=0.0)
-        assert compute_energy_pair((i, j), cfg) == 0.0
+        assert e_const([i, j], cfg) == 0.0
 
     def test_symmetric_in_pair_order(self):
         cfg = make_cfg()
         i, j = make_user(0, dec=0.7), make_user(1, dec=1.3)
-        assert compute_energy_pair((i, j), cfg) == compute_energy_pair((j, i), cfg)
+        assert e_const([i, j], cfg) == e_const([j, i], cfg)
 
 
 class TestEConst:
@@ -218,7 +220,7 @@ class TestEConst:
         total = e_const(users, cfg)
         for matching in [((0, 1), (2, 3), (4, 5)), ((0, 5), (1, 4), (2, 3))]:
             by_pair = sum(
-                compute_energy_pair((users[a], users[b]), cfg) for a, b in matching
+                e_const([users[a], users[b]], cfg) for a, b in matching
             )
             assert by_pair == pytest.approx(total, rel=1e-12)
 
@@ -252,7 +254,7 @@ class TestTransmitEnergy:
         cfg = make_cfg()
         i, j = make_user(0, gain=1e-10), make_user(1, gain=1e-12)
         p = 1.0
-        floor = p * cfg.payload_bits / pair_f_limit((i, j), p, cfg)
+        floor = p * cfg.payload_bits / f_limit(cfg.rate_params(j, p))
         wide = transmit_energy((i, j), 1.0e16, p, cfg)
         assert wide == pytest.approx(floor, rel=1e-4)
         assert wide > floor
@@ -266,21 +268,34 @@ class TestTransmitEnergy:
 
 
 class TestPairFLimit:
+    """A pair saturates at its weaker user's limit; weaker_user names
+    that user whichever order the pair is given in."""
+
     def test_weaker_user_binds(self):
         cfg = make_cfg()
         i, j = make_user(0, gain=1e-10), make_user(1, gain=1e-12)
-        assert pair_f_limit((i, j), 1.0, cfg) == f_limit(cfg.rate_params(j, 1.0, 1.0))
+        assert weaker_user((i, j), cfg) is j
+        assert weaker_user((j, i), cfg) is j
+        assert f_limit(cfg.rate_params(j, 1.0)) < f_limit(cfg.rate_params(i, 1.0))
 
     def test_per_user_noise_override(self):
         cfg = make_cfg()
         # Same gain, but one user sees a noisier front end: it binds.
         i = make_user(0, gain=1e-11)
         j = make_user(1, gain=1e-11, noise=10.0 * NOISE)
-        assert pair_f_limit((i, j), 1.0, cfg) == f_limit(
-            cfg.rate_params(j, 1.0, 1.0)
-        )
+        assert weaker_user((i, j), cfg) is j
+        assert weaker_user((j, i), cfg) is j
         assert cfg.noise_for(j) == 10.0 * NOISE
         assert cfg.noise_for(i) == NOISE
+
+    def test_exact_tie_goes_to_first_user(self):
+        # Gain and noise both doubled: the same g/N0, hence the same rate.
+        cfg = make_cfg()
+        i = make_user(0, gain=1e-11)
+        j = make_user(1, gain=2e-11, noise=2.0 * NOISE)
+        assert weaker_user((i, j), cfg) is i
+        assert weaker_user((j, i), cfg) is j
+        assert f_value(3e6, cfg.rate_params(i, 1.0)) == f_value(3e6, cfg.rate_params(j, 1.0))
 
 
 class TestValidation:

@@ -467,3 +467,8 @@ class TestSweep:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             sweep_bandwidth(SWEEP_TEMPLATE, [5.0e6], strategies=["magic"], seeds=[0])
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_rejects_jobs_below_one(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            sweep_bandwidth(SWEEP_TEMPLATE, [5.0e6], seeds=[0], jobs=jobs)
