@@ -23,7 +23,6 @@ def main() -> None:
     parser.add_argument("--n", type=int, default=16, help="population size")
     parser.add_argument("--seed", type=int, default=0, help="scenario seed")
     parser.add_argument("--bmax-mhz", type=float, default=10.0, help="bandwidth budget")
-    parser.add_argument("--w-count", type=int, default=16, help="candidate window")
     args = parser.parse_args()
 
     template = ScenarioTemplate(n_users=args.n, b_max=args.bmax_mhz * 1.0e6)
@@ -40,7 +39,7 @@ def main() -> None:
         f"{'B used (MHz)':>13s} {'energy (J)':>11s} {'tried':>6s}"
     )
     for strategy in STRATEGIES:
-        res = solve(scn, strategy, w_count=args.w_count)
+        res = solve(scn, strategy)
         if res.matching is None:
             print(f"{strategy:>24s} {'--':>8s} {'no pairing':>11s}")
             continue
@@ -60,7 +59,7 @@ def main() -> None:
 
     print()
     print("pairs chosen by the proposed strategy:")
-    best = solve(scn, "proposed", w_count=args.w_count)
+    best = solve(scn, "proposed")
     if best.matching is not None:
         for i, j in best.matching.pairs:
             d = scn.distortions.pair_sum[i, j]

@@ -146,7 +146,6 @@ def b_min_pair(
 
 def g_inverse(
     theta: float,
-    power: float,
     payload_bits: float,
     params: RateParams,
     b_hint: float = 1.0e6,
@@ -160,7 +159,7 @@ def g_inverse(
         raise ValueError(f"theta must be positive, got {theta}")
 
     lo, hi = 1.0, max(2.0, b_hint)
-    g = lambda b: g_value(b, power, payload_bits, params)
+    g = lambda b: g_value(b, payload_bits, params)
     # G decreasing: want g(lo) >= theta >= g(hi).
     for _ in range(_MAX_DOUBLINGS):
         if g(lo) >= theta:
@@ -198,21 +197,41 @@ def _xi(b: float, params: RateParams, payload_bits: float) -> float:
     return payload_bits / fv
 
 
-def _infeasible_report(
-    reason: str,
-    lower_bounds: tuple[float, ...],
-    bandwidths: tuple[float, ...],
-    objective: float,
-    energy_total: float,
+def _report(
+    users: list[UserProfile],
+    pairs,
+    cfg: SystemConfig,
+    lower,
+    bandwidths,
+    theta_star: float = math.nan,
 ) -> AllocationReport:
+    """Score one bandwidth vector against every budget.
+
+    The report carries the first violated budget (latency, then
+    bandwidth_sum, then energy); ``theta_star`` is kept only when none
+    is violated.
+    """
+    obj = math.fsum(
+        p * _xi(b, cfg.rate_params(weaker_user(pair, cfg), p), cfg.payload_bits)
+        for pair, p, b in zip(pairs, cfg.group_powers, bandwidths)
+    )
+    used = math.fsum(bandwidths)
+    fixed = e_const(users, cfg)
+    reason = None
+    if any(b < lb * (1.0 - 1e-12) for b, lb in zip(bandwidths, lower)):
+        reason = "latency"  # covers infeasible pairs too (b_min = inf)
+    elif used > cfg.b_max * (1.0 + _OUTER_REL_TOL):
+        reason = "bandwidth_sum"
+    elif _exceeds(obj, cfg.e_max - fixed):
+        reason = "energy"
     return AllocationReport(
-        bandwidths=bandwidths,
-        theta_star=math.nan,
-        lower_bounds=lower_bounds,
-        objective=objective,
-        bandwidth_used=math.fsum(bandwidths) if bandwidths else math.inf,
-        energy_total=energy_total,
-        feasible=False,
+        bandwidths=tuple(bandwidths),
+        theta_star=theta_star if reason is None else math.nan,
+        lower_bounds=tuple(lower),
+        objective=obj,
+        bandwidth_used=used,
+        energy_total=fixed + obj,
+        feasible=reason is None,
         infeasibility_reason=reason,
     )
 
@@ -238,25 +257,27 @@ def kkt_allocate(
     if len(lower) != k or len(powers) != k:
         raise ValueError("bounds/powers must have one entry per group")
     if any(math.isinf(lb) for lb in lower):
-        return _infeasible_report("latency", tuple(lower), (), math.inf, math.inf)
+        return AllocationReport(
+            bandwidths=(),
+            theta_star=math.nan,
+            lower_bounds=tuple(lower),
+            objective=math.inf,
+            bandwidth_used=math.inf,
+            energy_total=math.inf,
+            feasible=False,
+            infeasibility_reason="latency",
+        )
 
     q = cfg.payload_bits
     params = [cfg.rate_params(weaker_user(pair, cfg), p) for pair, p in zip(pairs, powers)]
-    budget = cfg.e_max - e_const(users, cfg)
     sum_lower = math.fsum(lower)
 
     if sum_lower > cfg.b_max * (1.0 + _OUTER_REL_TOL):
-        obj = math.fsum(p * _xi(lb, prm, q) for p, lb, prm in zip(powers, lower, params))
-        return _infeasible_report(
-            "bandwidth_sum", tuple(lower), tuple(lower), obj,
-            e_const(users, cfg) + obj,
-        )
+        return _report(users, pairs, cfg, lower, lower)
 
     # Theta_max: the largest gradient value any group attains at its
     # lower bound; above it every group sits at L_k.
-    theta_max = max(
-        g_value(lb, p, q, prm) for p, lb, prm in zip(powers, lower, params)
-    )
+    theta_max = max(g_value(lb, q, prm) for lb, prm in zip(lower, params))
 
     if cfg.b_max - sum_lower <= _OUTER_REL_TOL * cfg.b_max:
         # Degenerate corner: the lower bounds already exhaust the band.
@@ -265,8 +286,8 @@ def kkt_allocate(
     else:
         def allocation_at(theta: float) -> list[float]:
             return [
-                max(lb, g_inverse(theta, p, q, prm, cfg.b_max))
-                for p, lb, prm in zip(powers, lower, params)
+                max(lb, g_inverse(theta, q, prm, cfg.b_max))
+                for lb, prm in zip(lower, params)
             ]
 
         total_at = lambda th: sum(allocation_at(th))
@@ -298,23 +319,7 @@ def kkt_allocate(
         theta_star = hi
         b_star = allocation_at(theta_star)
 
-    obj = math.fsum(p * _xi(b, prm, q) for p, b, prm in zip(powers, b_star, params))
-    energy_total = e_const(users, cfg) + obj
-    if _exceeds(obj, budget):
-        return _infeasible_report(
-            "energy", tuple(lower), tuple(b_star), obj, energy_total
-        )
-
-    return AllocationReport(
-        bandwidths=tuple(b_star),
-        theta_star=theta_star,
-        lower_bounds=tuple(lower),
-        objective=obj,
-        bandwidth_used=math.fsum(b_star),
-        energy_total=energy_total,
-        feasible=True,
-        infeasibility_reason=None,
-    )
+    return _report(users, pairs, cfg, lower, b_star, theta_star)
 
 
 def check_feasibility(users: list[UserProfile], matching, cfg: SystemConfig) -> AllocationReport:
@@ -336,42 +341,17 @@ def evaluate_fixed_allocation(
     users: list[UserProfile],
     matching,
     cfg: SystemConfig,
+    bounds: list[float],
     bandwidths: list[float],
 ) -> AllocationReport:
     """Score a given bandwidth vector (e.g. an equal split) without
     optimizing it.
 
-    Feasibility is evaluated, not enforced: the report carries the
-    first violated budget (latency, then bandwidth_sum, then energy) so
-    baseline strategies can still be compared on infeasible draws.
+    ``bounds`` are the pairs' minimum bandwidths, as for
+    :func:`kkt_allocate`.  Feasibility is evaluated, not enforced: the
+    report carries the first violated budget so baseline strategies can
+    still be compared on infeasible draws.
     """
     by_id = {u.id: u for u in users}
     pairs = [(by_id[a], by_id[b]) for a, b in matching.pairs]
-    powers = list(cfg.group_powers)
-    lower = tuple(b_min_pair(i, j, cfg, p) for (i, j), p in zip(pairs, powers))
-
-    obj = math.fsum(
-        p * _xi(b, cfg.rate_params(weaker_user(pair, cfg), p), cfg.payload_bits)
-        for pair, p, b in zip(pairs, powers, bandwidths)
-    )
-    used = math.fsum(bandwidths)
-    energy_total = e_const(users, cfg) + obj
-
-    reason = None
-    if any(b < lb * (1.0 - 1e-12) for b, lb in zip(bandwidths, lower)):
-        reason = "latency"  # covers infeasible pairs too (b_min = inf)
-    elif used > cfg.b_max * (1.0 + _OUTER_REL_TOL):
-        reason = "bandwidth_sum"
-    elif _exceeds(obj, cfg.e_max - e_const(users, cfg)):
-        reason = "energy"
-
-    return AllocationReport(
-        bandwidths=tuple(bandwidths),
-        theta_star=math.nan,
-        lower_bounds=lower,
-        objective=obj,
-        bandwidth_used=used,
-        energy_total=energy_total,
-        feasible=reason is None,
-        infeasibility_reason=reason,
-    )
+    return _report(users, pairs, cfg, bounds, bandwidths)

@@ -138,13 +138,14 @@ def f_limit(params: RateParams) -> float:
     return params.gain_linear * params.power / (2.0 * params.noise_psd * _LN2)
 
 
-def g_value(b: float, power: float, payload_bits: float, params: RateParams) -> float:
+def g_value(b: float, payload_bits: float, params: RateParams) -> float:
     """Gradient map G(b) = p*Q*F'(b)/F(b)^2, strictly decreasing in b.
 
-    This is -d/db [p*Q/F(b)], the marginal energy saving of widening the
-    group's band; the water-filling allocator equalizes it across groups.
+    This is -d/db [p*Q/F(b)] with p = params.power, the marginal energy
+    saving of widening the group's band; the water-filling allocator
+    equalizes it across groups.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
     fv = f_value(b, params)
-    return power * payload_bits * f_prime(b, params) / (fv * fv)
+    return params.power * payload_bits * f_prime(b, params) / (fv * fv)

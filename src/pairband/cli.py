@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from . import __version__
-from .distortion import DistortionTable, load_distortion_table
-from .latency_energy import SystemConfig, group_time, transmit_energy
+from .distortion import load_distortion_table
+from .latency_energy import group_time, transmit_energy
 from .scenario import (
     Scenario,
     ScenarioTemplate,
@@ -58,7 +57,6 @@ class RunManifest:
     command: str
     scenario_path: str | None
     seed: int
-    output_path: str | None
     overrides: dict
 
 
@@ -92,17 +90,15 @@ def _build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="solve one scenario")
     slv.add_argument("scenario", help="scenario file")
     slv.add_argument("--strategy", choices=STRATEGIES, default="proposed")
-    slv.add_argument("--w-count", type=int, default=16, help="candidate window size")
     slv.add_argument("--seed", type=int, help="matching seed for random strategies (default: scenario seed)")
     slv.add_argument("--output", help="write the structured result here")
     _add_budget_flags(slv)
 
     swp = sub.add_parser("sweep", help="sweep B_max for several strategies")
     swp.add_argument("scenario", help="scenario file providing the generator template")
-    swp.add_argument("--bmax", type=_float_list, required=True, help="comma-separated B_max values [Hz], ascending")
+    swp.add_argument("--bmax", type=_float_list, required=True, help="comma-separated B_max values [Hz], strictly ascending")
     swp.add_argument("--strategy", action="append", choices=STRATEGIES, help="strategy to include (repeatable; default all)")
     swp.add_argument("--seeds", default="50", help="seed count N (meaning 0..N-1) or comma-separated seed list")
-    swp.add_argument("--w-count", type=int, default=16)
     swp.add_argument("--jobs", type=int, default=1, help="parallel workers (output independent of this)")
     swp.add_argument("--output", required=True, help="metrics CSV to write")
     swp.add_argument("--tmax", type=float, help="override T_max [s]")
@@ -238,13 +234,12 @@ def cmd_solve(args) -> int:
     overrides = _overrides(args)
     scn = _apply_overrides(scn, overrides)
     seed = args.seed if args.seed is not None else scn.seed
-    res = solve(scn, args.strategy, w_count=args.w_count, matching_seed=seed)
+    res = solve(scn, args.strategy, matching_seed=seed)
 
     manifest = RunManifest(
         command="solve",
         scenario_path=str(path),
         seed=seed,
-        output_path=args.output,
         overrides=overrides,
     )
     if args.output:
@@ -288,10 +283,6 @@ def cmd_sweep(args) -> int:
     path = Path(args.scenario)
     if not path.exists():
         raise InputError(f"scenario file not found: {path}")
-    if not args.bmax:
-        raise InputError("--bmax list must be non-empty")
-    if sorted(args.bmax) != args.bmax:
-        raise InputError("--bmax values must be ascending")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     scn = load_scenario(path)
@@ -307,7 +298,6 @@ def cmd_sweep(args) -> int:
         args.bmax,
         strategies=strategies,
         seeds=seeds,
-        w_count=args.w_count,
         jobs=args.jobs,
     )
     preamble = {
@@ -316,7 +306,6 @@ def cmd_sweep(args) -> int:
         "n_users": template.n_users,
         "seeds": ",".join(str(s) for s in seeds),
         "strategies": ",".join(strategies),
-        "w_count": args.w_count,
         "overrides": json.dumps(overrides, sort_keys=True),
     }
     write_metrics_csv(rows, args.output, preamble)

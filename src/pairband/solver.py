@@ -7,8 +7,8 @@ perfect matchings in ascending distortion order and returns the first
 one whose bandwidth subproblem is feasible — that matching is optimal,
 because every cheaper pairing was already proven infeasible.
 
-Candidate enumeration starts with the best ``w_count`` matchings and
-doubles the window on exhaustion.  Before enumerating at all, a cheap
+Candidate enumeration starts with the best 16 matchings and doubles
+the window on exhaustion.  Before enumerating at all, a cheap
 sound certificate rules out hopeless instances: the matching that
 minimizes the summed per-pair minimum bandwidths is itself a
 minimum-weight perfect matching (over b_min weights), so if even that
@@ -16,10 +16,11 @@ one overflows B_max — or no latency-and-quality-feasible perfect
 matching exists — no pairing whatsoever is feasible and the search
 stops immediately instead of enumerating all (N-1)!! matchings.
 
-Four reference strategies mirror the evaluation baselines: random or
-heuristic pairings with an equal bandwidth split, and random pairing
-with the optimal (KKT) split.  They evaluate feasibility but do not
-enforce it, so comparisons can include their infeasible draws.
+Four reference strategies mirror the evaluation baselines.  Each is a
+pairing rule (random, greedy or channel-balanced) combined with a
+bandwidth split (equal or the optimal KKT one), named ``<rule>_<split>``.
+They evaluate feasibility but do not enforce it, so comparisons can
+include their infeasible draws.
 """
 
 from __future__ import annotations
@@ -53,12 +54,10 @@ __all__ = [
     "STRATEGIES",
     "solve",
     "solve_proposed",
-    "solve_random_equal",
-    "solve_greedy_equal",
-    "solve_channel_balanced_equal",
-    "solve_random_kkt",
     "sweep_bandwidth",
     "random_matching",
+    "greedy_matching",
+    "channel_balanced_matching",
 ]
 
 STRATEGIES = (
@@ -68,6 +67,9 @@ STRATEGIES = (
     "channel_balanced_equal",
     "random_kkt",
 )
+
+# Ranked candidates built before the first check; doubled on exhaustion.
+_FIRST_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -165,15 +167,13 @@ def _globally_infeasible(scenario: Scenario, costs: PairCostMatrix, cache: _Boun
     return best.total_cost > scenario.cfg.b_max * (1.0 + 1e-9)
 
 
-def solve_proposed(scenario: Scenario, w_count: int = 16) -> SolveResult:
+def solve_proposed(scenario: Scenario) -> SolveResult:
     """First feasible candidate in ascending-distortion order.
 
-    Enumerates the ``w_count`` cheapest matchings, checks each for
-    bandwidth/latency/energy feasibility, and doubles the window on
+    Enumerates the cheapest matchings, checks each for bandwidth,
+    latency and energy feasibility, and doubles the window on
     exhaustion until every finite matching has been tried.
     """
-    if w_count < 1:
-        raise ValueError("w_count must be >= 1")
     costs = _cost_matrix(scenario)
     cache = _BoundCache(scenario.users, scenario.cfg)
 
@@ -187,7 +187,7 @@ def solve_proposed(scenario: Scenario, w_count: int = 16) -> SolveResult:
         )
 
     tried = 0
-    window = w_count
+    window = _FIRST_WINDOW
     while True:
         candidates = k_best_matchings(costs, window)
         for matching in candidates[tried:]:
@@ -223,44 +223,11 @@ def random_matching(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], 
     )
 
 
-def _matching_from_pairs(costs: PairCostMatrix, pairs) -> Matching:
-    total = float(math.fsum(costs.costs[i, j] for i, j in pairs))
-    return Matching(pairs=tuple(pairs), total_cost=total)
-
-
-def _equal_split_result(scenario: Scenario, matching: Matching, strategy: str) -> SolveResult:
-    k = len(matching.pairs)
-    share = scenario.cfg.b_max / k
-    report = evaluate_fixed_allocation(
-        list(scenario.users), matching, scenario.cfg, [share] * k
-    )
-    return SolveResult(
-        matching=matching,
-        allocation=report,
-        total_distortion=matching.total_cost,
-        candidates_tried=1,
-        strategy=strategy,
-    )
-
-
-def solve_random_equal(scenario: Scenario, rng: np.random.Generator) -> SolveResult:
-    """Uniform random pairing, equal bandwidth split."""
-    costs = _cost_matrix(scenario)
-    pairs = random_matching(scenario.cfg.n_users, rng)
-    return _equal_split_result(
-        scenario, _matching_from_pairs(costs, pairs), "random_equal"
-    )
-
-
-def solve_greedy_equal(scenario: Scenario) -> SolveResult:
-    """Repeatedly pair the globally cheapest remaining finite edge.
-
-    Dead-ends (remaining users sharing only quality-violating edges)
-    yield an infeasible result rather than an error.
-    """
-    costs = _cost_matrix(scenario)
-    n = costs.n
-    unmatched = set(range(n))
+def greedy_matching(costs: PairCostMatrix) -> tuple[tuple[int, int], ...] | None:
+    """Repeatedly pair the globally cheapest remaining finite edge
+    (ties to the lexicographically first); None on a dead end, where
+    the remaining users share only quality-violating edges."""
+    unmatched = set(range(costs.n))
     pairs = []
     while unmatched:
         best = None
@@ -272,80 +239,77 @@ def solve_greedy_equal(scenario: Scenario) -> SolveResult:
                 if best is None or key < best:
                     best = key
         if best is None:
-            return SolveResult(
-                matching=None,
-                allocation=None,
-                total_distortion=math.inf,
-                candidates_tried=1,
-                strategy="greedy_equal",
-            )
+            return None
         _, i, j = best
         pairs.append((i, j))
         unmatched -= {i, j}
-    return _equal_split_result(
-        scenario, _matching_from_pairs(costs, sorted(pairs)), "greedy_equal"
-    )
+    return tuple(sorted(pairs))
 
 
-def solve_channel_balanced_equal(scenario: Scenario) -> SolveResult:
-    """Sort by channel gain, pair strongest with weakest, equal split."""
-    costs = _cost_matrix(scenario)
-    order = sorted(
-        range(scenario.cfg.n_users),
-        key=lambda i: -scenario.users[i].channel.gain_linear,
-    )
-    n = scenario.cfg.n_users
-    pairs = sorted(
-        (min(order[r], order[n - 1 - r]), max(order[r], order[n - 1 - r]))
-        for r in range(n // 2)
-    )
-    return _equal_split_result(
-        scenario, _matching_from_pairs(costs, pairs), "channel_balanced_equal"
-    )
-
-
-def solve_random_kkt(scenario: Scenario, rng: np.random.Generator) -> SolveResult:
-    """Uniform random pairing (same draw as random_equal for the same
-    generator state), bandwidth optimized by the KKT allocator."""
-    costs = _cost_matrix(scenario)
-    pairs = random_matching(scenario.cfg.n_users, rng)
-    matching = _matching_from_pairs(costs, pairs)
-    cache = _BoundCache(scenario.users, scenario.cfg)
-    report = _check_with_bounds(scenario, matching, cache.for_matching(matching))
-    return SolveResult(
-        matching=matching,
-        allocation=report,
-        total_distortion=matching.total_cost,
-        candidates_tried=1,
-        strategy="random_kkt",
+def channel_balanced_matching(users) -> tuple[tuple[int, int], ...]:
+    """Sort by channel gain and pair the strongest with the weakest."""
+    n = len(users)
+    order = sorted(range(n), key=lambda i: -users[i].channel.gain_linear)
+    return tuple(
+        sorted(
+            (min(order[r], order[n - 1 - r]), max(order[r], order[n - 1 - r]))
+            for r in range(n // 2)
+        )
     )
 
 
 def solve(
     scenario: Scenario,
     strategy: str,
-    w_count: int = 16,
     matching_seed: int | None = None,
 ) -> SolveResult:
     """Dispatch a strategy by name.
 
-    Random strategies draw their matching from a generator namespaced
-    by (matching_seed or scenario.seed), so random_equal and random_kkt
-    pick the same pairing for the same seed.
+    A baseline ``<rule>_<split>`` draws its pairing with the rule and
+    scores it under the split.  Random pairings come from a generator
+    namespaced by (matching_seed or scenario.seed), so random_equal and
+    random_kkt pick the same pairing for the same seed.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     if strategy == "proposed":
-        return solve_proposed(scenario, w_count)
-    if strategy == "greedy_equal":
-        return solve_greedy_equal(scenario)
-    if strategy == "channel_balanced_equal":
-        return solve_channel_balanced_equal(scenario)
-    seed = scenario.seed if matching_seed is None else matching_seed
-    rng = np.random.default_rng([seed, 1])
-    if strategy == "random_equal":
-        return solve_random_equal(scenario, rng)
-    return solve_random_kkt(scenario, rng)
+        return solve_proposed(scenario)
+    rule, split = strategy.rsplit("_", 1)
+    costs = _cost_matrix(scenario)
+    if rule == "random":
+        seed = scenario.seed if matching_seed is None else matching_seed
+        pairs = random_matching(scenario.cfg.n_users, np.random.default_rng([seed, 1]))
+    elif rule == "greedy":
+        pairs = greedy_matching(costs)
+    else:
+        pairs = channel_balanced_matching(scenario.users)
+    if pairs is None:
+        return SolveResult(
+            matching=None,
+            allocation=None,
+            total_distortion=math.inf,
+            candidates_tried=1,
+            strategy=strategy,
+        )
+
+    matching = Matching(
+        pairs=pairs, total_cost=float(math.fsum(costs.costs[i, j] for i, j in pairs))
+    )
+    bounds = _BoundCache(scenario.users, scenario.cfg).for_matching(matching)
+    if split == "kkt":
+        report = _check_with_bounds(scenario, matching, bounds)
+    else:
+        share = scenario.cfg.b_max / len(pairs)
+        report = evaluate_fixed_allocation(
+            list(scenario.users), matching, scenario.cfg, bounds, [share] * len(pairs)
+        )
+    return SolveResult(
+        matching=matching,
+        allocation=report,
+        total_distortion=matching.total_cost,
+        candidates_tried=1,
+        strategy=strategy,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +318,12 @@ def solve(
 
 def _sweep_cell_records(args) -> list[dict]:
     """All (b_max, strategy) records for one seed; runs in a worker."""
-    template, b_max_values, strategies, w_count, seed = args
+    template, b_max_values, strategies, seed = args
     records = []
     for b_max in b_max_values:
         scn = generate_scenario(replace(template, b_max=b_max), seed)
         for strategy in strategies:
-            res = solve(scn, strategy, w_count=w_count)
+            res = solve(scn, strategy)
             records.append(
                 {
                     "b_max_hz": b_max,
@@ -383,7 +347,6 @@ def sweep_bandwidth(
     b_max_values: list[float],
     strategies: list[str] = list(STRATEGIES),
     seeds: list[int] = tuple(range(50)),
-    w_count: int = 16,
     jobs: int = 1,
 ) -> list[dict]:
     """Average each strategy over fresh scenarios per seed, for every
@@ -397,17 +360,21 @@ def sweep_bandwidth(
     """
     if not b_max_values:
         raise ValueError("b_max_values must be non-empty")
-    if sorted(b_max_values) != list(b_max_values):
-        raise ValueError("b_max_values must be ascending")
+    if any(a >= b for a, b in zip(b_max_values, b_max_values[1:])):
+        raise ValueError("b_max_values must be strictly ascending")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"strategies must be distinct, got {list(strategies)}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must be distinct, got {list(seeds)}")
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 
     tasks = [
-        (template, tuple(b_max_values), tuple(strategies), w_count, seed)
+        (template, tuple(b_max_values), tuple(strategies), seed)
         for seed in seeds
     ]
     if jobs > 1:

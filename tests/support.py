@@ -209,7 +209,7 @@ def active_gradient(pair, b, power, cfg):
     fi = f_value(b, cfg.rate_params(i, power))
     fj = f_value(b, cfg.rate_params(j, power))
     u = i if fi <= fj else j
-    return g_value(b, power, cfg.payload_bits, cfg.rate_params(u, power))
+    return g_value(b, cfg.payload_bits, cfg.rate_params(u, power))
 
 
 def group_airtime(pair, b, power, cfg):

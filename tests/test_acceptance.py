@@ -293,12 +293,22 @@ def test_criterion_5_solver_end_to_end():
 
     oracle = exhaustive_first_feasible(tight)
     assert oracle.pairs == ((0, 1), (2, 3))
-    for w_count in (16, 1):  # wide window and the doubling path
-        res = solve_proposed(tight, w_count=w_count)
-        assert res.feasible
-        assert res.candidates_tried == 2
-        assert res.matching.pairs == oracle.pairs
-        _pool(tight.users, res.matching, tight.cfg, res.allocation)
+    res = solve_proposed(tight)
+    assert res.feasible
+    assert res.candidates_tried == 2
+    assert res.matching.pairs == oracle.pairs
+    _pool(tight.users, res.matching, tight.cfg, res.allocation)
+
+    # (c) The doubling path: with E_max at half the compute floor no
+    # matching fits and the b_min certificate cannot tell, so the window
+    # grows 16 -> 32 -> 64 -> 128 until all 105 matchings of 8 users
+    # have been tried.
+    scn = generate_scenario(template, 0)
+    starved = replace(scn, cfg=replace(scn.cfg, e_max=0.5 * e_const(list(scn.users), scn.cfg)))
+    res = solve_proposed(starved)
+    assert res.matching is None
+    assert not res.feasible
+    assert res.candidates_tried == 105
 
     assert time.perf_counter() - start < 10.0
 

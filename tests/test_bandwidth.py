@@ -140,8 +140,8 @@ class TestGInverse:
         params = make_params(gain=2e-12)
         q, p = 1.3e6, 1.0
         for b0 in (1e4, 1e5, 1e6, 1e7, 1e8):
-            theta = g_value(b0, p, q, params)
-            assert g_inverse(theta, p, q, params) == pytest.approx(b0, rel=1e-9)
+            theta = g_value(b0, q, params)
+            assert g_inverse(theta, q, params) == pytest.approx(b0, rel=1e-9)
 
     def test_gradient_of_inverse_is_theta(self):
         rng = np.random.default_rng(3)
@@ -152,23 +152,23 @@ class TestGInverse:
             )
             q = float(rng.uniform(5e5, 5e6))
             b0 = float(10.0 ** rng.uniform(4, 8))
-            theta = g_value(b0, params.power, q, params)
-            b = g_inverse(theta, params.power, q, params)
-            assert g_value(b, params.power, q, params) == pytest.approx(
+            theta = g_value(b0, q, params)
+            b = g_inverse(theta, q, params)
+            assert g_value(b, q, params) == pytest.approx(
                 theta, rel=1e-9
             )
 
     def test_decreasing_in_theta(self):
         params = make_params()
         q = 1.3e6
-        thetas = [g_value(b, 1.0, q, params) for b in (1e5, 1e6, 1e7)]
-        bs = [g_inverse(t, 1.0, q, params) for t in thetas]
+        thetas = [g_value(b, q, params) for b in (1e5, 1e6, 1e7)]
+        bs = [g_inverse(t, q, params) for t in thetas]
         assert thetas[0] > thetas[1] > thetas[2]
         assert bs[0] < bs[1] < bs[2]
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
-            g_inverse(0.0, 1.0, 1.3e6, make_params())
+            g_inverse(0.0, 1.3e6, make_params())
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -196,7 +196,7 @@ class TestTildeB:
         for u in (i, j):
             params = cfg.rate_params(u, 1.0)
             assert b == pytest.approx(
-                g_inverse(theta, 1.0, cfg.payload_bits, params, cfg.b_max), rel=1e-12
+                g_inverse(theta, cfg.payload_bits, params, cfg.b_max), rel=1e-12
             )
 
     def test_weaker_user_owns_the_bandwidth(self):
@@ -215,9 +215,9 @@ class TestTildeB:
         q = cfg.payload_bits
         params_w = cfg.rate_params(weak, 1.0)
         params_s = cfg.rate_params(strong, 1.0)
-        assert b == pytest.approx(g_inverse(theta, 1.0, q, params_w, cfg.b_max), rel=1e-12)
+        assert b == pytest.approx(g_inverse(theta, q, params_w, cfg.b_max), rel=1e-12)
         # The stronger user's inverse is a different bandwidth.
-        assert abs(g_inverse(theta, 1.0, q, params_s, cfg.b_max) - b) > 1e-5 * b
+        assert abs(g_inverse(theta, q, params_s, cfg.b_max) - b) > 1e-5 * b
 
     def test_decreasing_in_theta(self):
         # Widening the band lowers theta* and raises every share above
@@ -402,13 +402,24 @@ class TestKktAllocate:
 # Fixed allocations (baseline scoring path)
 
 
+def _bounds(users, matching, cfg):
+    """The pairs' minimum bandwidths, as the solver passes them."""
+    by_id = {u.id: u for u in users}
+    return [
+        b_min_pair(by_id[a], by_id[b], cfg, p)
+        for (a, b), p in zip(matching.pairs, cfg.group_powers)
+    ]
+
+
 class TestEvaluateFixedAllocation:
     def test_equal_split_objective(self):
         rng = np.random.default_rng(41)
         users, cfg, matching = random_instance(rng, k=2)
         share = cfg.b_max / 2.0
-        report = evaluate_fixed_allocation(users, matching, cfg, [share, share])
+        bounds = _bounds(users, matching, cfg)
+        report = evaluate_fixed_allocation(users, matching, cfg, bounds, [share, share])
         assert report.feasible
+        assert report.lower_bounds == tuple(bounds)
         pairs = paired_users(users, matching)
         expect = math.fsum(
             p * group_airtime(pair, share, p, cfg)
@@ -423,7 +434,7 @@ class TestEvaluateFixedAllocation:
             opt = check_feasibility(users, matching, cfg)
             k = len(matching.pairs)
             eq = evaluate_fixed_allocation(
-                users, matching, cfg, [cfg.b_max / k] * k
+                users, matching, cfg, opt.lower_bounds, [cfg.b_max / k] * k
             )
             if eq.feasible:
                 assert opt.objective <= eq.objective * (1.0 + 1e-9)
@@ -431,17 +442,20 @@ class TestEvaluateFixedAllocation:
     def test_below_minimum_bandwidth_flags_latency(self):
         rng = np.random.default_rng(43)
         users, cfg, matching = random_instance(rng, k=2)
-        report = check_feasibility(users, matching, cfg)
-        low = [0.5 * lb for lb in report.lower_bounds]
-        scored = evaluate_fixed_allocation(users, matching, cfg, low)
+        bounds = _bounds(users, matching, cfg)
+        low = [0.5 * lb for lb in bounds]
+        scored = evaluate_fixed_allocation(users, matching, cfg, bounds, low)
         assert not scored.feasible
         assert scored.infeasibility_reason == "latency"
+        assert math.isnan(scored.theta_star)
 
     def test_oversubscribed_band_flags_bandwidth_sum(self):
         rng = np.random.default_rng(44)
         users, cfg, matching = random_instance(rng, k=2)
         big = [0.6 * cfg.b_max, 0.6 * cfg.b_max]
-        scored = evaluate_fixed_allocation(users, matching, cfg, big)
+        scored = evaluate_fixed_allocation(
+            users, matching, cfg, _bounds(users, matching, cfg), big
+        )
         assert not scored.feasible
         assert scored.infeasibility_reason == "bandwidth_sum"
 
@@ -449,11 +463,13 @@ class TestEvaluateFixedAllocation:
         rng = np.random.default_rng(45)
         users, cfg, matching = random_instance(rng, k=2)
         share = cfg.b_max / 2.0
-        base = evaluate_fixed_allocation(users, matching, cfg, [share, share])
+        bounds = _bounds(users, matching, cfg)
+        base = evaluate_fixed_allocation(users, matching, cfg, bounds, [share, share])
         tight = replace(cfg, e_max=e_const(users, cfg) + 0.99 * base.objective)
-        scored = evaluate_fixed_allocation(users, matching, tight, [share, share])
+        scored = evaluate_fixed_allocation(users, matching, tight, bounds, [share, share])
         assert not scored.feasible
         assert scored.infeasibility_reason == "energy"
+        assert scored.energy_total == pytest.approx(e_const(users, cfg) + scored.objective)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,7 @@ class TestGradientG:
         b, p, q = 2.0e6, 1.5, 1.3e6
         params = make_params(power=p)
         expect = p * q * f_prime(b, params) / f_value(b, params) ** 2
-        assert g_value(b, p, q, params) == pytest.approx(expect, rel=1e-12)
+        assert g_value(b, q, params) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_airtime_derivative(self):
         # G(b) = -d/db [ p * Q / F(b) ].
@@ -235,20 +235,20 @@ class TestGradientG:
         for b in bc * np.logspace(-3, 3, 25):
             b = float(b)
             fd = -central_diff(lambda x: 1.5 * q / f_value(x, params), b, 1e-6 * b)
-            assert g_value(b, 1.5, q, params) == pytest.approx(fd, rel=1e-5)
+            assert g_value(b, q, params) == pytest.approx(fd, rel=1e-5)
 
     def test_strictly_decreasing(self):
         params = make_params()
         bc = char_bandwidth(params)
         grid = bc * np.logspace(-5, 5, 100)
-        vals = [g_value(float(b), 1.0, 1.3e6, params) for b in grid]
+        vals = [g_value(float(b), 1.3e6, params) for b in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_vanishes_at_wideband(self):
         params = make_params()
         bc = char_bandwidth(params)
-        assert g_value(float(bc * 1e8), 1.0, 1.3e6, params) < 1e-6 * g_value(
-            float(bc), 1.0, 1.3e6, params
+        assert g_value(float(bc * 1e8), 1.3e6, params) < 1e-6 * g_value(
+            float(bc), 1.3e6, params
         )
 
 
@@ -281,7 +281,7 @@ def test_prop_derivative_matches_finite_difference(gain, power, b):
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_gradient_positive_decreasing_locally(gain, power, b):
     params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
-    g_here = g_value(b, power, 1.3e6, params)
-    g_up = g_value(1.5 * b, power, 1.3e6, params)
+    g_here = g_value(b, 1.3e6, params)
+    g_up = g_value(1.5 * b, 1.3e6, params)
     assert g_here > 0
     assert g_up < g_here

@@ -223,6 +223,11 @@ class TestSolve:
         assert run("solve", str(path)) == EXIT_INVALID_INPUT
         assert "payload_bits must be positive" in capsys.readouterr().err
 
+    def test_window_flag_is_gone(self, small_scenario):
+        with pytest.raises(SystemExit) as exc:
+            run("solve", str(small_scenario), "--w-count", "4")
+        assert exc.value.code == EXIT_USAGE
+
     def test_numerical_failure_exits_1(self, small_scenario, monkeypatch, capsys):
         def failing_solve(*args, **kwargs):
             raise RuntimeError("bracket expansion failed for b_min")
@@ -250,6 +255,7 @@ class TestSweep:
         assert any(l.startswith(f"# tool_version={__version__}") for l in preamble)
         assert any("seeds=0,1" in l for l in preamble)
         assert not any("jobs" in l for l in preamble)
+        assert not any("w_count" in l for l in preamble)
         assert body[0] == ",".join(METRIC_COLUMNS)
         assert len(body) == 1 + 2 * 2  # header + bmax grid x strategies
         first = body[1].split(",")
@@ -314,6 +320,23 @@ class TestSweep:
             "--seeds", "1", "--output", str(tmp_path / "m.csv"),
         )
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--bmax", "6e6,6e6"], "strictly ascending"),
+            (["--bmax", "9e6", "--strategy", "proposed", "--strategy", "proposed"],
+             "strategies must be distinct"),
+            (["--bmax", "9e6", "--seeds", "1,1"], "seeds must be distinct"),
+        ],
+        ids=["bmax", "strategy", "seeds"],
+    )
+    def test_duplicates_rejected(self, small_scenario, tmp_path, capsys, args, message):
+        out = tmp_path / "m.csv"
+        code = run("sweep", str(small_scenario), *args, "--output", str(out))
+        assert code == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_seed_spec_rejected(self, small_scenario, tmp_path):
         code = run(

@@ -11,17 +11,14 @@ import pytest
 
 from pairband.bandwidth import check_feasibility
 from pairband.latency_energy import e_const
-from pairband.pairing import Matching, all_matchings, brute_force_mwpm, mwpm
+from pairband import solver
+from pairband.pairing import Matching, brute_force_mwpm, k_best_matchings
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from pairband.solver import (
     STRATEGIES,
     random_matching,
     solve,
-    solve_channel_balanced_equal,
-    solve_greedy_equal,
     solve_proposed,
-    solve_random_equal,
-    solve_random_kkt,
     sweep_bandwidth,
 )
 from support import (
@@ -83,29 +80,26 @@ class TestProposed:
         assert res.matching.pairs == ((0, 1), (2, 3))
         assert res.allocation.infeasibility_reason is None
 
-    def test_window_doubles_until_a_candidate_fits(self):
-        # Same fixture, but the initial window only holds the first
-        # (infeasible) candidate; the solver must widen it by itself.
-        cfg = make_cfg(4, b_max=10.0e6, t_max=5.0)
-        gains = [1e-12, 1e-12, 1e-10, 1e-10]
-        pair_costs = [
-            [0.0, 1.2, 0.8, 1.6],
-            [1.2, 0.0, 1.6, 0.8],
-            [0.8, 1.6, 0.0, 1.2],
-            [1.6, 0.8, 1.2, 0.0],
-        ]
-        scn = scenario_from_pair_costs(pair_costs, gains, cfg)
-        mixed = Matching(pairs=((0, 2), (1, 3)), total_cost=1.6)
-        same = Matching(pairs=((0, 1), (2, 3)), total_cost=2.4)
-        obj_mixed = check_feasibility(list(scn.users), mixed, cfg).objective
-        obj_same = check_feasibility(list(scn.users), same, cfg).objective
-        budget = e_const(list(scn.users), cfg) + 0.5 * (obj_same + obj_mixed)
-        tight = replace(scn, cfg=replace(cfg, e_max=budget))
+    def test_window_doubles_until_every_matching_is_tried(self, monkeypatch):
+        # E_max at half the compute floor: none of the 105 matchings of
+        # 8 users fits, and the b_min certificate cannot see energy, so
+        # the window must grow by itself until the ranked list runs out.
+        template = ScenarioTemplate(n_users=8, b_max=40.0e6, t_max=10.0, d_max=1.0)
+        scn = generate_scenario(template, 0)
+        floor = e_const(list(scn.users), scn.cfg)
+        starved = replace(scn, cfg=replace(scn.cfg, e_max=0.5 * floor))
+        windows = []
 
-        res = solve_proposed(tight, w_count=1)
-        assert res.feasible
-        assert res.candidates_tried == 2
-        assert res.matching.pairs == ((0, 1), (2, 3))
+        def spy(costs, window):
+            windows.append(window)
+            return k_best_matchings(costs, window)
+
+        monkeypatch.setattr(solver, "k_best_matchings", spy)
+        res = solve_proposed(starved)
+        assert windows == [16, 32, 64, 128]
+        assert res.matching is None
+        assert not res.feasible
+        assert res.candidates_tried == 105
 
     def test_exhausting_every_candidate_reports_infeasible(self):
         cfg = make_cfg(4, b_max=10.0e6, t_max=5.0)
@@ -185,11 +179,6 @@ class TestProposed:
         ref = exhaustive_first_feasible(tight)
         assert res.candidates_tried == 2
         assert res.matching.pairs == ref.pairs == ((0, 1), (2, 3))
-
-    def test_rejects_bad_window(self):
-        scn = generate_scenario(ScenarioTemplate(n_users=4), 0)
-        with pytest.raises(ValueError):
-            solve_proposed(scn, w_count=0)
 
 
 def _costs(scn):
@@ -279,8 +268,8 @@ class TestGreedy:
             [3.0, 2.0, 100.0, 0.0],
         ]
         scn = scenario_from_pair_costs(pair_costs, [1e-11] * 4, cfg)
-        greedy = solve_greedy_equal(scn)
-        best = solve_proposed(scn)
+        greedy = solve(scn, "greedy_equal")
+        best = solve(scn, "proposed")
         assert greedy.matching.pairs == ((0, 1), (2, 3))
         assert greedy.total_distortion == pytest.approx(101.0)
         assert best.matching.pairs == ((0, 2), (1, 3))
@@ -290,7 +279,7 @@ class TestGreedy:
         cfg = make_cfg(4)
         pair_costs = [[0.0 if i == j else 5.0 for j in range(4)] for i in range(4)]
         scn = scenario_from_pair_costs(pair_costs, [1e-11] * 4, cfg)
-        res = solve_greedy_equal(scn)
+        res = solve(scn, "greedy_equal")
         assert res.matching.pairs == ((0, 1), (2, 3))
 
     def test_dead_end_reports_infeasible(self):
@@ -303,18 +292,18 @@ class TestGreedy:
         per_user[2, 3] = per_user[3, 2] = 10.0
         users = [make_user(i) for i in range(4)]
         scn = make_scenario(users, cfg, table_from_per_user(per_user))
-        res = solve_greedy_equal(scn)
+        res = solve(scn, "greedy_equal")
         assert res.matching is None
         assert not res.feasible
         assert res.strategy == "greedy_equal"
         # The ranked solver still finds the valid pairing.
-        assert solve_proposed(scn).feasible
+        assert solve(scn, "proposed").feasible
 
     def test_equal_split_allocation(self):
         scn = generate_scenario(
             ScenarioTemplate(n_users=6, b_max=9.0e6, t_max=5.0, e_max=1e4), 1
         )
-        res = solve_greedy_equal(scn)
+        res = solve(scn, "greedy_equal")
         assert res.feasible
         for b in res.allocation.bandwidths:
             assert b == pytest.approx(3.0e6, rel=1e-12)
@@ -326,7 +315,7 @@ class TestChannelBalanced:
         cfg = make_cfg(6)
         users = [make_user(i, gain=g) for i, g in enumerate(gains)]
         scn = make_scenario(users, cfg)
-        res = solve_channel_balanced_equal(scn)
+        res = solve(scn, "channel_balanced_equal")
         # Ranks by gain: 3 > 1 > 5 > 2 > 4 > 0; strongest pairs weakest.
         assert res.matching.pairs == ((0, 3), (1, 4), (2, 5))
 
@@ -335,13 +324,13 @@ class TestChannelBalanced:
         cfg = make_cfg(4)
         users = [make_user(i, gain=g) for i, g in enumerate(gains)]
         scn = make_scenario(users, cfg)
-        res = solve_channel_balanced_equal(scn)
+        res = solve(scn, "channel_balanced_equal")
         # Relabel users by reversing ids; the same physical pairing must
         # come back (expressed through the new labels).
         relabeled = [make_user(3 - i, gain=g) for i, g in enumerate(gains)]
         relabeled = sorted(relabeled, key=lambda u: u.id)
         scn2 = make_scenario(relabeled, cfg)
-        res2 = solve_channel_balanced_equal(scn2)
+        res2 = solve(scn2, "channel_balanced_equal")
         to_new = {0: 3, 1: 2, 2: 1, 3: 0}
         expected = tuple(
             sorted(
@@ -354,7 +343,7 @@ class TestChannelBalanced:
         cfg = make_cfg(4)
         users = [make_user(i, gain=1e-11) for i in range(4)]
         scn = make_scenario(users, cfg)
-        res = solve_channel_balanced_equal(scn)
+        res = solve(scn, "channel_balanced_equal")
         assert res.matching.pairs == ((0, 3), (1, 2))
 
 
@@ -459,6 +448,22 @@ class TestSweep:
     def test_rejects_unsorted_bandwidths(self):
         with pytest.raises(ValueError, match="ascending"):
             sweep_bandwidth(SWEEP_TEMPLATE, [8.0e6, 5.0e6], seeds=[0])
+
+    def test_rejects_duplicate_bandwidths(self):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            sweep_bandwidth(SWEEP_TEMPLATE, [6.0e6, 6.0e6], seeds=[0, 1])
+
+    def test_rejects_duplicate_strategies(self):
+        with pytest.raises(ValueError, match="strategies must be distinct"):
+            sweep_bandwidth(
+                SWEEP_TEMPLATE, [6.0e6], strategies=["proposed", "proposed"], seeds=[0]
+            )
+
+    def test_rejects_duplicate_seeds(self):
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            sweep_bandwidth(
+                SWEEP_TEMPLATE, [6.0e6], strategies=["greedy_equal"], seeds=[0, 1, 0]
+            )
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
