@@ -15,7 +15,6 @@ from .channel import (
     f_value,
     g_value,
     path_loss_db,
-    sample_shadowing,
 )
 from .latency_energy import SystemConfig, UserProfile
 from .bandwidth import AllocationReport

@@ -1,7 +1,7 @@
 """Bandwidth feasibility and KKT water-filling allocation.
 
 Given a fixed pairing, the remaining problem is to split B_max across
-the K groups so that total transmit energy  sum_k p_k * xi_k(b_k)  is
+the K groups so that total transmit energy  sum_k p * xi_k(b_k)  is
 minimized, where xi_k(b) = max{Q/F_i(b), Q/F_j(b)} is the airtime of the
 group's slower user.  That user is the pair's weaker one (smaller g/N0,
 see :func:`~pairband.latency_energy.weaker_user`) at every bandwidth, so
@@ -57,7 +57,7 @@ _MAX_BISECT = 400
 class AllocationReport:
     """Outcome of allocating bandwidth to the groups of one matching.
 
-    ``objective`` is the transmit-energy objective sum_k p_k*xi_k(b_k)
+    ``objective`` is the transmit-energy objective sum_k p*xi_k(b_k)
     [J]; ``energy_total`` adds the matching-invariant compute energy so
     it can be compared against E_max directly.  ``infeasibility_reason``
     is one of \"latency\", \"bandwidth_sum\", \"energy\", or None.
@@ -78,6 +78,38 @@ def _exceeds(value: float, limit: float) -> bool:
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
 
 
+def _bisect(left_of_root, lo: float, hi: float, what: str) -> tuple[float, float]:
+    """Bracket and bisect the root of a monotone predicate.
+
+    ``left_of_root(b)`` is true below the root and false above it.
+    Halves ``lo`` until it is left of the root and doubles ``hi`` until
+    it is not, then bisects to 1e-12 relative.  Raises RuntimeError
+    naming ``what`` when either end cannot be pushed past the root.
+    """
+    for _ in range(_MAX_DOUBLINGS):
+        if left_of_root(lo):
+            break
+        lo *= 0.5
+    else:
+        raise RuntimeError(f"{what}: bracket expansion failed, root below {lo!r}")
+    for _ in range(_MAX_DOUBLINGS):
+        if not left_of_root(hi):
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError(f"{what}: bracket expansion failed, root above {hi!r}")
+
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if left_of_root(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _INNER_REL_TOL * hi:
+            break
+    return lo, hi
+
+
 def b_min_user(
     delta: float,
     params: RateParams,
@@ -89,50 +121,24 @@ def b_min_user(
     The root exists iff delta > 0 and Q/delta < f_limit (the required
     rate must sit below the saturation rate).  Found by bracketed
     bisection to 1e-12 relative on b; ``b_hint`` seeds the upper
-    bracket (doubled as needed).
+    bracket (doubled as needed).  F(b) < b, so the root lies above
+    Q/delta and the bracket starts no higher than that.
     """
     if delta <= 0.0:
         return math.inf
     target = payload_bits / delta
     if target >= f_limit(params):
         return math.inf
-
-    lo, hi = 1.0, max(2.0, b_hint)
-    # Expand the bracket: F is strictly increasing, so push hi up until
-    # F(hi) clears the target, and lo down if the root sits below 1 Hz.
-    for _ in range(_MAX_DOUBLINGS):
-        if f_value(hi, params) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(
-            f"bracket expansion failed for b_min (target={target!r}, "
-            f"f_limit={f_limit(params)!r})"
-        )
-    for _ in range(_MAX_DOUBLINGS):
-        if f_value(lo, params) < target:
-            break
-        lo *= 0.5
-    else:
-        return lo  # root below ~1e-18 Hz; lo is an upper bound that tight
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if f_value(mid, params) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _INNER_REL_TOL * hi:
-            break
+    _, hi = _bisect(
+        lambda b: f_value(b, params) < target,
+        min(1.0, target),
+        max(2.0, b_hint),
+        "b_min_user",
+    )
     return hi
 
 
-def b_min_pair(
-    i: UserProfile,
-    j: UserProfile,
-    cfg: SystemConfig,
-    power: float,
-) -> float:
+def b_min_pair(i: UserProfile, j: UserProfile, cfg: SystemConfig) -> float:
     """Minimum bandwidth pair (i, j) needs to meet the deadline: the
     weaker user's root.
 
@@ -140,7 +146,7 @@ def b_min_pair(
     (non-positive slack, or required rate at/above the weaker user's
     saturation rate).
     """
-    params = cfg.rate_params(weaker_user((i, j), cfg), power)
+    params = cfg.rate_params(weaker_user((i, j), cfg), cfg.power)
     return b_min_user(delta_slack(i, j, cfg), params, cfg.payload_bits, cfg.b_max)
 
 
@@ -157,35 +163,12 @@ def g_inverse(
     """
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-
-    lo, hi = 1.0, max(2.0, b_hint)
-    g = lambda b: g_value(b, payload_bits, params)
-    # G decreasing: want g(lo) >= theta >= g(hi).
-    for _ in range(_MAX_DOUBLINGS):
-        if g(lo) >= theta:
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError(
-            f"g_inverse bracket failure: theta={theta!r} above G({lo!r})"
-        )
-    for _ in range(_MAX_DOUBLINGS):
-        if g(hi) <= theta:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(
-            f"g_inverse bracket failure: theta={theta!r} below G({hi!r})"
-        )
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if g(mid) >= theta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _INNER_REL_TOL * hi:
-            break
+    lo, hi = _bisect(
+        lambda b: g_value(b, payload_bits, params) >= theta,
+        1.0,
+        max(2.0, b_hint),
+        "g_inverse",
+    )
     return 0.5 * (lo + hi)
 
 
@@ -211,9 +194,10 @@ def _report(
     bandwidth_sum, then energy); ``theta_star`` is kept only when none
     is violated.
     """
+    p = cfg.power
     obj = math.fsum(
         p * _xi(b, cfg.rate_params(weaker_user(pair, cfg), p), cfg.payload_bits)
-        for pair, p, b in zip(pairs, cfg.group_powers, bandwidths)
+        for pair, b in zip(pairs, bandwidths)
     )
     used = math.fsum(bandwidths)
     fixed = e_const(users, cfg)
@@ -244,18 +228,15 @@ def kkt_allocate(
 ) -> AllocationReport:
     """Optimal bandwidth split for one matching via multiplier bisection.
 
-    ``bounds`` are the pairs' minimum bandwidths (:func:`b_min_pair`).
-    When any is +inf no bandwidth meets the deadline and the report's
-    reason is \"latency\".  Group k's power is cfg.group_powers[k],
-    keyed by the pair's position in the matching.
+    ``matching.pairs`` index ``users``; ``bounds`` are the pairs'
+    minimum bandwidths (:func:`b_min_pair`).  When any is +inf no
+    bandwidth meets the deadline and the report's reason is
+    \"latency\".  Every group transmits at cfg.power.
     """
-    by_id = {u.id: u for u in users}
-    pairs = [(by_id[a], by_id[b]) for a, b in matching.pairs]
-    powers = list(cfg.group_powers)
+    pairs = [(users[a], users[b]) for a, b in matching.pairs]
     lower = list(bounds)
-    k = len(pairs)
-    if len(lower) != k or len(powers) != k:
-        raise ValueError("bounds/powers must have one entry per group")
+    if len(lower) != len(pairs):
+        raise ValueError("bounds must have one entry per group")
     if any(math.isinf(lb) for lb in lower):
         return AllocationReport(
             bandwidths=(),
@@ -269,7 +250,7 @@ def kkt_allocate(
         )
 
     q = cfg.payload_bits
-    params = [cfg.rate_params(weaker_user(pair, cfg), p) for pair, p in zip(pairs, powers)]
+    params = [cfg.rate_params(weaker_user(pair, cfg), cfg.power) for pair in pairs]
     sum_lower = math.fsum(lower)
 
     if sum_lower > cfg.b_max * (1.0 + _OUTER_REL_TOL):
@@ -327,13 +308,9 @@ def check_feasibility(users: list[UserProfile], matching, cfg: SystemConfig) -> 
 
     Never raises on infeasibility; every failure mode is encoded in the
     report (reason \"latency\" when any pair cannot meet the deadline at
-    any bandwidth).
+    any bandwidth).  ``matching.pairs`` index ``users``.
     """
-    by_id = {u.id: u for u in users}
-    bounds = [
-        b_min_pair(by_id[a], by_id[b], cfg, cfg.group_powers[k])
-        for k, (a, b) in enumerate(matching.pairs)
-    ]
+    bounds = [b_min_pair(users[a], users[b], cfg) for a, b in matching.pairs]
     return kkt_allocate(users, matching, cfg, bounds)
 
 
@@ -347,11 +324,11 @@ def evaluate_fixed_allocation(
     """Score a given bandwidth vector (e.g. an equal split) without
     optimizing it.
 
-    ``bounds`` are the pairs' minimum bandwidths, as for
-    :func:`kkt_allocate`.  Feasibility is evaluated, not enforced: the
-    report carries the first violated budget so baseline strategies can
-    still be compared on infeasible draws.
+    ``matching.pairs`` index ``users`` and ``bounds`` are the pairs'
+    minimum bandwidths, as for :func:`kkt_allocate`.  Feasibility is
+    evaluated, not enforced: the report carries the first violated
+    budget so baseline strategies can still be compared on infeasible
+    draws.
     """
-    by_id = {u.id: u for u in users}
-    pairs = [(by_id[a], by_id[b]) for a, b in matching.pairs]
+    pairs = [(users[a], users[b]) for a, b in matching.pairs]
     return _report(users, pairs, cfg, bounds, bandwidths)

@@ -24,13 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 __all__ = [
     "ChannelGain",
     "RateParams",
     "path_loss_db",
-    "sample_shadowing",
     "gain_from_db",
     "f_value",
     "f_prime",
@@ -46,11 +43,6 @@ def path_loss_db(distance_km: float) -> float:
     if distance_km <= 0:
         raise ValueError(f"distance must be positive, got {distance_km}")
     return 128.1 + 37.6 * math.log10(distance_km)
-
-
-def sample_shadowing(rng: np.random.Generator, sigma_db: float = 8.0) -> float:
-    """Draw one zero-mean log-normal shadowing term (Gaussian in dB)."""
-    return float(rng.normal(0.0, sigma_db))
 
 
 def gain_from_db(pathloss_db: float, shadowing_db: float) -> float:

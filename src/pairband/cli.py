@@ -180,10 +180,9 @@ def _result_document(scn: Scenario, res: SolveResult, manifest: RunManifest) -> 
     if alloc is not None:
         groups = []
         if alloc.bandwidths and res.matching is not None:
-            by_id = {u.id: u for u in scn.users}
+            power = scn.cfg.power
             for k, ((i, j), b) in enumerate(zip(res.matching.pairs, alloc.bandwidths)):
-                power = scn.cfg.group_powers[k]
-                pair = (by_id[i], by_id[j])
+                pair = (scn.users[i], scn.users[j])
                 groups.append(
                     {
                         "pair": [i, j],
@@ -207,8 +206,12 @@ def _result_document(scn: Scenario, res: SolveResult, manifest: RunManifest) -> 
 
 def _print_solve_summary(res: SolveResult) -> None:
     if res.matching is None:
-        print(f"strategy={res.strategy}: no feasible pairing exists "
-              f"(candidates tried: {res.candidates_tried})")
+        what = (
+            "no feasible pairing exists"
+            if res.strategy == "proposed"
+            else "the pairing rule found no pairing within the quality cap"
+        )
+        print(f"strategy={res.strategy}: {what} (candidates tried: {res.candidates_tried})")
         return
     status = "feasible" if res.feasible else (
         f"infeasible ({res.allocation.infeasibility_reason})"

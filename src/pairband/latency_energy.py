@@ -76,9 +76,9 @@ class UserProfile:
 class SystemConfig:
     """Global budgets and base-station constants.
 
-    group_powers holds p_k for each of the N/2 groups (index = group
-    slot); budgets are B^max [Hz], T^max [s], E^max [J], D^max
-    [distortion units].
+    group_powers holds one entry per group (N/2 of them), all equal:
+    every group transmits at the one power :attr:`power`.  Budgets are
+    B^max [Hz], T^max [s], E^max [J], D^max [distortion units].
     """
 
     n_users: int
@@ -97,12 +97,19 @@ class SystemConfig:
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
         for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd", "payload_bits"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if len(self.group_powers) != self.n_users // 2:
             raise ValueError("group_powers must have one entry per group (N/2)")
         if any(p <= 0 for p in self.group_powers):
             raise ValueError("group powers must be positive")
+        if len(set(self.group_powers)) != 1:
+            raise ValueError("group_powers must be equal: every group transmits at one power")
+
+    @property
+    def power(self) -> float:
+        """The transmit power p [W] every group uses."""
+        return self.group_powers[0]
 
     def noise_for(self, user: UserProfile) -> float:
         """Noise PSD seen by ``user`` (per-user override or global)."""

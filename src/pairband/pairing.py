@@ -68,9 +68,6 @@ class PairCostMatrix:
             raise ValueError("finite costs must be non-negative")
         object.__setattr__(self, "costs", c)
 
-    def cost(self, i: int, j: int) -> float:
-        return float(self.costs[i, j])
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -83,10 +80,6 @@ class Matching:
         seen = [i for p in self.pairs for i in p]
         if len(set(seen)) != len(seen):
             raise ValueError("matching reuses an index")
-
-    @property
-    def n(self) -> int:
-        return 2 * len(self.pairs)
 
 
 def _canonical(pairs) -> tuple[Pair, ...]:
@@ -111,27 +104,22 @@ def build_cost_matrix(pair_sums, per_user, d_max: float) -> PairCostMatrix:
     if ps.shape != (n, n) or pu.shape != (n, n):
         raise ValueError("distortion tables must be square and same-shaped")
 
-    missing = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if i != j and (math.isnan(ps[i, j]) or math.isnan(pu[i, j]))
-    ]
+    off = ~np.eye(n, dtype=bool)
+    holes = off & (np.isnan(ps) | np.isnan(pu))
+    missing = [(int(i), int(j)) for i, j in np.argwhere(holes)]
     if missing:
         raise ValueError(f"missing distortion entries for pairs: {missing}")
 
-    off = ~np.eye(n, dtype=bool)
     if np.any(ps[off] < 0) or np.any(pu[off] < 0):
         raise ValueError("distortion entries must be non-negative")
     if not np.allclose(ps[off], ps.T[off], rtol=1e-9, atol=0.0):
         raise ValueError("pair distortion table must be symmetric")
 
-    costs = np.full((n, n), INFEASIBLE)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pu[i, j] <= d_max and pu[j, i] <= d_max:
-                costs[i, j] = costs[j, i] = ps[i, j]
-    return PairCostMatrix(n=n, costs=costs)
+    # Upper-triangle entries decide both directions, as d_ij may differ
+    # from d_ji in the last digits.
+    capped = np.triu((pu <= d_max) & (pu.T <= d_max), 1)
+    upper = np.where(capped, ps, INFEASIBLE)
+    return PairCostMatrix(n=n, costs=np.minimum(upper, upper.T))
 
 
 def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:

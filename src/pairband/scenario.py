@@ -115,7 +115,10 @@ class ScenarioTemplate:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One full problem instance plus the recipe that produced it."""
+    """One full problem instance plus the recipe that produced it.
+
+    User k has id k, so matching pairs index ``users`` directly.
+    """
 
     cfg: SystemConfig
     users: tuple[UserProfile, ...]
@@ -128,6 +131,8 @@ class Scenario:
             raise ValueError("user count must match cfg.n_users")
         if self.distortions.n != self.cfg.n_users:
             raise ValueError("distortion table size must match cfg.n_users")
+        if any(u.id != k for k, u in enumerate(self.users)):
+            raise ValueError("user ids must be 0..N-1 in order: a user is its index")
 
 
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:

@@ -108,26 +108,21 @@ def _cost_matrix(scenario: Scenario) -> PairCostMatrix:
 
 class _BoundCache:
     """Per-pair minimum bandwidths (+inf when latency-infeasible),
-    computed once per (pair, power)."""
+    computed once per pair of user indices."""
 
     def __init__(self, users: tuple[UserProfile, ...], cfg: SystemConfig):
-        self._users = {u.id: u for u in users}
+        self._users = users
         self._cfg = cfg
-        self._cache: dict[tuple[int, int, float], float] = {}
+        self._cache: dict[tuple[int, int], float] = {}
 
-    def get(self, i: int, j: int, power: float) -> float:
-        key = (min(i, j), max(i, j), power)
+    def get(self, i: int, j: int) -> float:
+        key = (min(i, j), max(i, j))
         if key not in self._cache:
-            self._cache[key] = b_min_pair(
-                self._users[key[0]], self._users[key[1]], self._cfg, power
-            )
+            self._cache[key] = b_min_pair(self._users[key[0]], self._users[key[1]], self._cfg)
         return self._cache[key]
 
     def for_matching(self, matching: Matching) -> list[float]:
-        return [
-            self.get(i, j, self._cfg.group_powers[k])
-            for k, (i, j) in enumerate(matching.pairs)
-        ]
+        return [self.get(i, j) for i, j in matching.pairs]
 
 
 def _check_with_bounds(
@@ -147,18 +142,12 @@ def _globally_infeasible(scenario: Scenario, costs: PairCostMatrix, cache: _Boun
     not covered here — it is checked per candidate.
     """
     n = costs.n
-    uniform = len(set(scenario.cfg.group_powers)) == 1
-    if not uniform:
-        # With per-group powers the bound depends on slot assignment;
-        # fall back to exhaustive candidate checking.
-        return False
-    power = scenario.cfg.group_powers[0]
     weights = np.full((n, n), INFEASIBLE)
     for i in range(n):
         for j in range(i + 1, n):
             if not math.isfinite(costs.costs[i, j]):
                 continue
-            b_min = cache.get(i, j, power)
+            b_min = cache.get(i, j)
             if math.isfinite(b_min):
                 weights[i, j] = weights[j, i] = b_min
     best = mwpm(PairCostMatrix(n=n, costs=weights))
@@ -226,23 +215,23 @@ def random_matching(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], 
 def greedy_matching(costs: PairCostMatrix) -> tuple[tuple[int, int], ...] | None:
     """Repeatedly pair the globally cheapest remaining finite edge
     (ties to the lexicographically first); None on a dead end, where
-    the remaining users share only quality-violating edges."""
-    unmatched = set(range(costs.n))
+    the remaining users share only quality-violating edges.
+
+    One scan of the finite edges in (cost, i, j) order: an edge skipped
+    because an end is already matched can never become eligible again.
+    """
+    n, c = costs.n, costs.costs.tolist()
+    edges = sorted(
+        (c[i][j], i, j) for i in range(n) for j in range(i + 1, n) if math.isfinite(c[i][j])
+    )
+    free = [True] * n
     pairs = []
-    while unmatched:
-        best = None
-        for i in sorted(unmatched):
-            for j in sorted(unmatched):
-                if j <= i or not math.isfinite(costs.costs[i, j]):
-                    continue
-                key = (costs.costs[i, j], i, j)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None
-        _, i, j = best
-        pairs.append((i, j))
-        unmatched -= {i, j}
+    for _, i, j in edges:
+        if free[i] and free[j]:
+            free[i] = free[j] = False
+            pairs.append((i, j))
+    if 2 * len(pairs) != n:
+        return None
     return tuple(sorted(pairs))
 
 

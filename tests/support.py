@@ -72,7 +72,7 @@ def make_cfg(
     d_max: float = 1.0e9,
     noise: float = NOISE,
     payload: float = 1.3e6,
-    powers: tuple[float, ...] | None = None,
+    power: float = 1.0,
 ) -> SystemConfig:
     return SystemConfig(
         n_users=n,
@@ -85,7 +85,7 @@ def make_cfg(
         bs_cpu_hz=3.0e9,
         bs_cycles_per_bit=100.0,
         bs_energy_coeff=4.0e-27,
-        group_powers=powers if powers is not None else (1.0,) * (n // 2),
+        group_powers=(power,) * (n // 2),
     )
 
 
@@ -177,8 +177,7 @@ def exhaustive_first_feasible(scn):
 
 
 def paired_users(users, matching):
-    by_id = {u.id: u for u in users}
-    return [(by_id[a], by_id[b]) for a, b in matching.pairs]
+    return [(users[a], users[b]) for a, b in matching.pairs]
 
 
 def consecutive_matching(n: int) -> Matching:
@@ -224,7 +223,7 @@ def assert_kkt_certificates(users, matching, cfg, report):
     """Stationarity + complementary slackness + primal feasibility."""
     assert report.feasible
     pairs = paired_users(users, matching)
-    powers = list(cfg.group_powers)
+    p = cfg.power
     theta = report.theta_star
     assert theta > 0
 
@@ -233,7 +232,7 @@ def assert_kkt_certificates(users, matching, cfg, report):
     assert abs(report.bandwidth_used - used) <= 1e-12 * used
 
     any_interior = False
-    for b, lb, pair, p in zip(report.bandwidths, report.lower_bounds, pairs, powers):
+    for b, lb, pair in zip(report.bandwidths, report.lower_bounds, pairs):
         assert b >= lb * (1.0 - 1e-12)
         if b > lb * (1.0 + 1e-9):
             any_interior = True

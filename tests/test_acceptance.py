@@ -151,9 +151,9 @@ def _random_allocation_instance(rng, k):
         )
         for i in range(n)
     ]
-    powers = tuple(float(rng.uniform(0.5, 2.0)) for _ in range(k))
+    power = float(rng.uniform(0.5, 2.0))
     cfg = make_cfg(
-        n, b_max=float(n * rng.uniform(0.75e6, 2.0e6)), t_max=2.0, powers=powers
+        n, b_max=float(n * rng.uniform(0.75e6, 2.0e6)), t_max=2.0, power=power
     )
     return users, cfg, consecutive_matching(n)
 

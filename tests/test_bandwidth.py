@@ -97,13 +97,22 @@ class TestBMinUser:
             delta = q / f_value(b0, params)
             assert b_min_user(delta, params, q) == pytest.approx(b0, rel=1e-9)
 
+    def test_root_far_below_one_hertz_is_found(self):
+        # The demanded rate Q/delta is ~1e-24 bit/s: the root sits below
+        # 2^-60 Hz, and it is still a root of F(b) = Q/delta.
+        params = make_params()
+        q, delta = 1.3e6, 1e30
+        b = b_min_user(delta, params, q)
+        assert 0.0 < b < 2.0**-60
+        assert f_value(b, params) == pytest.approx(q / delta, rel=1e-9)
+
 
 class TestBMinPair:
     def test_weaker_user_binds(self):
         cfg = make_cfg(t_max=2.0)
         i = make_user(0, gain=1e-10)
         j = make_user(1, gain=1e-12)
-        bound = b_min_pair(i, j, cfg, 1.0)
+        bound = b_min_pair(i, j, cfg)
         delta = delta_slack(i, j, cfg)
         expect = b_min_user(delta, cfg.rate_params(j, 1.0), cfg.payload_bits)
         assert math.isfinite(bound)
@@ -112,7 +121,7 @@ class TestBMinPair:
     def test_identical_users_match_single_root(self):
         cfg = make_cfg(t_max=2.0)
         i, j = make_user(0), make_user(1)
-        bound = b_min_pair(i, j, cfg, 1.0)
+        bound = b_min_pair(i, j, cfg)
         delta = delta_slack(i, j, cfg)
         expect = b_min_user(delta, cfg.rate_params(i, 1.0), cfg.payload_bits)
         assert bound == pytest.approx(expect, rel=1e-9)
@@ -121,14 +130,14 @@ class TestBMinPair:
         cfg = make_cfg(t_max=2.0)
         i = make_user(0, gain=4e-12)
         j = make_user(1, gain=9e-13, dec=1.3)
-        bound = b_min_pair(i, j, cfg, 1.0)
+        bound = b_min_pair(i, j, cfg)
         assert group_time((i, j), bound, 1.0, cfg) == pytest.approx(
             cfg.t_max, rel=1e-9
         )
 
     def test_compute_delays_alone_can_break_the_deadline(self):
         cfg = make_cfg(t_max=0.1)  # below the four compute delays
-        assert b_min_pair(make_user(0), make_user(1), cfg, 1.0) == math.inf
+        assert b_min_pair(make_user(0), make_user(1), cfg) == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +178,11 @@ class TestGInverse:
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
             g_inverse(0.0, 1.3e6, make_params())
+
+    def test_unbracketable_theta_names_the_root_finder(self):
+        # G(b) stays far below 1e300 down to 2^-60 Hz.
+        with pytest.raises(RuntimeError, match="g_inverse"):
+            g_inverse(1e300, 1.3e6, make_params())
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -307,30 +321,22 @@ class TestKktAllocate:
     def test_corner_when_lower_bounds_fill_the_band(self):
         rng = np.random.default_rng(21)
         users, cfg, matching = random_instance(rng, k=2)
-        by_id = {u.id: u for u in users}
-        bounds = [
-            b_min_pair(by_id[a], by_id[b], cfg, p)
-            for (a, b), p in zip(matching.pairs, cfg.group_powers)
-        ]
+        bounds = _bounds(users, matching, cfg)
         pinched = replace(cfg, b_max=math.fsum(bounds))
         report = kkt_allocate(users, matching, pinched, bounds)
         assert report.feasible
         assert report.bandwidths == tuple(bounds)
         # Multiplier sits at the top of the gradient range: no group
         # would prefer to shrink below its bound.
-        for lb, p, (a, b) in zip(bounds, pinched.group_powers, matching.pairs):
+        for lb, (a, b) in zip(bounds, matching.pairs):
             assert active_gradient(
-                (by_id[a], by_id[b]), lb, p, pinched
+                (users[a], users[b]), lb, pinched.power, pinched
             ) <= report.theta_star * (1.0 + 1e-9)
 
     def test_sum_of_bounds_above_band_is_infeasible(self):
         rng = np.random.default_rng(22)
         users, cfg, matching = random_instance(rng, k=2)
-        by_id = {u.id: u for u in users}
-        bounds = [
-            b_min_pair(by_id[a], by_id[b], cfg, p)
-            for (a, b), p in zip(matching.pairs, cfg.group_powers)
-        ]
+        bounds = _bounds(users, matching, cfg)
         pinched = replace(cfg, b_max=0.99 * math.fsum(bounds))
         report = kkt_allocate(users, matching, pinched, bounds)
         assert not report.feasible
@@ -359,12 +365,8 @@ class TestKktAllocate:
         # An infinite bound gets no allocation: the verdict is latency.
         users = [make_user(0), make_user(1), make_user(2, dec=50.0), make_user(3)]
         cfg = make_cfg(4, t_max=2.0)
-        by_id = {u.id: u for u in users}
         matching = consecutive_matching(4)
-        bounds = [
-            b_min_pair(by_id[a], by_id[b], cfg, p)
-            for (a, b), p in zip(matching.pairs, cfg.group_powers)
-        ]
+        bounds = _bounds(users, matching, cfg)
         assert math.isfinite(bounds[0]) and bounds[1] == math.inf
         report = kkt_allocate(users, matching, cfg, bounds)
         assert not report.feasible
@@ -404,11 +406,7 @@ class TestKktAllocate:
 
 def _bounds(users, matching, cfg):
     """The pairs' minimum bandwidths, as the solver passes them."""
-    by_id = {u.id: u for u in users}
-    return [
-        b_min_pair(by_id[a], by_id[b], cfg, p)
-        for (a, b), p in zip(matching.pairs, cfg.group_powers)
-    ]
+    return [b_min_pair(users[a], users[b], cfg) for a, b in matching.pairs]
 
 
 class TestEvaluateFixedAllocation:
@@ -507,21 +505,21 @@ def _user_pair(draw, first_id=0):
     power=st.floats(min_value=0.25, max_value=4.0),
 )
 def test_prop_b_min_pair_is_max_of_user_roots(pair, t_max, power):
-    cfg = make_cfg(2, t_max=t_max, powers=(power,))
+    cfg = make_cfg(2, t_max=t_max, power=power)
     delta = delta_slack(*pair, cfg)
     roots = [
         b_min_user(delta, cfg.rate_params(u, power), cfg.payload_bits, cfg.b_max)
         for u in pair
     ]
-    assert b_min_pair(*pair, cfg, power) == max(roots)
+    assert b_min_pair(*pair, cfg) == max(roots)
 
 
 @st.composite
 def _instance(draw):
     k = draw(st.integers(min_value=1, max_value=3))
     users = [u for g in range(k) for u in draw(_user_pair(2 * g))]
-    powers = tuple(draw(st.floats(min_value=0.25, max_value=4.0)) for _ in range(k))
-    cfg = make_cfg(2 * k, b_max=4.0e6 * k, t_max=2.0, powers=powers)
+    power = draw(st.floats(min_value=0.25, max_value=4.0))
+    cfg = make_cfg(2 * k, b_max=4.0e6 * k, t_max=2.0, power=power)
     return users, cfg, consecutive_matching(2 * k)
 
 

@@ -20,7 +20,6 @@ from pairband.channel import (
     f_value,
     g_value,
     path_loss_db,
-    sample_shadowing,
 )
 from support import NOISE, make_params
 
@@ -63,28 +62,6 @@ class TestPathLoss:
     def test_rejects_nonpositive_distance(self, bad):
         with pytest.raises(ValueError):
             path_loss_db(bad)
-
-
-class TestShadowing:
-    def test_seeded_draws_are_reproducible(self):
-        a = [sample_shadowing(np.random.default_rng(7)) for _ in range(1)]
-        b = [sample_shadowing(np.random.default_rng(7)) for _ in range(1)]
-        assert a == b
-
-    def test_moments_match_lognormal_spread(self):
-        rng = np.random.default_rng(123)
-        draws = np.array([sample_shadowing(rng) for _ in range(50_000)])
-        assert abs(draws.mean()) < 0.2
-        assert abs(draws.std() - 8.0) < 0.15
-
-    def test_zero_sigma_is_deterministic(self):
-        rng = np.random.default_rng(0)
-        assert sample_shadowing(rng, sigma_db=0.0) == 0.0
-
-    def test_custom_sigma_scales_spread(self):
-        rng = np.random.default_rng(9)
-        draws = np.array([sample_shadowing(rng, sigma_db=2.0) for _ in range(20_000)])
-        assert abs(draws.std() - 2.0) < 0.1
 
 
 class TestChannelGain:

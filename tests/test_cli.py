@@ -202,6 +202,54 @@ class TestSolve:
         assert doc["feasible"] is False
         assert doc["allocation"]["infeasibility_reason"] == "latency"
 
+    def test_unequal_group_powers_are_invalid_input(self, tmp_path, capsys):
+        # The instance is globally infeasible: a solve that got past the
+        # load would have to enumerate matchings without a certificate.
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "16", "--seed", "0", "--bmax", "2e6",
+                   "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["config"]["group_powers"][0] = 1.0000001
+        path.write_text(json.dumps(doc))
+        assert run("solve", str(path)) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid input: group_powers must be equal")
+
+    @pytest.mark.parametrize("renumber", ["shifted", "reversed"])
+    def test_misnumbered_users_are_invalid_input(self, tmp_path, capsys, renumber):
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "3", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        n = len(doc["users"])
+        for k, user in enumerate(doc["users"]):
+            user["id"] = k + 10 if renumber == "shifted" else n - 1 - k
+        path.write_text(json.dumps(doc))
+        for strategy in ("proposed", "random_equal"):
+            assert run("solve", str(path), "--strategy", strategy) == EXIT_INVALID_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error: invalid input: user ids must be 0..N-1")
+            assert "Traceback" not in err
+
+    def test_huge_deadline_keeps_baselines_feasible(self, tmp_path, capsys):
+        # At T_max = 1e24 s the pair roots lie far below 1 Hz.
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--output", str(path)) == EXIT_OK
+        for strategy in ("random_equal", "greedy_equal"):
+            assert run("solve", str(path), "--strategy", strategy, "--tmax", "1e24") == EXIT_OK
+            assert f"strategy={strategy} [feasible]" in capsys.readouterr().out
+
+    def test_greedy_dead_end_is_not_an_infeasibility_proof(self, tmp_path, capsys):
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "1", "--dmax", "0.9", "--tmax", "10",
+                   "--emax", "1e4", "--bmax", "40e6", "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        assert run("solve", str(path), "--strategy", "greedy_equal") == EXIT_OK
+        out = capsys.readouterr().out
+        assert "no feasible pairing exists" not in out
+        assert "the pairing rule found no pairing within the quality cap" in out
+        assert run("solve", str(path)) == EXIT_OK
+        assert "strategy=proposed [feasible]" in capsys.readouterr().out
+
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", str(tmp_path / "nope.json")) == EXIT_INVALID_INPUT
 
@@ -222,6 +270,14 @@ class TestSolve:
         path.write_text(json.dumps(doc))
         assert run("solve", str(path)) == EXIT_INVALID_INPUT
         assert "payload_bits must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--bmax", "--tmax", "--emax", "--dmax"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_nonfinite_budget_is_invalid_input(self, small_scenario, capsys, flag, value):
+        # A NaN budget passes every "<= 0" check, and an infinite B_max
+        # makes every pair root infinite, which reads as a proof (exit 4).
+        assert run("solve", str(small_scenario), flag, value) == EXIT_INVALID_INPUT
+        assert "must be positive and finite" in capsys.readouterr().err
 
     def test_window_flag_is_gone(self, small_scenario):
         with pytest.raises(SystemExit) as exc:

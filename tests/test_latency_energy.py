@@ -305,12 +305,23 @@ class TestValidation:
 
     def test_rejects_nonpositive_budgets(self):
         for field in ("b_max", "t_max", "e_max", "d_max"):
-            with pytest.raises(ValueError):
-                make_cfg(**{field: 0.0})
+            for bad in (0.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match="must be positive and finite"):
+                    make_cfg(**{field: bad})
 
     def test_rejects_wrong_power_count(self):
         with pytest.raises(ValueError):
-            make_cfg(n=4, powers=(1.0,))
+            replace(make_cfg(n=4), group_powers=(1.0,))
+
+    def test_rejects_mixed_powers(self):
+        with pytest.raises(ValueError, match="group_powers must be equal"):
+            replace(make_cfg(n=4), group_powers=(1.0, 1.0000001))
+
+    def test_power_is_the_one_group_power(self):
+        cfg = make_cfg(n=6, power=2.5)
+        assert cfg.power == 2.5
+        with pytest.raises(AttributeError):
+            cfg.power = 1.0
 
     def test_rejects_bad_user_fields(self):
         with pytest.raises(ValueError):

@@ -84,7 +84,10 @@ class TestBuildCostMatrix:
         np.fill_diagonal(per_user, 0.0)
         sums = per_user + per_user.T
         sums[0, 2] = sums[2, 0] = math.nan
-        with pytest.raises(ValueError, match=r"\(0, 2\)"):
+        per_user[3, 1] = math.nan
+        with pytest.raises(
+            ValueError, match=r"pairs: \[\(0, 2\), \(2, 0\), \(3, 1\)\]$"
+        ):
             build_cost_matrix(sums, per_user, d_max=1.0)
 
     def test_rejects_asymmetric_sums(self):
@@ -102,6 +105,24 @@ class TestBuildCostMatrix:
         sums = np.abs(per_user) + np.abs(per_user).T
         with pytest.raises(ValueError, match="non-negative"):
             build_cost_matrix(sums, per_user, d_max=1.0)
+
+    def test_matches_the_pairwise_loop(self):
+        # Reference: the loop over i < j that the array form replaced.
+        # Upper-triangle pair sums are used in both directions.
+        rng = np.random.default_rng(11)
+        for n in (2, 6, 10):
+            per_user = rng.uniform(0.0, 1.0, size=(n, n))
+            np.fill_diagonal(per_user, 0.0)
+            sums = per_user + per_user.T
+            sums = sums * (1.0 + 1e-12 * rng.standard_normal((n, n)))
+            for d_max in (0.3, 0.7, 2.0):
+                expect = np.full((n, n), INFEASIBLE)
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if per_user[i, j] <= d_max and per_user[j, i] <= d_max:
+                            expect[i, j] = expect[j, i] = sums[i, j]
+                got = build_cost_matrix(sums, per_user, d_max).costs
+                assert np.array_equal(got, expect)
 
 
 class TestMatchingTypes:

@@ -3,6 +3,7 @@ seed determinism, and exact roundtrips."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,3 +140,16 @@ class TestJsonRoundtrip:
         path.write_text(json.dumps({"schema_version": SCHEMA_VERSION}))
         with pytest.raises(ValueError, match="invalid scenario"):
             load_scenario(path)
+
+
+class TestUserNumbering:
+    @pytest.mark.parametrize(
+        "renumber", [lambda k, n: k + 10, lambda k, n: n - 1 - k], ids=["shifted", "reversed"]
+    )
+    def test_ids_must_equal_positions(self, renumber):
+        scn = generate_scenario(ScenarioTemplate(n_users=8), seed=3)
+        users = tuple(
+            replace(u, id=renumber(k, len(scn.users))) for k, u in enumerate(scn.users)
+        )
+        with pytest.raises(ValueError, match="user ids must be 0..N-1 in order"):
+            replace(scn, users=users)

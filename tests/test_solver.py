@@ -12,10 +12,17 @@ import pytest
 from pairband.bandwidth import check_feasibility
 from pairband.latency_energy import e_const
 from pairband import solver
-from pairband.pairing import Matching, brute_force_mwpm, k_best_matchings
+from pairband.pairing import (
+    INFEASIBLE,
+    Matching,
+    PairCostMatrix,
+    brute_force_mwpm,
+    k_best_matchings,
+)
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from pairband.solver import (
     STRATEGIES,
+    greedy_matching,
     random_matching,
     solve,
     solve_proposed,
@@ -26,6 +33,7 @@ from support import (
     make_cfg,
     make_scenario,
     make_user,
+    random_cost_matrix,
     scenario_from_pair_costs,
     table_from_per_user,
 )
@@ -298,6 +306,37 @@ class TestGreedy:
         assert res.strategy == "greedy_equal"
         # The ranked solver still finds the valid pairing.
         assert solve(scn, "proposed").feasible
+
+    def test_matches_the_repeated_cheapest_edge_loop(self):
+        # Reference: re-scan the remaining users for the cheapest finite
+        # edge, (cost, i, j) order, until all are paired or none is left.
+        def reference(c):
+            unmatched, pairs = set(range(len(c))), []
+            while unmatched:
+                edges = [
+                    (c[i, j], i, j)
+                    for i in unmatched
+                    for j in unmatched
+                    if i < j and math.isfinite(c[i, j])
+                ]
+                if not edges:
+                    return None
+                _, i, j = min(edges)
+                pairs.append((i, j))
+                unmatched -= {i, j}
+            return tuple(sorted(pairs))
+
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for _ in range(200):
+            n = 2 * int(rng.integers(1, 6))
+            c = np.round(random_cost_matrix(rng, n), 1)  # rounding makes ties
+            blocked = np.triu(rng.uniform(size=(n, n)) < 0.3, 1)
+            c[blocked | blocked.T] = INFEASIBLE
+            expect = reference(c)
+            outcomes.add(expect is None)
+            assert greedy_matching(PairCostMatrix(n=n, costs=c)) == expect
+        assert outcomes == {True, False}
 
     def test_equal_split_allocation(self):
         scn = generate_scenario(
