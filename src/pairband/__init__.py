@@ -9,7 +9,6 @@ distortion is minimized under bandwidth, latency, and energy budgets.
 
 from .channel import (
     ChannelGain,
-    RateParams,
     f_limit,
     f_prime,
     f_value,

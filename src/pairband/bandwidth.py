@@ -3,11 +3,12 @@
 Given a fixed pairing, the remaining problem is to split B_max across
 the K groups so that total transmit energy  sum_k p * xi_k(b_k)  is
 minimized, where xi_k(b) = max{Q/F_i(b), Q/F_j(b)} is the airtime of the
-group's slower user.  That user is the pair's weaker one (smaller g/N0,
-see :func:`~pairband.latency_energy.weaker_user`) at every bandwidth, so
-every pair-level quantity below is computed for that user alone, with
-F, G meaning its rate and gradient.  Three structural facts make this
-easy:
+group's slower user.  The rate depends on a user only through its link
+x = g*p/N0 and grows with it, so the slower user is the one with the
+smaller link at every bandwidth, and every pair-level quantity below is
+computed at the pair's link
+(:func:`~pairband.latency_energy.pair_link`), with F, G meaning the rate
+and gradient there.  Three structural facts make this easy:
 
 * The latency budget turns into a per-group lower bound L_k: the unique
   root of F(b) = Q/Delta (F is strictly increasing with a finite
@@ -33,8 +34,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import RateParams, f_limit, f_value, g_value
-from .latency_energy import SystemConfig, UserProfile, delta_slack, e_const, weaker_user
+from .channel import f_limit, f_value, g_value
+from .latency_energy import SystemConfig, UserProfile, delta_slack, e_const, pair_link
 
 __all__ = [
     "AllocationReport",
@@ -112,11 +113,12 @@ def _bisect(left_of_root, lo: float, hi: float, what: str) -> tuple[float, float
 
 def b_min_user(
     delta: float,
-    params: RateParams,
+    x: float,
     payload_bits: float,
     b_hint: float = 1.0e6,
 ) -> float:
-    """Unique root of F(b) = Q/delta, or +inf when no root exists.
+    """Unique root of F(b) = Q/delta at link ``x``, or +inf when no root
+    exists.
 
     The root exists iff delta > 0 and Q/delta < f_limit (the required
     rate must sit below the saturation rate).  Found by bracketed
@@ -127,10 +129,10 @@ def b_min_user(
     if delta <= 0.0:
         return math.inf
     target = payload_bits / delta
-    if target >= f_limit(params):
+    if target >= f_limit(x):
         return math.inf
     _, hi = _bisect(
-        lambda b: f_value(b, params) < target,
+        lambda b: f_value(b, x) < target,
         min(1.0, target),
         max(2.0, b_hint),
         "b_min_user",
@@ -140,23 +142,24 @@ def b_min_user(
 
 def b_min_pair(i: UserProfile, j: UserProfile, cfg: SystemConfig) -> float:
     """Minimum bandwidth pair (i, j) needs to meet the deadline: the
-    weaker user's root.
+    root at the pair's link.
 
     +inf when the deadline cannot be met at any finite bandwidth
-    (non-positive slack, or required rate at/above the weaker user's
+    (non-positive slack, or required rate at/above the pair's
     saturation rate).
     """
-    params = cfg.rate_params(weaker_user((i, j), cfg), cfg.power)
-    return b_min_user(delta_slack(i, j, cfg), params, cfg.payload_bits, cfg.b_max)
+    x = pair_link(i, j, cfg)
+    return b_min_user(delta_slack(i, j, cfg), x, cfg.payload_bits, cfg.b_max)
 
 
 def g_inverse(
     theta: float,
-    payload_bits: float,
-    params: RateParams,
+    x: float,
+    pq: float,
     b_hint: float = 1.0e6,
 ) -> float:
-    """Unique b with G(b) = theta (G strictly decreasing), by bisection.
+    """Unique b with G(b) = theta (G strictly decreasing) at link ``x``
+    and ``pq`` = p*Q, by bisection.
 
     Raises RuntimeError with a diagnostic if the bracket cannot be
     expanded to contain the root.
@@ -164,7 +167,7 @@ def g_inverse(
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
     lo, hi = _bisect(
-        lambda b: g_value(b, payload_bits, params) >= theta,
+        lambda b: g_value(b, x, pq) >= theta,
         1.0,
         max(2.0, b_hint),
         "g_inverse",
@@ -172,23 +175,24 @@ def g_inverse(
     return 0.5 * (lo + hi)
 
 
-def _xi(b: float, params: RateParams, payload_bits: float) -> float:
-    """Group airtime xi(b) = Q/F(b) of the weaker user [s]."""
-    fv = f_value(b, params)
+def _xi(b: float, x: float, Q: float) -> float:
+    """Group airtime xi(b) = Q/F(b) at the pair's link x [s]."""
+    fv = f_value(b, x)
     if fv <= 0.0:
         return math.inf
-    return payload_bits / fv
+    return Q / fv
 
 
 def _report(
     users: list[UserProfile],
-    pairs,
+    links: list[float],
     cfg: SystemConfig,
     lower,
     bandwidths,
     theta_star: float = math.nan,
 ) -> AllocationReport:
-    """Score one bandwidth vector against every budget.
+    """Score one bandwidth vector against every budget; ``links`` are
+    the pairs' links (:func:`~pairband.latency_energy.pair_link`).
 
     The report carries the first violated budget (latency, then
     bandwidth_sum, then energy); ``theta_star`` is kept only when none
@@ -196,8 +200,7 @@ def _report(
     """
     p = cfg.power
     obj = math.fsum(
-        p * _xi(b, cfg.rate_params(weaker_user(pair, cfg), p), cfg.payload_bits)
-        for pair, b in zip(pairs, bandwidths)
+        p * _xi(b, x, cfg.payload_bits) for x, b in zip(links, bandwidths)
     )
     used = math.fsum(bandwidths)
     fixed = e_const(users, cfg)
@@ -233,9 +236,8 @@ def kkt_allocate(
     bandwidth meets the deadline and the report's reason is
     \"latency\".  Every group transmits at cfg.power.
     """
-    pairs = [(users[a], users[b]) for a, b in matching.pairs]
     lower = list(bounds)
-    if len(lower) != len(pairs):
+    if len(lower) != len(matching.pairs):
         raise ValueError("bounds must have one entry per group")
     if any(math.isinf(lb) for lb in lower):
         return AllocationReport(
@@ -249,16 +251,16 @@ def kkt_allocate(
             infeasibility_reason="latency",
         )
 
-    q = cfg.payload_bits
-    params = [cfg.rate_params(weaker_user(pair, cfg), cfg.power) for pair in pairs]
+    links = [pair_link(users[a], users[b], cfg) for a, b in matching.pairs]
+    pq = cfg.power * cfg.payload_bits
     sum_lower = math.fsum(lower)
 
     if sum_lower > cfg.b_max * (1.0 + _OUTER_REL_TOL):
-        return _report(users, pairs, cfg, lower, lower)
+        return _report(users, links, cfg, lower, lower)
 
     # Theta_max: the largest gradient value any group attains at its
     # lower bound; above it every group sits at L_k.
-    theta_max = max(g_value(lb, q, prm) for lb, prm in zip(lower, params))
+    theta_max = max(g_value(lb, x, pq) for lb, x in zip(lower, links))
 
     if cfg.b_max - sum_lower <= _OUTER_REL_TOL * cfg.b_max:
         # Degenerate corner: the lower bounds already exhaust the band.
@@ -267,8 +269,8 @@ def kkt_allocate(
     else:
         def allocation_at(theta: float) -> list[float]:
             return [
-                max(lb, g_inverse(theta, q, prm, cfg.b_max))
-                for lb, prm in zip(lower, params)
+                max(lb, g_inverse(theta, x, pq, cfg.b_max))
+                for lb, x in zip(lower, links)
             ]
 
         total_at = lambda th: sum(allocation_at(th))
@@ -300,7 +302,7 @@ def kkt_allocate(
         theta_star = hi
         b_star = allocation_at(theta_star)
 
-    return _report(users, pairs, cfg, lower, b_star, theta_star)
+    return _report(users, links, cfg, lower, b_star, theta_star)
 
 
 def check_feasibility(users: list[UserProfile], matching, cfg: SystemConfig) -> AllocationReport:
@@ -330,5 +332,5 @@ def evaluate_fixed_allocation(
     budget so baseline strategies can still be compared on infeasible
     draws.
     """
-    pairs = [(users[a], users[b]) for a, b in matching.pairs]
-    return _report(users, pairs, cfg, bounds, bandwidths)
+    links = [pair_link(users[a], users[b], cfg) for a, b in matching.pairs]
+    return _report(users, links, cfg, bounds, bandwidths)

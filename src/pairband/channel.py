@@ -3,20 +3,21 @@
 The downlink serves users in pairs over a shared band.  Each group's
 achievable per-user rate is a concave function of the group bandwidth,
 
-    F(b) = b * log2(1 + g*p / (2*N0*b + g*p)),
+    F(b) = b * log2(1 + g*p / (2*N0*b + g*p)) = b * log2(1 + x / (2b + x)),
 
 where ``g`` is the user's linear power gain, ``p`` the group transmit
-power and ``N0`` the noise power spectral density.  The denominator term
-``g*p`` models intra-pair superposition interference, which is why F
-saturates at the finite limit g*p / (2*N0*ln 2) instead of growing
-without bound.
+power and ``N0`` the noise power spectral density.  The rate depends on
+them only through the link x = g*p/N0 [Hz], so every function here
+takes x.  The denominator term ``x`` models intra-pair superposition
+interference, which is why F saturates at the finite limit x / (2 ln 2)
+instead of growing without bound.
 
 Everything downstream (minimum-bandwidth roots, the water-filling
 multiplier search) leans on three analytic facts proved here and checked
 in the test-suite: F is strictly increasing, strictly concave, and the
 gradient map G(b) = p*Q*F'(b)/F(b)^2 is strictly decreasing.  F also
-grows with g/N0 at every b, so of the two users sharing a group the one
-with the smaller g/N0 is the slower one at every bandwidth.
+grows with x at every b, so of the two users sharing a group the one
+with the smaller x is the slower one at every bandwidth.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ChannelGain",
-    "RateParams",
     "path_loss_db",
     "gain_from_db",
     "f_value",
@@ -67,33 +67,13 @@ class ChannelGain:
         return cls(pathloss_db, shadowing_db, gain_from_db(pathloss_db, shadowing_db))
 
     def __post_init__(self) -> None:
-        if not self.gain_linear > 0:
-            raise ValueError("gain_linear must be positive")
+        if not 0 < self.gain_linear < math.inf:
+            raise ValueError("gain_linear must be positive and finite")
 
 
-@dataclass(frozen=True)
-class RateParams:
-    """Link parameters of the rate expression for one user in one group.
-
-    power p_k [W], gain |h_u|^2 [linear], noise PSD N0 [W/Hz]; the
-    bandwidth is the argument of the rate functions.
-    """
-
-    power: float
-    gain_linear: float
-    noise_psd: float
-
-    def __post_init__(self) -> None:
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-        if self.noise_psd <= 0:
-            raise ValueError("noise_psd must be positive")
-        if self.gain_linear <= 0:
-            raise ValueError("gain_linear must be positive")
-
-
-def f_value(b: float, params: RateParams) -> float:
-    """Per-user rate F(b) = b*log2(1 + g*p/(2*N0*b + g*p)) in bits/s.
+def f_value(b: float, x: float) -> float:
+    """Per-user rate F(b) = b*log2(1 + x/(2b + x)) in bits/s, for the
+    link x = g*p/N0 [Hz].
 
     Continuously extended to 0 at b = 0 so downstream bisection brackets
     never need a special case.
@@ -102,42 +82,37 @@ def f_value(b: float, params: RateParams) -> float:
         raise ValueError("bandwidth must be non-negative")
     if b == 0.0:
         return 0.0
-    hp = params.gain_linear * params.power
-    # log2(1 + x) with x = hp / (2*N0*b + hp); log1p keeps precision when
-    # b is huge and x is tiny.
-    x = hp / (2.0 * params.noise_psd * b + hp)
-    return b * math.log1p(x) / _LN2
+    # log1p keeps precision when b is huge and x/(2b + x) is tiny.
+    return b * math.log1p(x / (2.0 * b + x)) / _LN2
 
 
-def f_prime(b: float, params: RateParams) -> float:
+def f_prime(b: float, x: float) -> float:
     """Closed-form derivative F'(b) > 0.
 
-    F'(b) = log2((2*N0*b + 2*g*p)/(2*N0*b + g*p))
-            - 2*N0*b*g*p / (ln2 * (2*N0*b + 2*g*p) * (2*N0*b + g*p))
+    F'(b) = log2((2b + 2x)/(2b + x)) - 2b*x / (ln2 * (2b + 2x) * (2b + x))
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    hp = params.gain_linear * params.power
-    n0b = 2.0 * params.noise_psd * b
-    # log((n0b + 2hp)/(n0b + hp)) = log1p(hp/(n0b + hp))
-    log_term = math.log1p(hp / (n0b + hp)) / _LN2
-    frac_term = (n0b * hp) / (_LN2 * (n0b + 2.0 * hp) * (n0b + hp))
+    b2 = 2.0 * b
+    # log((b2 + 2x)/(b2 + x)) = log1p(x/(b2 + x))
+    log_term = math.log1p(x / (b2 + x)) / _LN2
+    frac_term = (b2 * x) / (_LN2 * (b2 + 2.0 * x) * (b2 + x))
     return log_term - frac_term
 
 
-def f_limit(params: RateParams) -> float:
-    """Saturation rate lim_{b->inf} F(b) = g*p / (2*N0*ln 2) in bits/s."""
-    return params.gain_linear * params.power / (2.0 * params.noise_psd * _LN2)
+def f_limit(x: float) -> float:
+    """Saturation rate lim_{b->inf} F(b) = x / (2 ln 2) in bits/s."""
+    return x / (2.0 * _LN2)
 
 
-def g_value(b: float, payload_bits: float, params: RateParams) -> float:
+def g_value(b: float, x: float, pq: float) -> float:
     """Gradient map G(b) = p*Q*F'(b)/F(b)^2, strictly decreasing in b.
 
-    This is -d/db [p*Q/F(b)] with p = params.power, the marginal energy
+    This is -d/db [p*Q/F(b)] with ``pq`` = p*Q, the marginal energy
     saving of widening the group's band; the water-filling allocator
     equalizes it across groups.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    fv = f_value(b, params)
-    return params.power * payload_bits * f_prime(b, params) / (fv * fv)
+    fv = f_value(b, x)
+    return pq * f_prime(b, x) / (fv * fv)

@@ -9,9 +9,11 @@ decode times:
 
 Only the transmit term depends on bandwidth, so the latency budget
 T_max reduces to a slack Delta_ij = T_max - (sum of compute delays)
-that max{t_i, t_j} must fit into.  That max is always the airtime of
-the pair's weaker user (:func:`weaker_user`), which is what the
-bandwidth layer computes with; the two-user forms below are kept as the
+that max{t_i, t_j} must fit into.  The rate depends on a user only
+through the link x = g*p/N0 (:meth:`SystemConfig.link`) and grows with
+it, so that max is always the airtime at the pair's link, the smaller
+of its users' links (:func:`pair_link`), which is what the bandwidth
+layer computes with; the two-user forms below are kept as the
 independent re-check.  Similarly, compute energy is fixed
 once the user set is known (it does not depend on the matching), which
 lets the solver fold it into a constant offset and budget only the
@@ -21,9 +23,9 @@ transmit energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .channel import ChannelGain, RateParams, f_value
+from .channel import ChannelGain, f_value
 
 __all__ = [
     "UserProfile",
@@ -31,7 +33,7 @@ __all__ = [
     "tau_bs",
     "tau_rx",
     "delta_slack",
-    "weaker_user",
+    "pair_link",
     "transmit_time",
     "group_time",
     "e_const",
@@ -62,14 +64,14 @@ class UserProfile:
     noise_psd: float | None = None
 
     def __post_init__(self) -> None:
-        if self.q_bits <= 0:
-            raise ValueError("q_bits must be positive")
-        if self.cpu_hz <= 0:
-            raise ValueError("cpu_hz must be positive")
-        if self.cycles_per_bit <= 0:
-            raise ValueError("cycles_per_bit must be positive")
-        if self.energy_coeff < 0:
-            raise ValueError("energy_coeff must be non-negative")
+        for name in ("q_bits", "cpu_hz", "cycles_per_bit"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("enc_params", "dec_params", "energy_coeff"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        if self.noise_psd is not None and not 0 < self.noise_psd < math.inf:
+            raise ValueError("noise_psd must be None or positive and finite")
 
 
 @dataclass(frozen=True)
@@ -111,16 +113,11 @@ class SystemConfig:
         """The transmit power p [W] every group uses."""
         return self.group_powers[0]
 
-    def noise_for(self, user: UserProfile) -> float:
-        """Noise PSD seen by ``user`` (per-user override or global)."""
-        return user.noise_psd if user.noise_psd is not None else self.noise_psd
-
-    def rate_params(self, user: UserProfile, power: float) -> RateParams:
-        return RateParams(
-            power=power,
-            gain_linear=user.channel.gain_linear,
-            noise_psd=self.noise_for(user),
-        )
+    def link(self, user: UserProfile, power: float) -> float:
+        """The link x = g*p/N0 [Hz] of ``user`` at ``power``, with N0 the
+        user's own noise PSD if set, else the global one."""
+        noise = user.noise_psd if user.noise_psd is not None else self.noise_psd
+        return user.channel.gain_linear * power / noise
 
 
 def tau_bs(user: UserProfile, cfg: SystemConfig) -> float:
@@ -142,24 +139,21 @@ def delta_slack(i: UserProfile, j: UserProfile, cfg: SystemConfig) -> float:
     return cfg.t_max - tau_bs(i, cfg) - tau_rx(i, cfg) - tau_bs(j, cfg) - tau_rx(j, cfg)
 
 
-def weaker_user(pair: tuple[UserProfile, UserProfile], cfg: SystemConfig) -> UserProfile:
-    """The pair member with the smaller g/N0, ties to the first.
+def pair_link(i: UserProfile, j: UserProfile, cfg: SystemConfig) -> float:
+    """The link of pair (i, j): the smaller of its users' links.
 
-    F grows with g*p/N0 at every bandwidth, so this user's rate is the
+    F grows with x at every bandwidth, so the rate at this link is the
     pair's rate: its minimum-bandwidth root, gradient inverse and
     airtime are the pair's.
     """
-    i, j = pair
-    if j.channel.gain_linear / cfg.noise_for(j) < i.channel.gain_linear / cfg.noise_for(i):
-        return j
-    return i
+    return min(cfg.link(i, cfg.power), cfg.link(j, cfg.power))
 
 
 def transmit_time(b: float, user: UserProfile, power: float, cfg: SystemConfig) -> float:
     """Airtime Q / F_u(b) for one user [s]; inf when the rate is zero."""
     if b <= 0:
         return math.inf
-    fv = f_value(b, cfg.rate_params(user, power))
+    fv = f_value(b, cfg.link(user, power))
     if fv <= 0.0:
         return math.inf
     return cfg.payload_bits / fv

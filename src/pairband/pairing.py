@@ -19,7 +19,6 @@ the matching space, so the enumeration is exact and duplicate-free.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -209,7 +208,6 @@ def _solve_cell(
     fixed = set(i for p in forced_in for i in p)
     free = sorted(set(range(n)) - fixed)
     sub = costs[np.ix_(free, free)].copy()
-    back = {local: orig for local, orig in enumerate(free)}
     fwd = {orig: local for local, orig in enumerate(free)}
     for i, j in forced_out:
         if i in fwd and j in fwd:
@@ -218,7 +216,7 @@ def _solve_cell(
     solved = _solve_min_cost(sub)
     if solved is None:
         return None
-    pairs = list(forced_in) + [(back[i], back[j]) for i, j in solved]
+    pairs = list(forced_in) + [(free[i], free[j]) for i, j in solved]
     return _canonical(pairs)
 
 
@@ -243,7 +241,6 @@ def k_best_matchings(costs: PairCostMatrix, w_count: int) -> list[Matching]:
         heap, (first.total_cost, first.pairs, frozenset(), frozenset())
     )
     emitted: list[tuple[float, tuple[Pair, ...]]] = []
-    seen: set[tuple[Pair, ...]] = set()
 
     while heap:
         # Stop only when the heap cannot contain anything that belongs
@@ -251,9 +248,6 @@ def k_best_matchings(costs: PairCostMatrix, w_count: int) -> list[Matching]:
         if len(emitted) >= w_count and heap[0][0] > emitted[-1][0]:
             break
         total, pairs, f_in, f_out = heapq.heappop(heap)
-        if pairs in seen:
-            continue
-        seen.add(pairs)
         emitted.append((total, pairs))
         emitted.sort()
 

@@ -37,7 +37,6 @@ from .bandwidth import (
     evaluate_fixed_allocation,
     kkt_allocate,
 )
-from .latency_energy import SystemConfig, UserProfile
 from .pairing import (
     INFEASIBLE,
     Matching,
@@ -106,54 +105,24 @@ def _cost_matrix(scenario: Scenario) -> PairCostMatrix:
     )
 
 
-class _BoundCache:
-    """Per-pair minimum bandwidths (+inf when latency-infeasible),
-    computed once per pair of user indices."""
-
-    def __init__(self, users: tuple[UserProfile, ...], cfg: SystemConfig):
-        self._users = users
-        self._cfg = cfg
-        self._cache: dict[tuple[int, int], float] = {}
-
-    def get(self, i: int, j: int) -> float:
-        key = (min(i, j), max(i, j))
-        if key not in self._cache:
-            self._cache[key] = b_min_pair(self._users[key[0]], self._users[key[1]], self._cfg)
-        return self._cache[key]
-
-    def for_matching(self, matching: Matching) -> list[float]:
-        return [self.get(i, j) for i, j in matching.pairs]
+def _pair_bounds(scenario: Scenario, costs: PairCostMatrix) -> np.ndarray:
+    """N x N minimum bandwidths of every quality-feasible pair; +inf on
+    the diagonal, for quality-violating pairs and for latency-infeasible
+    ones."""
+    users, cfg, n = scenario.users, scenario.cfg, costs.n
+    bounds = np.full((n, n), INFEASIBLE)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if math.isfinite(costs.costs[i, j]):
+                bounds[i, j] = bounds[j, i] = b_min_pair(users[i], users[j], cfg)
+    return bounds
 
 
 def _check_with_bounds(
     scenario: Scenario, matching: Matching, bounds: list[float]
 ) -> AllocationReport:
-    """Verdict on one candidate matching, from its cached pair bounds."""
+    """Verdict on one candidate matching, from its pair bounds."""
     return kkt_allocate(list(scenario.users), matching, scenario.cfg, bounds)
-
-
-def _globally_infeasible(scenario: Scenario, costs: PairCostMatrix, cache: _BoundCache) -> bool:
-    """Sound certificate: can ANY quality-feasible matching meet latency
-    and the bandwidth sum?
-
-    Summed lower bounds are pair-additive, so their minimum over perfect
-    matchings is itself a minimum-weight matching with b_min edge
-    weights (edges violating quality or latency removed).  Energy is
-    not covered here — it is checked per candidate.
-    """
-    n = costs.n
-    weights = np.full((n, n), INFEASIBLE)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not math.isfinite(costs.costs[i, j]):
-                continue
-            b_min = cache.get(i, j)
-            if math.isfinite(b_min):
-                weights[i, j] = weights[j, i] = b_min
-    best = mwpm(PairCostMatrix(n=n, costs=weights))
-    if best is None:
-        return True
-    return best.total_cost > scenario.cfg.b_max * (1.0 + 1e-9)
 
 
 def solve_proposed(scenario: Scenario) -> SolveResult:
@@ -164,9 +133,15 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
     exhaustion until every finite matching has been tried.
     """
     costs = _cost_matrix(scenario)
-    cache = _BoundCache(scenario.users, scenario.cfg)
+    bounds = _pair_bounds(scenario, costs)
 
-    if _globally_infeasible(scenario, costs, cache):
+    # Sound certificate: summed lower bounds are pair-additive, so their
+    # minimum over perfect matchings is a minimum-weight matching with
+    # b_min edge weights (quality- and latency-violating edges removed).
+    # If even that one overflows B_max, or none exists, no matching meets
+    # latency and the bandwidth sum.  Energy is checked per candidate.
+    best = mwpm(PairCostMatrix(n=costs.n, costs=bounds))
+    if best is None or best.total_cost > scenario.cfg.b_max * (1.0 + 1e-9):
         return SolveResult(
             matching=None,
             allocation=None,
@@ -175,13 +150,15 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
             strategy="proposed",
         )
 
+    rows = bounds.tolist()
     tried = 0
     window = _FIRST_WINDOW
     while True:
         candidates = k_best_matchings(costs, window)
         for matching in candidates[tried:]:
-            bounds = cache.for_matching(matching)
-            report = _check_with_bounds(scenario, matching, bounds)
+            report = _check_with_bounds(
+                scenario, matching, [rows[i][j] for i, j in matching.pairs]
+            )
             tried += 1
             if report.feasible:
                 return SolveResult(
@@ -284,13 +261,14 @@ def solve(
     matching = Matching(
         pairs=pairs, total_cost=float(math.fsum(costs.costs[i, j] for i, j in pairs))
     )
-    bounds = _BoundCache(scenario.users, scenario.cfg).for_matching(matching)
+    users, cfg = scenario.users, scenario.cfg
+    bounds = [b_min_pair(users[i], users[j], cfg) for i, j in pairs]
     if split == "kkt":
         report = _check_with_bounds(scenario, matching, bounds)
     else:
-        share = scenario.cfg.b_max / len(pairs)
+        share = cfg.b_max / len(pairs)
         report = evaluate_fixed_allocation(
-            list(scenario.users), matching, scenario.cfg, bounds, [share] * len(pairs)
+            list(users), matching, cfg, bounds, [share] * len(pairs)
         )
     return SolveResult(
         matching=matching,

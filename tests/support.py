@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
-from pairband.channel import ChannelGain, RateParams, f_value, g_value
+from pairband.channel import ChannelGain, f_value, g_value
 from pairband.distortion import DistortionTable
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
 from pairband.pairing import Matching
@@ -29,12 +30,13 @@ def gain_channel(gain_linear: float) -> ChannelGain:
     )
 
 
-def make_params(
+def make_link(
     power: float = 1.0,
     gain: float = 1.0e-11,
     noise: float = NOISE,
-) -> RateParams:
-    return RateParams(power=power, gain_linear=gain, noise_psd=noise)
+) -> float:
+    """The link x = g*p/N0 [Hz] of a user with this gain and noise."""
+    return gain * power / noise
 
 
 def make_user(
@@ -204,18 +206,16 @@ def random_instance(rng, k=2, b_max=None, t_max=2.0):
 
 def active_gradient(pair, b, power, cfg):
     """Gradient of the binding (slower) user of the pair at bandwidth b."""
-    i, j = pair
-    fi = f_value(b, cfg.rate_params(i, power))
-    fj = f_value(b, cfg.rate_params(j, power))
-    u = i if fi <= fj else j
-    return g_value(b, cfg.payload_bits, cfg.rate_params(u, power))
+    xi, xj = cfg.link(pair[0], power), cfg.link(pair[1], power)
+    x = xi if f_value(b, xi) <= f_value(b, xj) else xj
+    return g_value(b, x, power * cfg.payload_bits)
 
 
 def group_airtime(pair, b, power, cfg):
     i, j = pair
     return max(
-        cfg.payload_bits / f_value(b, cfg.rate_params(i, power)),
-        cfg.payload_bits / f_value(b, cfg.rate_params(j, power)),
+        cfg.payload_bits / f_value(b, cfg.link(i, power)),
+        cfg.payload_bits / f_value(b, cfg.link(j, power)),
     )
 
 
@@ -249,3 +249,27 @@ def assert_kkt_certificates(users, matching, cfg, report):
         # Complementary slackness: an interior group means the bandwidth
         # constraint is tight.
         assert abs(used - cfg.b_max) <= 1e-9 * cfg.b_max
+
+
+_gains = st.floats(min_value=1e-13, max_value=1e-10)
+_noise_overrides = st.one_of(
+    st.none(), st.floats(min_value=0.25, max_value=4.0).map(lambda f: f * NOISE)
+)
+
+
+@st.composite
+def user_pair(draw, first_id=0):
+    """Two users, with per-user noise overrides and, half the time, an
+    exact tie in g/N0 (gain and noise scaled by one power of two)."""
+    gain_i, noise_i = draw(_gains), draw(_noise_overrides)
+    if draw(st.booleans()):
+        scale = 2.0 ** draw(st.integers(min_value=-3, max_value=3))
+        gain_j = gain_i * scale
+        noise_j = (NOISE if noise_i is None else noise_i) * scale
+    else:
+        gain_j, noise_j = draw(_gains), draw(_noise_overrides)
+    decs = st.floats(min_value=0.6, max_value=1.4)
+    return (
+        make_user(first_id, gain=gain_i, noise=noise_i, dec=draw(decs)),
+        make_user(first_id + 1, gain=gain_j, noise=noise_j, dec=draw(decs)),
+    )

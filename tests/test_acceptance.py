@@ -39,7 +39,7 @@ from support import (
     exhaustive_first_feasible,
     group_airtime,
     make_cfg,
-    make_params,
+    make_link,
     make_user,
     paired_users,
     random_cost_matrix,
@@ -67,11 +67,11 @@ def test_criterion_1_rate_properties():
     grid = np.logspace(2.0, 12.0, 21)  # ten decades of bandwidth
 
     for _ in range(1000):
-        params = make_params(
+        x = make_link(
             power=float(rng.uniform(0.25, 4.0)),
             gain=float(10.0 ** rng.uniform(-13.0, -9.0)),
         )
-        vals = [f_value(float(b), params) for b in grid]
+        vals = [f_value(float(b), x) for b in grid]
 
         # Strictly increasing across the whole grid.
         assert all(lo < hi for lo, hi in zip(vals, vals[1:]))
@@ -79,22 +79,21 @@ def test_criterion_1_rate_properties():
         # Midpoint concavity on every adjacent grid interval.
         for lo, hi, flo, fhi in zip(grid[:-1], grid[1:], vals, vals[1:]):
             mid = 0.5 * (lo + hi)
-            assert f_value(float(mid), params) >= 0.5 * (flo + fhi) * (1.0 - 1e-12)
+            assert f_value(float(mid), x) >= 0.5 * (flo + fhi) * (1.0 - 1e-12)
 
         # Saturation: far in the wideband regime the rate sits just
         # below its finite ceiling.
-        cap = f_limit(params)
-        hp = params.gain_linear * params.power
-        far = 1e8 * hp / params.noise_psd
-        assert f_value(far, params) < cap
-        assert f_value(far, params) == pytest.approx(cap, rel=1e-4)
+        cap = f_limit(x)
+        far = 1e8 * x
+        assert f_value(far, x) < cap
+        assert f_value(far, x) == pytest.approx(cap, rel=1e-4)
 
         # Closed-form derivative against central differences.
         for b in grid:
             b = float(b)
             h = 1e-4 * b
-            fd = (f_value(b + h, params) - f_value(b - h, params)) / (2.0 * h)
-            assert f_prime(b, params) == pytest.approx(fd, rel=1e-5)
+            fd = (f_value(b + h, x) - f_value(b - h, x)) / (2.0 * h)
+            assert f_prime(b, x) == pytest.approx(fd, rel=1e-5)
 
     assert time.perf_counter() - start < 10.0
 
@@ -109,30 +108,30 @@ def test_criterion_2_minimum_bandwidth_roots():
     rng = np.random.default_rng(202)
 
     for _ in range(1000):
-        params = make_params(
+        x = make_link(
             power=float(rng.uniform(0.25, 4.0)),
             gain=float(10.0 ** rng.uniform(-13.0, -9.0)),
         )
         q = float(10.0 ** rng.uniform(5.0, 7.0))
         # Demand a rate strictly below saturation: a root must exist.
-        target = float(rng.uniform(0.01, 0.999)) * f_limit(params)
+        target = float(rng.uniform(0.01, 0.999)) * f_limit(x)
         delta = q / target
-        b = b_min_user(delta, params, q)
+        b = b_min_user(delta, x, q)
         assert math.isfinite(b)
-        assert f_value(b, params) == pytest.approx(q / delta, rel=1e-9)
+        assert f_value(b, x) == pytest.approx(q / delta, rel=1e-9)
 
     for _ in range(200):
-        params = make_params(
+        x = make_link(
             power=float(rng.uniform(0.25, 4.0)),
             gain=float(10.0 ** rng.uniform(-13.0, -9.0)),
         )
         q = float(10.0 ** rng.uniform(5.0, 7.0))
         # At or above saturation no bandwidth suffices.
-        delta = q / (float(rng.uniform(1.0, 3.0)) * f_limit(params))
-        assert b_min_user(delta, params, q) == math.inf
+        delta = q / (float(rng.uniform(1.0, 3.0)) * f_limit(x))
+        assert b_min_user(delta, x, q) == math.inf
 
-    assert b_min_user(0.0, make_params(), 1.3e6) == math.inf
-    assert b_min_user(-2.0, make_params(), 1.3e6) == math.inf
+    assert b_min_user(0.0, make_link(), 1.3e6) == math.inf
+    assert b_min_user(-2.0, make_link(), 1.3e6) == math.inf
     assert time.perf_counter() - start < 5.0
 
 

@@ -26,16 +26,16 @@ from pairband.channel import f_limit, f_value, g_value
 from pairband.latency_energy import delta_slack, e_const, group_time, transmit_energy
 from pairband.pairing import Matching
 from support import (
-    NOISE,
     active_gradient,
     assert_kkt_certificates,
     consecutive_matching,
     group_airtime,
     make_cfg,
-    make_params,
+    make_link,
     make_user,
     paired_users,
     random_instance,
+    user_pair,
 )
 
 
@@ -46,65 +46,65 @@ from support import (
 class TestBMinUser:
     def test_forward_constructed_root(self):
         # Choose the root first, then derive the slack that demands it.
-        params = make_params(gain=3.0e-12)
+        x = make_link(gain=3.0e-12)
         q = 1.3e6
         b0 = 2.5e6
-        delta = q / f_value(b0, params)
-        assert b_min_user(delta, params, q) == pytest.approx(b0, rel=1e-9)
+        delta = q / f_value(b0, x)
+        assert b_min_user(delta, x, q) == pytest.approx(b0, rel=1e-9)
 
     def test_root_satisfies_rate_equation(self):
-        params = make_params(gain=1e-12)
+        x = make_link(gain=1e-12)
         q, delta = 1.3e6, 1.2
-        b = b_min_user(delta, params, q)
-        assert f_value(b, params) * delta == pytest.approx(q, rel=1e-9)
+        b = b_min_user(delta, x, q)
+        assert f_value(b, x) * delta == pytest.approx(q, rel=1e-9)
 
     def test_nonpositive_slack_infeasible(self):
-        params = make_params()
-        assert b_min_user(0.0, params, 1.3e6) == math.inf
-        assert b_min_user(-1.0, params, 1.3e6) == math.inf
+        x = make_link()
+        assert b_min_user(0.0, x, 1.3e6) == math.inf
+        assert b_min_user(-1.0, x, 1.3e6) == math.inf
 
     def test_rate_demand_at_saturation_infeasible(self):
-        params = make_params()
+        x = make_link()
         q = 1.3e6
-        delta = q / f_limit(params)  # demands exactly the saturation rate
-        assert b_min_user(delta, params, q) == math.inf
+        delta = q / f_limit(x)  # demands exactly the saturation rate
+        assert b_min_user(delta, x, q) == math.inf
 
     def test_near_saturation_root_is_finite_and_exact(self):
-        params = make_params()
+        x = make_link()
         q = 1.3e6
-        target = 0.999999 * f_limit(params)
-        b = b_min_user(q / target, params, q)
+        target = 0.999999 * f_limit(x)
+        b = b_min_user(q / target, x, q)
         assert math.isfinite(b)
-        assert f_value(b, params) == pytest.approx(target, rel=1e-9)
+        assert f_value(b, x) == pytest.approx(target, rel=1e-9)
 
     def test_hint_does_not_change_root(self):
-        params = make_params(gain=2e-12)
+        x = make_link(gain=2e-12)
         q = 1.3e6
         delta = 1.5
-        roots = [b_min_user(delta, params, q, b_hint=h) for h in (1.0, 1e6, 1e9)]
+        roots = [b_min_user(delta, x, q, b_hint=h) for h in (1.0, 1e6, 1e9)]
         assert roots[0] == pytest.approx(roots[1], rel=1e-9)
         assert roots[0] == pytest.approx(roots[2], rel=1e-9)
 
     def test_randomized_roundtrips(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            params = make_params(
+            x = make_link(
                 gain=float(10.0 ** rng.uniform(-13, -10)),
                 power=float(rng.uniform(0.5, 2.0)),
             )
             q = float(rng.uniform(5e5, 5e6))
             b0 = float(10.0 ** rng.uniform(4, 8))
-            delta = q / f_value(b0, params)
-            assert b_min_user(delta, params, q) == pytest.approx(b0, rel=1e-9)
+            delta = q / f_value(b0, x)
+            assert b_min_user(delta, x, q) == pytest.approx(b0, rel=1e-9)
 
     def test_root_far_below_one_hertz_is_found(self):
         # The demanded rate Q/delta is ~1e-24 bit/s: the root sits below
         # 2^-60 Hz, and it is still a root of F(b) = Q/delta.
-        params = make_params()
+        x = make_link()
         q, delta = 1.3e6, 1e30
-        b = b_min_user(delta, params, q)
+        b = b_min_user(delta, x, q)
         assert 0.0 < b < 2.0**-60
-        assert f_value(b, params) == pytest.approx(q / delta, rel=1e-9)
+        assert f_value(b, x) == pytest.approx(q / delta, rel=1e-9)
 
 
 class TestBMinPair:
@@ -114,7 +114,7 @@ class TestBMinPair:
         j = make_user(1, gain=1e-12)
         bound = b_min_pair(i, j, cfg)
         delta = delta_slack(i, j, cfg)
-        expect = b_min_user(delta, cfg.rate_params(j, 1.0), cfg.payload_bits)
+        expect = b_min_user(delta, cfg.link(j, 1.0), cfg.payload_bits)
         assert math.isfinite(bound)
         assert bound == pytest.approx(expect, rel=1e-9)
 
@@ -123,7 +123,7 @@ class TestBMinPair:
         i, j = make_user(0), make_user(1)
         bound = b_min_pair(i, j, cfg)
         delta = delta_slack(i, j, cfg)
-        expect = b_min_user(delta, cfg.rate_params(i, 1.0), cfg.payload_bits)
+        expect = b_min_user(delta, cfg.link(i, 1.0), cfg.payload_bits)
         assert bound == pytest.approx(expect, rel=1e-9)
 
     def test_deadline_met_exactly_at_root(self):
@@ -146,43 +146,39 @@ class TestBMinPair:
 
 class TestGInverse:
     def test_roundtrip_through_gradient(self):
-        params = make_params(gain=2e-12)
-        q, p = 1.3e6, 1.0
+        x = make_link(gain=2e-12)
+        pq = 1.0 * 1.3e6
         for b0 in (1e4, 1e5, 1e6, 1e7, 1e8):
-            theta = g_value(b0, q, params)
-            assert g_inverse(theta, q, params) == pytest.approx(b0, rel=1e-9)
+            theta = g_value(b0, x, pq)
+            assert g_inverse(theta, x, pq) == pytest.approx(b0, rel=1e-9)
 
     def test_gradient_of_inverse_is_theta(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            params = make_params(
-                gain=float(10.0 ** rng.uniform(-13, -10)),
-                power=float(rng.uniform(0.5, 2.0)),
-            )
-            q = float(rng.uniform(5e5, 5e6))
+            power = float(rng.uniform(0.5, 2.0))
+            x = make_link(gain=float(10.0 ** rng.uniform(-13, -10)), power=power)
+            pq = power * float(rng.uniform(5e5, 5e6))
             b0 = float(10.0 ** rng.uniform(4, 8))
-            theta = g_value(b0, q, params)
-            b = g_inverse(theta, q, params)
-            assert g_value(b, q, params) == pytest.approx(
-                theta, rel=1e-9
-            )
+            theta = g_value(b0, x, pq)
+            b = g_inverse(theta, x, pq)
+            assert g_value(b, x, pq) == pytest.approx(theta, rel=1e-9)
 
     def test_decreasing_in_theta(self):
-        params = make_params()
+        x = make_link()
         q = 1.3e6
-        thetas = [g_value(b, q, params) for b in (1e5, 1e6, 1e7)]
-        bs = [g_inverse(t, q, params) for t in thetas]
+        thetas = [g_value(b, x, q) for b in (1e5, 1e6, 1e7)]
+        bs = [g_inverse(t, x, q) for t in thetas]
         assert thetas[0] > thetas[1] > thetas[2]
         assert bs[0] < bs[1] < bs[2]
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
-            g_inverse(0.0, 1.3e6, make_params())
+            g_inverse(0.0, make_link(), 1.3e6)
 
     def test_unbracketable_theta_names_the_root_finder(self):
         # G(b) stays far below 1e300 down to 2^-60 Hz.
         with pytest.raises(RuntimeError, match="g_inverse"):
-            g_inverse(1e300, 1.3e6, make_params())
+            g_inverse(1e300, make_link(), 1.3e6)
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -208,9 +204,9 @@ class TestTildeB:
         theta, b = report.theta_star, report.bandwidths[0]
         assert b > report.lower_bounds[0]
         for u in (i, j):
-            params = cfg.rate_params(u, 1.0)
+            x = cfg.link(u, 1.0)
             assert b == pytest.approx(
-                g_inverse(theta, cfg.payload_bits, params, cfg.b_max), rel=1e-12
+                g_inverse(theta, x, cfg.payload_bits, cfg.b_max), rel=1e-12
             )
 
     def test_weaker_user_owns_the_bandwidth(self):
@@ -227,11 +223,11 @@ class TestTildeB:
         theta, b = report.theta_star, report.bandwidths[0]
         assert b > report.lower_bounds[0]
         q = cfg.payload_bits
-        params_w = cfg.rate_params(weak, 1.0)
-        params_s = cfg.rate_params(strong, 1.0)
-        assert b == pytest.approx(g_inverse(theta, q, params_w, cfg.b_max), rel=1e-12)
+        x_w = cfg.link(weak, 1.0)
+        x_s = cfg.link(strong, 1.0)
+        assert b == pytest.approx(g_inverse(theta, x_w, q, cfg.b_max), rel=1e-12)
         # The stronger user's inverse is a different bandwidth.
-        assert abs(g_inverse(theta, q, params_s, cfg.b_max) - b) > 1e-5 * b
+        assert abs(g_inverse(theta, x_s, q, cfg.b_max) - b) > 1e-5 * b
 
     def test_decreasing_in_theta(self):
         # Widening the band lowers theta* and raises every share above
@@ -306,8 +302,8 @@ class TestKktAllocate:
         pairs = paired_users(users, matching)
         xi = [
             max(
-                cfg.payload_bits / f_value(b, cfg.rate_params(i, p)),
-                cfg.payload_bits / f_value(b, cfg.rate_params(j, p)),
+                cfg.payload_bits / f_value(b, cfg.link(i, p)),
+                cfg.payload_bits / f_value(b, cfg.link(j, p)),
             )
             for (i, j), b, p in zip(pairs, report.bandwidths, cfg.group_powers)
         ]
@@ -474,33 +470,9 @@ class TestEvaluateFixedAllocation:
 # The weaker-user shortcut against the two-user form
 
 
-_gains = st.floats(min_value=1e-13, max_value=1e-10)
-_noise_overrides = st.one_of(
-    st.none(), st.floats(min_value=0.25, max_value=4.0).map(lambda f: f * NOISE)
-)
-
-
-@st.composite
-def _user_pair(draw, first_id=0):
-    """Two users, with per-user noise overrides and, half the time, an
-    exact tie in g/N0 (gain and noise scaled by one power of two)."""
-    gain_i, noise_i = draw(_gains), draw(_noise_overrides)
-    if draw(st.booleans()):
-        scale = 2.0 ** draw(st.integers(min_value=-3, max_value=3))
-        gain_j = gain_i * scale
-        noise_j = (NOISE if noise_i is None else noise_i) * scale
-    else:
-        gain_j, noise_j = draw(_gains), draw(_noise_overrides)
-    decs = st.floats(min_value=0.6, max_value=1.4)
-    return (
-        make_user(first_id, gain=gain_i, noise=noise_i, dec=draw(decs)),
-        make_user(first_id + 1, gain=gain_j, noise=noise_j, dec=draw(decs)),
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(
-    pair=_user_pair(),
+    pair=user_pair(),
     t_max=st.floats(min_value=0.2, max_value=4.0),
     power=st.floats(min_value=0.25, max_value=4.0),
 )
@@ -508,7 +480,7 @@ def test_prop_b_min_pair_is_max_of_user_roots(pair, t_max, power):
     cfg = make_cfg(2, t_max=t_max, power=power)
     delta = delta_slack(*pair, cfg)
     roots = [
-        b_min_user(delta, cfg.rate_params(u, power), cfg.payload_bits, cfg.b_max)
+        b_min_user(delta, cfg.link(u, power), cfg.payload_bits, cfg.b_max)
         for u in pair
     ]
     assert b_min_pair(*pair, cfg) == max(roots)
@@ -517,7 +489,7 @@ def test_prop_b_min_pair_is_max_of_user_roots(pair, t_max, power):
 @st.composite
 def _instance(draw):
     k = draw(st.integers(min_value=1, max_value=3))
-    users = [u for g in range(k) for u in draw(_user_pair(2 * g))]
+    users = [u for g in range(k) for u in draw(user_pair(2 * g))]
     power = draw(st.floats(min_value=0.25, max_value=4.0))
     cfg = make_cfg(2 * k, b_max=4.0e6 * k, t_max=2.0, power=power)
     return users, cfg, consecutive_matching(2 * k)

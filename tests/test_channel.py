@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 from pairband.channel import (
     ChannelGain,
-    RateParams,
     f_limit,
     f_prime,
     f_value,
     g_value,
     path_loss_db,
 )
-from support import NOISE, make_params
+from support import NOISE, make_cfg, make_link, make_user
 
 # Frozen oracle constants (plain formula evaluations).
 PL_AT_0_353_KM = 111.09632892258212
@@ -33,10 +32,9 @@ def central_diff(fn, x: float, h: float) -> float:
     return (fn(x + h) - fn(x - h)) / (2.0 * h)
 
 
-def char_bandwidth(params: RateParams) -> float:
-    """Bandwidth where the in-log term equals 1/2: hp / (2 N0)."""
-    hp = params.gain_linear * params.power
-    return hp / (2.0 * params.noise_psd)
+def char_bandwidth(x: float) -> float:
+    """Bandwidth where the in-log term equals 1/2: x / 2."""
+    return x / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +76,16 @@ class TestChannelGain:
         with pytest.raises(ValueError):
             ChannelGain(pathloss_db=100.0, shadowing_db=0.0, gain_linear=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite_gain(self, bad):
+        with pytest.raises(ValueError, match="gain_linear must be positive and finite"):
+            ChannelGain(pathloss_db=100.0, shadowing_db=0.0, gain_linear=bad)
+
 
 class TestRateParamsValidation:
+    """A link x = g*p/N0 is only built from validated fields: the power
+    and the noise PSD by the config, the gain by the channel."""
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -90,13 +96,15 @@ class TestRateParamsValidation:
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
+        fields = {"power": 1.0, "gain": 1e-11, "noise": NOISE, **kwargs}
         with pytest.raises(ValueError):
-            make_params(**kwargs)
+            cfg = make_cfg(power=fields["power"], noise=fields["noise"])
+            cfg.link(make_user(0, gain=fields["gain"]), cfg.power)
 
     def test_rejects_negative_bandwidth(self):
         # Bandwidth is the rate's argument, not a link field.
         with pytest.raises(ValueError):
-            f_value(-1.0, make_params())
+            f_value(-1.0, make_link())
 
 
 # ---------------------------------------------------------------------------
@@ -105,64 +113,74 @@ class TestRateParamsValidation:
 
 class TestRate:
     def test_zero_bandwidth_zero_rate(self):
-        assert f_value(0.0, make_params()) == 0.0
+        assert f_value(0.0, make_link()) == 0.0
 
     def test_half_point_closed_form(self):
-        # With hp = 2 N0 b the in-log term is 1/2, so F = b log2(1.5).
+        # With x = 2b the in-log term is 1/2, so F = b log2(1.5).
         b = 1.0e6
-        params = make_params(power=1.0, gain=2.0 * NOISE * b, noise=NOISE)
-        assert f_value(b, params) == pytest.approx(b * LOG2_OF_1_5, rel=1e-12)
+        assert f_value(b, 2.0 * b) == pytest.approx(b * LOG2_OF_1_5, rel=1e-12)
 
     def test_strictly_increasing_over_ten_decades(self):
-        params = make_params()
-        bc = char_bandwidth(params)
+        x = make_link()
+        bc = char_bandwidth(x)
         grid = bc * np.logspace(-5, 5, 200)
-        vals = [f_value(float(b), params) for b in grid]
+        vals = [f_value(float(b), x) for b in grid]
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_concave_midpoint_inequality(self):
-        params = make_params()
-        bc = char_bandwidth(params)
+        x = make_link()
+        bc = char_bandwidth(x)
         grid = bc * np.logspace(-4, 4, 60)
         for lo, hi in zip(grid, grid[1:]):
             mid = 0.5 * (lo + hi)
-            chord = 0.5 * (f_value(float(lo), params) + f_value(float(hi), params))
-            assert f_value(float(mid), params) >= chord
+            chord = 0.5 * (f_value(float(lo), x) + f_value(float(hi), x))
+            assert f_value(float(mid), x) >= chord
 
     def test_interference_halves_wideband_slope(self):
         # At small b the pair term costs ~1 bit/s/Hz versus interference-free
-        # log2(1 + hp/(N0 b)): check F stays below that envelope.
-        params = make_params()
-        bc = char_bandwidth(params)
+        # log2(1 + x/b): check F stays below that envelope.
+        x = make_link()
+        bc = char_bandwidth(x)
         for b in (bc * 1e-3, bc * 1e-1, bc, bc * 10):
-            hp = params.gain_linear * params.power
-            envelope = b * math.log2(1.0 + hp / (params.noise_psd * b))
-            assert f_value(b, params) < envelope
+            envelope = b * math.log2(1.0 + x / b)
+            assert f_value(b, x) < envelope
 
     def test_saturates_below_limit(self):
-        params = make_params()
-        lim = f_limit(params)
-        bc = char_bandwidth(params)
+        x = make_link()
+        lim = f_limit(x)
+        bc = char_bandwidth(x)
         for b in (bc * 1e-2, bc, bc * 1e2, bc * 1e6):
-            assert f_value(b, params) < lim
+            assert f_value(b, x) < lim
 
     def test_approaches_limit(self):
-        params = make_params()
-        hp = params.gain_linear * params.power
-        b = 1.0e6 * hp / params.noise_psd
-        assert f_value(b, params) == pytest.approx(f_limit(params), rel=1e-3)
+        x = make_link()
+        assert f_value(1.0e6 * x, x) == pytest.approx(f_limit(x), rel=1e-3)
+
+    def test_matches_the_gain_power_noise_form(self):
+        # F(b, x = g*p/N0) against b*log2(1 + g*p/(2*N0*b + g*p)), written
+        # out here with log1p, over ten decades of b around x/2.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            g = float(10.0 ** rng.uniform(-13.0, -9.0))
+            p = float(rng.uniform(0.25, 4.0))
+            n0 = float(10.0 ** rng.uniform(-21.0, -19.5))
+            hp = g * p
+            x = hp / n0
+            for b in (x / 2.0) * np.logspace(-5.0, 5.0, 41):
+                b = float(b)
+                ref = b * math.log1p(hp / (2.0 * n0 * b + hp)) / math.log(2.0)
+                assert f_value(b, x) == pytest.approx(ref, rel=1e-14)
 
 
 class TestFLimit:
     def test_unit_closed_form(self):
-        # hp = 2 N0  ->  limit = 1/ln 2.
-        params = make_params(power=1.0, gain=2.0 * NOISE, noise=NOISE)
-        assert f_limit(params) == pytest.approx(ONE_OVER_LN2, rel=1e-12)
+        # x = 2  ->  limit = 1/ln 2.
+        assert f_limit(2.0) == pytest.approx(ONE_OVER_LN2, rel=1e-12)
 
     def test_linear_in_power(self):
-        p1 = make_params(power=1.0)
-        p2 = make_params(power=2.0)
-        assert f_limit(p2) == pytest.approx(2.0 * f_limit(p1), rel=1e-12)
+        x1 = make_link(power=1.0)
+        x2 = make_link(power=2.0)
+        assert f_limit(x2) == pytest.approx(2.0 * f_limit(x1), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -171,62 +189,79 @@ class TestFLimit:
 
 class TestFPrime:
     def test_matches_finite_difference_on_grid(self):
-        params = make_params()
-        bc = char_bandwidth(params)
+        x = make_link()
+        bc = char_bandwidth(x)
         for b in bc * np.logspace(-4, 4, 33):
             b = float(b)
-            fd = central_diff(lambda x: f_value(x, params), b, 1e-6 * b)
-            assert f_prime(b, params) == pytest.approx(fd, rel=1e-5)
+            fd = central_diff(lambda w: f_value(w, x), b, 1e-6 * b)
+            assert f_prime(b, x) == pytest.approx(fd, rel=1e-5)
 
     def test_positive_and_strictly_decreasing(self):
-        params = make_params()
-        bc = char_bandwidth(params)
+        x = make_link()
+        bc = char_bandwidth(x)
         grid = bc * np.logspace(-5, 5, 100)
-        vals = [f_prime(float(b), params) for b in grid]
+        vals = [f_prime(float(b), x) for b in grid]
         assert all(v > 0 for v in vals)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_secant_bracket(self):
         # Concavity: F' at b sits between the secant slopes on each side.
-        params = make_params()
-        bc = char_bandwidth(params)
+        x = make_link()
+        bc = char_bandwidth(x)
         for b in (bc * 0.1, bc, bc * 10.0):
-            left = (f_value(b, params) - f_value(0.5 * b, params)) / (0.5 * b)
-            right = (f_value(1.5 * b, params) - f_value(b, params)) / (0.5 * b)
-            assert right < f_prime(b, params) < left
+            left = (f_value(b, x) - f_value(0.5 * b, x)) / (0.5 * b)
+            right = (f_value(1.5 * b, x) - f_value(b, x)) / (0.5 * b)
+            assert right < f_prime(b, x) < left
+
+    def test_matches_the_gain_power_noise_form(self):
+        # F'(b) = log2((2N0b + 2gp)/(2N0b + gp))
+        #         - 2N0b*gp / (ln2 * (2N0b + 2gp) * (2N0b + gp)),
+        # over ten decades of b around x/2.  Both forms subtract two
+        # nearly equal terms in the wide band, so they agree to 1e-14 of
+        # the log term, not of F' itself.
+        ln2 = math.log(2.0)
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            g = float(10.0 ** rng.uniform(-13.0, -9.0))
+            p = float(rng.uniform(0.25, 4.0))
+            n0 = float(10.0 ** rng.uniform(-21.0, -19.5))
+            hp = g * p
+            x = hp / n0
+            for b in (x / 2.0) * np.logspace(-5.0, 5.0, 41):
+                n0b = 2.0 * n0 * float(b)
+                log_term = math.log1p(hp / (n0b + hp)) / ln2
+                ref = log_term - n0b * hp / (ln2 * (n0b + 2.0 * hp) * (n0b + hp))
+                assert abs(f_prime(float(b), x) - ref) <= 1e-14 * log_term
 
 
 class TestGradientG:
     def test_closed_form_composition(self):
-        params = make_params()
         b, p, q = 2.0e6, 1.5, 1.3e6
-        params = make_params(power=p)
-        expect = p * q * f_prime(b, params) / f_value(b, params) ** 2
-        assert g_value(b, q, params) == pytest.approx(expect, rel=1e-12)
+        x = make_link(power=p)
+        expect = p * q * f_prime(b, x) / f_value(b, x) ** 2
+        assert g_value(b, x, p * q) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_airtime_derivative(self):
         # G(b) = -d/db [ p * Q / F(b) ].
-        params = make_params(power=1.5)
+        x = make_link(power=1.5)
         q = 1.3e6
-        bc = char_bandwidth(params)
+        bc = char_bandwidth(x)
         for b in bc * np.logspace(-3, 3, 25):
             b = float(b)
-            fd = -central_diff(lambda x: 1.5 * q / f_value(x, params), b, 1e-6 * b)
-            assert g_value(b, q, params) == pytest.approx(fd, rel=1e-5)
+            fd = -central_diff(lambda w: 1.5 * q / f_value(w, x), b, 1e-6 * b)
+            assert g_value(b, x, 1.5 * q) == pytest.approx(fd, rel=1e-5)
 
     def test_strictly_decreasing(self):
-        params = make_params()
-        bc = char_bandwidth(params)
+        x = make_link()
+        bc = char_bandwidth(x)
         grid = bc * np.logspace(-5, 5, 100)
-        vals = [g_value(float(b), 1.3e6, params) for b in grid]
+        vals = [g_value(float(b), x, 1.3e6) for b in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_vanishes_at_wideband(self):
-        params = make_params()
-        bc = char_bandwidth(params)
-        assert g_value(float(bc * 1e8), 1.3e6, params) < 1e-6 * g_value(
-            float(bc), 1.3e6, params
-        )
+        x = make_link()
+        bc = char_bandwidth(x)
+        assert g_value(float(bc * 1e8), x, 1.3e6) < 1e-6 * g_value(float(bc), x, 1.3e6)
 
 
 # ---------------------------------------------------------------------------
@@ -241,24 +276,24 @@ bandwidths = st.floats(min_value=1e3, max_value=1e9)
 @settings(max_examples=60, deadline=None)
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_rate_positive_below_limit(gain, power, b):
-    params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
-    val = f_value(b, params)
-    assert 0.0 < val < f_limit(params)
+    x = make_link(power=power, gain=gain)
+    val = f_value(b, x)
+    assert 0.0 < val < f_limit(x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_derivative_matches_finite_difference(gain, power, b):
-    params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
-    fd = central_diff(lambda x: f_value(x, params), b, 1e-6 * b)
-    assert f_prime(b, params) == pytest.approx(fd, rel=1e-5)
+    x = make_link(power=power, gain=gain)
+    fd = central_diff(lambda w: f_value(w, x), b, 1e-6 * b)
+    assert f_prime(b, x) == pytest.approx(fd, rel=1e-5)
 
 
 @settings(max_examples=60, deadline=None)
 @given(gain=gains, power=powers, b=bandwidths)
 def test_prop_gradient_positive_decreasing_locally(gain, power, b):
-    params = RateParams(power=power, gain_linear=gain, noise_psd=NOISE)
-    g_here = g_value(b, 1.3e6, params)
-    g_up = g_value(1.5 * b, 1.3e6, params)
+    x = make_link(power=power, gain=gain)
+    g_here = g_value(b, x, power * 1.3e6)
+    g_up = g_value(1.5 * b, x, power * 1.3e6)
     assert g_here > 0
     assert g_up < g_here

@@ -230,6 +230,32 @@ class TestSolve:
             assert err.startswith("error: invalid input: user ids must be 0..N-1")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("noise_psd", 0.0),  # died with ZeroDivisionError
+            ("noise_psd", float("nan")),  # exit 1, and a baseline reported a pairing
+            ("noise_psd", float("inf")),  # a false infeasibility proof (exit 4)
+            ("noise_psd", -1e-20),
+            ("energy_coeff", float("nan")),  # feasible with a NaN energy total
+            ("dec_params", -1.0),  # feasible with a negative decode delay
+            ("enc_params", float("inf")),  # a false infeasibility proof (exit 4)
+            ("gain_linear", float("inf")),
+        ],
+    )
+    def test_malformed_user_field_is_invalid_input(self, tmp_path, capsys, field, value):
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "3", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["users"][2][field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for strategy in ("proposed", "random_equal"):
+            assert run("solve", str(path), "--strategy", strategy) == EXIT_INVALID_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid input: {field} must be")
+            assert "Traceback" not in err
+
     def test_huge_deadline_keeps_baselines_feasible(self, tmp_path, capsys):
         # At T_max = 1e24 s the pair roots lie far below 1 Hz.
         path = tmp_path / "scn.json"

@@ -7,21 +7,22 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairband.channel import f_limit, f_value
 from pairband.latency_energy import (
     SystemConfig,
-    UserProfile,
     delta_slack,
     e_const,
     group_time,
+    pair_link,
     tau_bs,
     tau_rx,
     transmit_energy,
     transmit_time,
-    weaker_user,
 )
-from support import NOISE, make_cfg, make_user
+from support import NOISE, make_cfg, make_user, user_pair
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +100,7 @@ class TestTransmitTime:
         cfg = make_cfg()
         u = make_user(0)
         b = 2.0e6
-        fv = f_value(b, cfg.rate_params(u, 1.0))
+        fv = f_value(b, cfg.link(u, 1.0))
         assert transmit_time(b, u, 1.0, cfg) == pytest.approx(
             cfg.payload_bits / fv, rel=1e-12
         )
@@ -109,7 +110,7 @@ class TestTransmitTime:
         cfg = make_cfg()
         u = make_user(0)
         b = 3.0e6
-        fv = f_value(b, cfg.rate_params(u, 1.0))
+        fv = f_value(b, cfg.link(u, 1.0))
         cfg1 = replace(cfg, payload_bits=fv)
         assert transmit_time(b, u, 1.0, cfg1) == pytest.approx(1.0, rel=1e-12)
 
@@ -254,7 +255,7 @@ class TestTransmitEnergy:
         cfg = make_cfg()
         i, j = make_user(0, gain=1e-10), make_user(1, gain=1e-12)
         p = 1.0
-        floor = p * cfg.payload_bits / f_limit(cfg.rate_params(j, p))
+        floor = p * cfg.payload_bits / f_limit(cfg.link(j, p))
         wide = transmit_energy((i, j), 1.0e16, p, cfg)
         assert wide == pytest.approx(floor, rel=1e-4)
         assert wide > floor
@@ -268,34 +269,42 @@ class TestTransmitEnergy:
 
 
 class TestPairFLimit:
-    """A pair saturates at its weaker user's limit; weaker_user names
-    that user whichever order the pair is given in."""
+    """A pair saturates at its weaker user's limit: pair_link is the
+    smaller of its users' links, whichever order the pair is given in."""
 
     def test_weaker_user_binds(self):
         cfg = make_cfg()
         i, j = make_user(0, gain=1e-10), make_user(1, gain=1e-12)
-        assert weaker_user((i, j), cfg) is j
-        assert weaker_user((j, i), cfg) is j
-        assert f_limit(cfg.rate_params(j, 1.0)) < f_limit(cfg.rate_params(i, 1.0))
+        assert pair_link(i, j, cfg) == pair_link(j, i, cfg) == cfg.link(j, cfg.power)
+        assert f_limit(cfg.link(j, 1.0)) < f_limit(cfg.link(i, 1.0))
 
     def test_per_user_noise_override(self):
         cfg = make_cfg()
         # Same gain, but one user sees a noisier front end: it binds.
         i = make_user(0, gain=1e-11)
         j = make_user(1, gain=1e-11, noise=10.0 * NOISE)
-        assert weaker_user((i, j), cfg) is j
-        assert weaker_user((j, i), cfg) is j
-        assert cfg.noise_for(j) == 10.0 * NOISE
-        assert cfg.noise_for(i) == NOISE
+        assert cfg.link(j, 1.0) == 1e-11 / (10.0 * NOISE)
+        assert cfg.link(i, 1.0) == 1e-11 / NOISE
+        assert pair_link(i, j, cfg) == pair_link(j, i, cfg) == cfg.link(j, 1.0)
 
-    def test_exact_tie_goes_to_first_user(self):
-        # Gain and noise both doubled: the same g/N0, hence the same rate.
+    def test_exact_tie_gives_one_link(self):
+        # Gain and noise both doubled: the same link, hence the same rate,
+        # so it does not matter which user the pair's link comes from.
         cfg = make_cfg()
         i = make_user(0, gain=1e-11)
         j = make_user(1, gain=2e-11, noise=2.0 * NOISE)
-        assert weaker_user((i, j), cfg) is i
-        assert weaker_user((j, i), cfg) is j
-        assert f_value(3e6, cfg.rate_params(i, 1.0)) == f_value(3e6, cfg.rate_params(j, 1.0))
+        assert cfg.link(i, 1.0) == cfg.link(j, 1.0)
+        assert pair_link(i, j, cfg) == pair_link(j, i, cfg) == cfg.link(i, 1.0)
+        assert f_value(3e6, cfg.link(i, 1.0)) == f_value(3e6, cfg.link(j, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=user_pair(), power=st.floats(min_value=0.25, max_value=4.0))
+def test_prop_pair_link_is_the_smaller_link(pair, power):
+    cfg = make_cfg(2, power=power)
+    i, j = pair
+    smaller = min(cfg.link(i, power), cfg.link(j, power))
+    assert pair_link(i, j, cfg) == pair_link(j, i, cfg) == smaller
 
 
 class TestValidation:
@@ -328,3 +337,20 @@ class TestValidation:
             make_user(0, q_bits=0.0)
         with pytest.raises(ValueError):
             make_user(0, cpu_hz=-1.0)
+
+    @pytest.mark.parametrize("field", ["q_bits", "cpu_hz", "cycles"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_user_rates_must_be_positive_and_finite(self, field, bad):
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            make_user(0, **{field: bad})
+
+    @pytest.mark.parametrize("field", ["enc", "dec", "coeff"])
+    @pytest.mark.parametrize("bad", [-1.0, math.inf, math.nan])
+    def test_user_factors_must_be_non_negative_and_finite(self, field, bad):
+        with pytest.raises(ValueError, match="must be non-negative and finite"):
+            make_user(0, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-20, math.inf, math.nan])
+    def test_user_noise_override_must_be_positive_and_finite(self, bad):
+        with pytest.raises(ValueError, match="noise_psd must be None or positive"):
+            make_user(0, noise=bad)

@@ -109,6 +109,43 @@ class TestProposed:
         assert not res.feasible
         assert res.candidates_tried == 105
 
+    def test_each_pair_bound_is_computed_once(self, monkeypatch):
+        # One bound matrix serves the certificate and every candidate:
+        # b_min_pair runs once per quality-feasible pair i < j, and the
+        # candidates get those same values as plain floats.
+        scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
+        costs = _costs(scn)
+        original_bound, original_check = solver.b_min_pair, solver._check_with_bounds
+        computed = {}
+
+        def spy_bound(i, j, cfg):
+            key = (i.id, j.id)
+            assert key not in computed, f"bound of pair {key} computed twice"
+            computed[key] = original_bound(i, j, cfg)
+            return computed[key]
+
+        checked = []
+
+        def spy_check(scenario, matching, bounds):
+            checked.append((matching, bounds))
+            return original_check(scenario, matching, bounds)
+
+        monkeypatch.setattr(solver, "b_min_pair", spy_bound)
+        monkeypatch.setattr(solver, "_check_with_bounds", spy_check)
+        res = solve_proposed(scn)
+        finite = {
+            (i, j)
+            for i in range(16)
+            for j in range(i + 1, 16)
+            if math.isfinite(costs.costs[i, j])
+        }
+        assert res.feasible
+        assert set(computed) == finite
+        assert len(checked) == res.candidates_tried
+        for matching, bounds in checked:
+            assert all(type(b) is float for b in bounds)
+            assert bounds == [computed[p] for p in matching.pairs]
+
     def test_exhausting_every_candidate_reports_infeasible(self):
         cfg = make_cfg(4, b_max=10.0e6, t_max=5.0)
         gains = [1e-12, 1e-12, 1e-10, 1e-10]
