@@ -9,11 +9,13 @@ matching of the finite-edge subgraph is exactly the min-cost perfect
 matching; a double-factorial brute-force enumerator serves as the
 exactness oracle.
 
-Candidate lists for the feasibility search are produced by Lawler-style
-partitioning: pop the best matching, split its cell into subproblems
-that each include a prefix of its edges and exclude the next one,
-re-solve each subproblem, and keep a priority queue.  Cells partition
-the matching space, so the enumeration is exact and duplicate-free.
+Candidate lists for the feasibility search come from a lazy Lawler
+ranking: pop the cheapest cell, split it into subcells that each
+include a prefix of its matching's edges and exclude the next one,
+re-solve each subcell, and keep them in a priority queue.  Cells
+partition the matching space, so the ranking is exact and
+duplicate-free.  A cell is split only when the next matching is asked
+for, so the first costs one MWPM plus K-1 subcell solves (more on ties).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import networkx as nx
 import numpy as np
@@ -220,46 +223,45 @@ def _solve_cell(
     return _canonical(pairs)
 
 
-def k_best_matchings(costs: PairCostMatrix, w_count: int) -> list[Matching]:
-    """The ``w_count`` cheapest perfect matchings, ascending by cost.
+def _ranked(costs: PairCostMatrix):
+    """Yield every finite perfect matching in ascending (cost, pairs) order.
 
-    Ties break lexicographically on the sorted pair list.  Returns
-    fewer when fewer finite matchings exist.  Lawler partitioning: each
-    popped matching splits its cell by branching on its own free edges,
-    and every cell is re-solved exactly, so candidates are distinct and
-    each is optimal within its cell.
+    One Lawler heap of cells, each keyed by its best matching.  A cell
+    is popped and split only when the next yield needs it: its matching
+    moves to the settled heap, and the smallest settled matching is
+    yielded once every unsplit cell costs strictly more, so nothing
+    still unranked can tie or beat it.
     """
-    if w_count < 1:
-        raise ValueError("w_count must be >= 1")
     first = mwpm(costs)
     if first is None:
-        return []
-
+        return
     c = costs.costs
-    heap: list[tuple[float, tuple[Pair, ...], frozenset, frozenset]] = []
-    heapq.heappush(
-        heap, (first.total_cost, first.pairs, frozenset(), frozenset())
-    )
-    emitted: list[tuple[float, tuple[Pair, ...]]] = []
-
-    while heap:
-        # Stop only when the heap cannot contain anything that belongs
-        # ahead of what we already have (strictly larger cost).
-        if len(emitted) >= w_count and heap[0][0] > emitted[-1][0]:
-            break
-        total, pairs, f_in, f_out = heapq.heappop(heap)
-        emitted.append((total, pairs))
-        emitted.sort()
-
+    cells = [(first.total_cost, first.pairs, frozenset(), frozenset())]
+    settled: list[tuple[float, tuple[Pair, ...]]] = []
+    while cells or settled:
+        if settled and (not cells or cells[0][0] > settled[0][0]):
+            total, pairs = heapq.heappop(settled)
+            yield Matching(pairs=pairs, total_cost=total)
+            continue
+        total, pairs, f_in, f_out = heapq.heappop(cells)
+        heapq.heappush(settled, (total, pairs))
         free_edges = [p for p in pairs if p not in f_in]
         for t, edge in enumerate(free_edges):
             child_in = f_in | frozenset(free_edges[:t])
             child_out = f_out | frozenset({edge})
             solved = _solve_cell(c, child_in, child_out)
             if solved is not None:
-                heapq.heappush(heap, (_total(c, solved), solved, child_in, child_out))
+                heapq.heappush(cells, (_total(c, solved), solved, child_in, child_out))
 
-    emitted.sort()
-    return [
-        Matching(pairs=p, total_cost=t) for t, p in emitted[:w_count]
-    ]
+
+def k_best_matchings(costs: PairCostMatrix, w_count: int) -> list[Matching]:
+    """The ``w_count`` cheapest perfect matchings, ascending by cost.
+
+    Ties break lexicographically on the sorted pair list.  Returns
+    fewer when fewer finite matchings exist.  The list is the first
+    ``w_count`` of the lazy Lawler ranking, so a shorter window is
+    always a prefix of a longer one.
+    """
+    if w_count < 1:
+        raise ValueError("w_count must be >= 1")
+    return list(islice(_ranked(costs), w_count))

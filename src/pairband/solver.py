@@ -7,8 +7,9 @@ perfect matchings in ascending distortion order and returns the first
 one whose bandwidth subproblem is feasible — that matching is optimal,
 because every cheaper pairing was already proven infeasible.
 
-Candidate enumeration starts with the best 16 matchings and doubles
-the window on exhaustion.  Before enumerating at all, a cheap
+Candidates come from a lazy ranking whose window starts at one
+matching and doubles on exhaustion, so a solve decided by its first
+candidate ranks just that one.  Before enumerating at all, a cheap
 sound certificate rules out hopeless instances: the matching that
 minimizes the summed per-pair minimum bandwidths is itself a
 minimum-weight perfect matching (over b_min weights), so if even that
@@ -67,10 +68,6 @@ STRATEGIES = (
     "random_kkt",
 )
 
-# Ranked candidates built before the first check; doubled on exhaustion.
-_FIRST_WINDOW = 16
-
-
 @dataclass(frozen=True)
 class SolveResult:
     """Outcome of one strategy on one scenario.
@@ -128,9 +125,10 @@ def _check_with_bounds(
 def solve_proposed(scenario: Scenario) -> SolveResult:
     """First feasible candidate in ascending-distortion order.
 
-    Enumerates the cheapest matchings, checks each for bandwidth,
-    latency and energy feasibility, and doubles the window on
-    exhaustion until every finite matching has been tried.
+    Checks candidates for bandwidth, latency and energy feasibility,
+    asking the lazy ranking for 1, 2, 4, ... matchings; each window is
+    a prefix of the next, so only its new tail is checked, until a
+    short window shows every finite matching has been tried.
     """
     costs = _cost_matrix(scenario)
     bounds = _pair_bounds(scenario, costs)
@@ -152,7 +150,7 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
 
     rows = bounds.tolist()
     tried = 0
-    window = _FIRST_WINDOW
+    window = 1
     while True:
         candidates = k_best_matchings(costs, window)
         for matching in candidates[tried:]:

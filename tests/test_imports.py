@@ -1,0 +1,80 @@
+"""No unused imports in the package, the tests or the scripts.
+
+An imported name must be referenced somewhere in its file or listed in
+the file's ``__all__``.  ``from __future__`` imports and the package's
+``__init__`` re-exports are exempt.  Parsed with the standard ``ast``
+module, so no linter needs to be installed.
+"""
+
+import ast
+from pathlib import Path
+
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_INIT = ROOT / "src" / "pairband" / "__init__.py"
+CHECKED = sorted(
+    [
+        *(ROOT / "src" / "pairband").glob("*.py"),
+        *(ROOT / "tests").glob("*.py"),
+        *(ROOT / "scripts").glob("*.py"),
+    ]
+)
+
+
+def unused_imports(source: str, reexports: bool = False) -> list[tuple[int, str]]:
+    """(line, name) of every imported name the source never references.
+
+    With ``reexports``, ``from ... import`` names count as used: they
+    are the module's public surface.
+    """
+    tree = ast.parse(source)
+    imported: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.append((alias.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__" or reexports:
+                continue
+            for alias in node.names:
+                if alias.name != "*":
+                    imported.append((alias.lineno, alias.asname or alias.name))
+
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            and isinstance(node.value, (ast.List, ast.Tuple))
+        ):
+            used.update(
+                elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)
+            )
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_checker_flags_only_unreferenced_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import json\n"
+        "import os.path\n"
+        "from math import inf, pi as PI, tau\n"
+        "__all__ = ['tau']\n"
+        "print(os.path.sep, PI)\n"
+    )
+    assert unused_imports(source) == [(2, "json"), (4, "inf")]
+    assert unused_imports(source, reexports=True) == [(2, "json")]
+
+
+def test_files_are_checked():
+    names = {path.name for path in CHECKED}
+    assert {"solver.py", "test_imports.py", "run_bandwidth_sweep.py"} <= names
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in CHECKED
+        for line, name in unused_imports(path.read_text(), reexports=path == PACKAGE_INIT)
+    ]
+    assert not found, "unused imports:\n" + "\n".join(found)

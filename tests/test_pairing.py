@@ -345,3 +345,27 @@ class TestKBest:
     def test_rejects_nonpositive_window(self):
         with pytest.raises(ValueError):
             k_best_matchings(four_user_fixture(), 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8, 10]),
+    seed=st.integers(0, 10_000),
+    hole_rate=st.sampled_from([0.0, 0.2, 0.4]),
+    short=st.integers(1, 23),
+    extra=st.integers(1, 24),
+)
+def test_prop_shorter_window_is_a_prefix_in_brute_force_order(
+    n, seed, hole_rate, short, extra
+):
+    # One-decimal costs tie often; the solver checks only the new tail
+    # of a doubled window, so every shorter list must be a prefix of
+    # the longer one, ties included.
+    rng = np.random.default_rng(seed)
+    c = np.round(random_cost_matrix(rng, n), 1)
+    holes = np.triu(rng.uniform(size=(n, n)) < hole_rate, 1)
+    c[holes | holes.T] = INFEASIBLE
+    cm = matrix(c)
+    longer = k_best_matchings(cm, short + extra)
+    assert k_best_matchings(cm, short) == longer[:short]
+    assert longer == enumerate_sorted(cm)[: short + extra]

@@ -11,7 +11,6 @@ import pytest
 from pairband import __version__
 from pairband.scenario import (
     SCHEMA_VERSION,
-    Scenario,
     ScenarioTemplate,
     generate_scenario,
     load_scenario,

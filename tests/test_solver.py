@@ -11,7 +11,7 @@ import pytest
 
 from pairband.bandwidth import check_feasibility
 from pairband.latency_energy import e_const
-from pairband import solver
+from pairband import pairing, solver
 from pairband.pairing import (
     INFEASIBLE,
     Matching,
@@ -104,10 +104,37 @@ class TestProposed:
 
         monkeypatch.setattr(solver, "k_best_matchings", spy)
         res = solve_proposed(starved)
-        assert windows == [16, 32, 64, 128]
+        assert windows == [1, 2, 4, 8, 16, 32, 64, 128]
         assert res.matching is None
         assert not res.feasible
         assert res.candidates_tried == 105
+
+    def test_candidate_one_ranks_one_matching(self, monkeypatch):
+        # Feasible at candidate 1: the solver asks for one matching, and
+        # the blossom runs once for the certificate, once for the best
+        # matching and at most K-1 times to prove nothing ties it.
+        scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
+        k = scn.cfg.n_users // 2
+        windows = []
+
+        def spy_rank(costs, window):
+            windows.append(window)
+            return k_best_matchings(costs, window)
+
+        blossom = pairing.nx.max_weight_matching
+        blossom_calls = []
+
+        def spy_blossom(*args, **kwargs):
+            blossom_calls.append(1)
+            return blossom(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
+        monkeypatch.setattr(pairing.nx, "max_weight_matching", spy_blossom)
+        res = solve_proposed(scn)
+        assert res.feasible
+        assert res.candidates_tried == 1
+        assert windows == [1]
+        assert len(blossom_calls) <= 1 + 1 + (k - 1)
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
         # One bound matrix serves the certificate and every candidate:
