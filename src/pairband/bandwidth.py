@@ -27,6 +27,18 @@ All root-finding is bracketed bisection: inner roots to 1e-12 relative,
 the outer multiplier to 1e-9 relative, so the inner solves always
 out-resolve the outer one.  The energy budget is checked after the
 allocation rather than dualized.
+
+Across pairings the energy budget is dualized once, to prove that no
+pairing meets it (:func:`energy_infeasible`).  Pricing bandwidth at
+theta makes transmit energy pair-additive, so by weak duality (Fisher
+1981) every pairing's minimum transmit energy is at least
+
+    q(theta) = MWPM(w(theta)) - theta * B_max,
+    w_ij(theta) = min_{b >= L_ij} p*Q/F_ij(b) + theta*b,
+
+whose inner minimiser is b* = max{L_ij, G_ij^-1(theta)}.  q is concave
+in theta, so a golden-section search on log theta maximises it.  The
+b_min certificate is its theta -> inf limit.
 """
 
 from __future__ import annotations
@@ -34,14 +46,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .channel import f_limit, f_value, g_value
+import numpy as np
+
+from .channel import f_limit, f_value, g_value, phi, psi
 from .latency_energy import SystemConfig, UserProfile, delta_slack, e_const, pair_link
+from .pairing import INFEASIBLE, PairCostMatrix, mwpm
 
 __all__ = [
     "AllocationReport",
     "b_min_user",
     "b_min_pair",
     "g_inverse",
+    "psi_inverse",
+    "energy_dual",
+    "energy_infeasible",
     "kkt_allocate",
     "check_feasibility",
     "evaluate_fixed_allocation",
@@ -52,6 +70,18 @@ _INNER_REL_TOL = 1e-12
 _OUTER_REL_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_BISECT = 400
+
+# psi(t)*t^2 lies in [1, 3*ln2/2] for every t > 0, so psi(t) = s has its
+# root in [1, 1.02]/sqrt(s); 40 halvings of that bracket (widened for
+# rounding) reach 4e-14 relative.
+_PSI_BRACKET = (0.99, 1.03)
+_PSI_HALVINGS = 40
+
+# The energy bound's search: log theta over [log theta_max - 30,
+# log theta_max], golden section down to 1e-3 wide.
+_LOG_THETA_SPAN = 30.0
+_LOG_THETA_TOL = 1e-3
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -173,6 +203,79 @@ def g_inverse(
         "g_inverse",
     )
     return 0.5 * (lo + hi)
+
+
+def psi_inverse(s: np.ndarray) -> np.ndarray:
+    """Elementwise t > 0 with psi(t) = s (:func:`~pairband.channel.psi`),
+    by one array bisection: G^-1(theta) at link x and pq = p*Q is
+    x * psi_inverse(theta * x^2 / pq)."""
+    t0 = 1.0 / np.sqrt(s)
+    lo, hi = _PSI_BRACKET[0] * t0, _PSI_BRACKET[1] * t0
+    for _ in range(_PSI_HALVINGS):
+        mid = 0.5 * (lo + hi)
+        left = psi(mid) >= s
+        lo = np.where(left, mid, lo)
+        hi = np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
+    """(q, theta_max): the Lagrangian lower bound q(theta) on the transmit
+    energy of every pairing, and the largest finite G_ij(L_ij).
+
+    ``bounds`` is the N x N matrix of pair minimum bandwidths L_ij, +inf
+    for pairs that may not be matched.  Every q(theta) with theta > 0 is
+    a valid bound (see the module docstring); at theta >= theta_max each
+    pair's price sits at its L_ij.
+    """
+    n = len(users)
+    i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
+    own = np.array([cfg.link(u, cfg.power) for u in users])
+    x = np.minimum(own[i], own[j])
+    t_low = bounds[i, j] / x
+    pq = cfg.power * cfg.payload_bits
+    scale = pq / (x * x)
+
+    def q(theta: float) -> float:
+        t = np.maximum(t_low, psi_inverse(theta / scale))
+        w = np.full((n, n), INFEASIBLE)
+        w[i, j] = w[j, i] = pq / (x * phi(t)) + theta * x * t
+        return mwpm(PairCostMatrix(n=n, costs=w)).total_cost - theta * cfg.b_max
+
+    return q, float(np.max(scale * psi(t_low)))
+
+
+def energy_infeasible(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray) -> bool:
+    """True when the Lagrangian bound proves that no pairing meets E_max.
+
+    Maximises q (:func:`energy_dual`) by golden section on log theta
+    over [theta_max * e^-30, theta_max] and stops at the first theta
+    whose bound exceeds the transmit budget E_max - e_const by more than
+    1e-9 relative; False once the bracket is under 1e-3 wide.  ``bounds``
+    must admit a perfect matching (the b_min certificate passed).
+    """
+    budget = cfg.e_max - e_const(users, cfg)
+    margin = 1e-9 * max(abs(budget), 1.0)
+    q, theta_max = energy_dual(users, cfg, bounds)
+    hi = math.log(theta_max)
+    lo = hi - _LOG_THETA_SPAN
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    qc = q(math.exp(c))
+    if qc - budget > margin:
+        return True
+    qd = new = q(math.exp(d))
+    while new - budget <= margin:
+        if hi - lo < _LOG_THETA_TOL:
+            return False
+        if qc < qd:  # q is unimodal in log theta: its maximum is right of c
+            lo, c, qc = c, d, qd
+            d = lo + _GOLDEN * (hi - lo)
+            qd = new = q(math.exp(d))
+        else:
+            hi, d, qd = d, c, qc
+            c = hi - _GOLDEN * (hi - lo)
+            qc = new = q(math.exp(c))
+    return True
 
 
 def _xi(b: float, x: float, Q: float) -> float:

@@ -18,12 +18,19 @@ in the test-suite: F is strictly increasing, strictly concave, and the
 gradient map G(b) = p*Q*F'(b)/F(b)^2 is strictly decreasing.  F also
 grows with x at every b, so of the two users sharing a group the one
 with the smaller x is the slower one at every bandwidth.
+
+Both scale out of the link: F(b) = x*phi(b/x) and G(b) = (p*Q/x^2) *
+psi(b/x), with the universal phi(t) = t*log2(1 + 1/(2t + 1)) and psi =
+phi'/phi^2.  :func:`phi` and :func:`psi` evaluate them on arrays, for
+the energy bound that prices every pair at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ChannelGain",
@@ -33,9 +40,16 @@ __all__ = [
     "f_prime",
     "f_limit",
     "g_value",
+    "phi",
+    "psi",
 ]
 
 _LN2 = math.log(2.0)
+
+# log1p(u) - u = u^2 * sum_k (-1)^(k+1) u^(k-2)/k; below _SERIES_BELOW the
+# terms k = 2..10 leave a tail under 1e-18 of the sum.
+_SERIES_BELOW = 1e-2
+_SERIES = tuple((-1.0) ** (k + 1) / k for k in range(10, 1, -1))
 
 
 def path_loss_db(distance_km: float) -> float:
@@ -86,18 +100,28 @@ def f_value(b: float, x: float) -> float:
     return b * math.log1p(x / (2.0 * b + x)) / _LN2
 
 
+def _log1p_minus_series(u):
+    """log1p(u) - u from its series, for u below _SERIES_BELOW (scalar or
+    array)."""
+    series = 0.0
+    for c in _SERIES:
+        series = c + u * series
+    return u * u * series
+
+
 def f_prime(b: float, x: float) -> float:
     """Closed-form derivative F'(b) > 0.
 
-    F'(b) = log2((2b + 2x)/(2b + x)) - 2b*x / (ln2 * (2b + 2x) * (2b + x))
+    F'(b) = log2((2b + 2x)/(2b + x)) - 2b*x / (ln2 * (2b + 2x) * (2b + x)),
+    computed as ln2*F' = (log1p(u) - u) + u*x/(b + x) with u = x/(2b + x):
+    in the wide band both forms' two terms nearly cancel, and this one
+    takes the small difference log1p(u) - u from its series.
     """
     if b <= 0:
         raise ValueError("bandwidth must be positive")
-    b2 = 2.0 * b
-    # log((b2 + 2x)/(b2 + x)) = log1p(x/(b2 + x))
-    log_term = math.log1p(x / (b2 + x)) / _LN2
-    frac_term = (b2 * x) / (_LN2 * (b2 + 2.0 * x) * (b2 + x))
-    return log_term - frac_term
+    u = x / (2.0 * b + x)
+    head = _log1p_minus_series(u) if u < _SERIES_BELOW else math.log1p(u) - u
+    return (head + u * x / (b + x)) / _LN2
 
 
 def f_limit(x: float) -> float:
@@ -116,3 +140,19 @@ def g_value(b: float, x: float, pq: float) -> float:
         raise ValueError("bandwidth must be positive")
     fv = f_value(b, x)
     return pq * f_prime(b, x) / (fv * fv)
+
+
+def phi(t):
+    """phi(t) = t*log2(1 + 1/(2t + 1)), the rate at link 1 and bandwidth
+    t, elementwise on an array of t > 0: F(b, x) = x*phi(b/x)."""
+    return t * np.log1p(1.0 / (2.0 * t + 1.0)) / _LN2
+
+
+def psi(t):
+    """psi(t) = phi'(t)/phi(t)^2, elementwise on an array of t > 0:
+    G(b, x, pq) = (pq/x^2)*psi(b/x), strictly decreasing like G."""
+    u = 1.0 / (2.0 * t + 1.0)
+    log_term = np.log1p(u)
+    head = np.where(u < _SERIES_BELOW, _log1p_minus_series(u), log_term - u)
+    # phi' = (head + u/(t + 1))/ln2 and phi = t*log_term/ln2.
+    return _LN2 * (head + u / (t + 1.0)) / (t * log_term) ** 2

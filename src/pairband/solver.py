@@ -9,13 +9,19 @@ because every cheaper pairing was already proven infeasible.
 
 Candidates come from a lazy ranking whose window starts at one
 matching and doubles on exhaustion, so a solve decided by its first
-candidate ranks just that one.  Before enumerating at all, a cheap
-sound certificate rules out hopeless instances: the matching that
-minimizes the summed per-pair minimum bandwidths is itself a
-minimum-weight perfect matching (over b_min weights), so if even that
-one overflows B_max — or no latency-and-quality-feasible perfect
-matching exists — no pairing whatsoever is feasible and the search
-stops immediately instead of enumerating all (N-1)!! matchings.
+candidate ranks just that one.  Two sound certificates stop hopeless
+instances instead of enumerating all (N-1)!! matchings:
+
+* Before enumerating at all: the matching that minimizes the summed
+  per-pair minimum bandwidths is itself a minimum-weight perfect
+  matching (over b_min weights), so if even that one overflows B_max
+  — or no latency-and-quality-feasible perfect matching exists — no
+  pairing whatsoever is feasible (0 candidates tried).
+* At the first candidate rejected for energy, once per solve: the
+  Lagrangian bound of :func:`~pairband.bandwidth.energy_infeasible`
+  on every pairing's transmit energy.  If it exceeds the budget left
+  after compute energy, no pairing meets E_max.  A solve decided at
+  candidate 1 never runs it.
 
 Four reference strategies mirror the evaluation baselines.  Each is a
 pairing rule (random, greedy or channel-balanced) combined with a
@@ -35,6 +41,7 @@ import numpy as np
 from .bandwidth import (
     AllocationReport,
     b_min_pair,
+    energy_infeasible,
     evaluate_fixed_allocation,
     kkt_allocate,
 )
@@ -122,13 +129,25 @@ def _check_with_bounds(
     return kkt_allocate(list(scenario.users), matching, scenario.cfg, bounds)
 
 
+def _no_pairing(candidates_tried: int) -> SolveResult:
+    """The proposed strategy's proof that no pairing is feasible."""
+    return SolveResult(
+        matching=None,
+        allocation=None,
+        total_distortion=math.inf,
+        candidates_tried=candidates_tried,
+        strategy="proposed",
+    )
+
+
 def solve_proposed(scenario: Scenario) -> SolveResult:
     """First feasible candidate in ascending-distortion order.
 
     Checks candidates for bandwidth, latency and energy feasibility,
     asking the lazy ranking for 1, 2, 4, ... matchings; each window is
     a prefix of the next, so only its new tail is checked, until a
-    short window shows every finite matching has been tried.
+    short window shows every finite matching has been tried.  The first
+    candidate rejected for energy runs the energy bound once.
     """
     costs = _cost_matrix(scenario)
     bounds = _pair_bounds(scenario, costs)
@@ -137,20 +156,15 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
     # minimum over perfect matchings is a minimum-weight matching with
     # b_min edge weights (quality- and latency-violating edges removed).
     # If even that one overflows B_max, or none exists, no matching meets
-    # latency and the bandwidth sum.  Energy is checked per candidate.
+    # latency and the bandwidth sum.
     best = mwpm(PairCostMatrix(n=costs.n, costs=bounds))
     if best is None or best.total_cost > scenario.cfg.b_max * (1.0 + 1e-9):
-        return SolveResult(
-            matching=None,
-            allocation=None,
-            total_distortion=math.inf,
-            candidates_tried=0,
-            strategy="proposed",
-        )
+        return _no_pairing(0)
 
     rows = bounds.tolist()
     tried = 0
     window = 1
+    energy_bound_run = False
     while True:
         candidates = k_best_matchings(costs, window)
         for matching in candidates[tried:]:
@@ -166,16 +180,15 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
                     candidates_tried=tried,
                     strategy="proposed",
                 )
+            if report.infeasibility_reason == "energy" and not energy_bound_run:
+                # Energy binds: a pairing-wide bound can end the walk here.
+                energy_bound_run = True
+                if energy_infeasible(list(scenario.users), scenario.cfg, bounds):
+                    return _no_pairing(tried)
         if len(candidates) < window:
             # Window exceeded the number of finite matchings: everything
             # has been tried.
-            return SolveResult(
-                matching=None,
-                allocation=None,
-                total_distortion=math.inf,
-                candidates_tried=tried,
-                strategy="proposed",
-            )
+            return _no_pairing(tried)
         window *= 2
 
 

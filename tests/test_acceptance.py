@@ -17,7 +17,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pairband import __version__
+from pairband import __version__, solver
 from pairband.bandwidth import b_min_user, check_feasibility
 from pairband.channel import f_limit, f_prime, f_value
 from pairband.cli import main
@@ -249,7 +249,7 @@ def test_criterion_4_matching_exactness():
 
 
 @pytest.mark.acceptance(5, "solver: optimal under slack, first feasible candidate under tight budgets")
-def test_criterion_5_solver_end_to_end():
+def test_criterion_5_solver_end_to_end(monkeypatch):
     start = time.perf_counter()
 
     # (a) Generous budgets: the solver returns the unconstrained
@@ -298,12 +298,22 @@ def test_criterion_5_solver_end_to_end():
     assert res.matching.pairs == oracle.pairs
     _pool(tight.users, res.matching, tight.cfg, res.allocation)
 
-    # (c) The doubling path: with E_max at half the compute floor no
-    # matching fits and the b_min certificate cannot tell, so the window
-    # grows 16 -> 32 -> 64 -> 128 until all 105 matchings of 8 users
-    # have been tried.
+    # (c) An energy-starved instance ends in a proof: with E_max at half
+    # the compute floor no matching fits and the b_min certificate cannot
+    # tell, so candidate 1 fails on energy and the energy bound proves
+    # that no other matching can fit.
     scn = generate_scenario(template, 0)
     starved = replace(scn, cfg=replace(scn.cfg, e_max=0.5 * e_const(list(scn.users), scn.cfg)))
+    assert exhaustive_first_feasible(starved) is None
+    res = solve_proposed(starved)
+    assert res.matching is None
+    assert not res.feasible
+    assert res.candidates_tried == 1
+
+    # (d) The doubling path: with the energy bound silent, as on a
+    # duality gap, the window grows 1 -> 2 -> ... -> 128 until all 105
+    # matchings of 8 users have been tried.
+    monkeypatch.setattr(solver, "energy_infeasible", lambda users, cfg, bounds: False)
     res = solve_proposed(starved)
     assert res.matching is None
     assert not res.feasible

@@ -11,20 +11,25 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
+from pairband import solver
 from pairband.bandwidth import (
     b_min_pair,
     b_min_user,
     check_feasibility,
+    energy_dual,
+    energy_infeasible,
     evaluate_fixed_allocation,
     g_inverse,
     kkt_allocate,
+    psi_inverse,
 )
-from pairband.channel import f_limit, f_value, g_value
+from pairband.channel import f_limit, f_value, g_value, psi
 from pairband.latency_energy import delta_slack, e_const, group_time, transmit_energy
-from pairband.pairing import Matching
+from pairband.pairing import Matching, all_matchings
+from pairband.scenario import ScenarioTemplate, generate_scenario
 from support import (
     active_gradient,
     assert_kkt_certificates,
@@ -179,6 +184,22 @@ class TestGInverse:
         # G(b) stays far below 1e300 down to 2^-60 Hz.
         with pytest.raises(RuntimeError, match="g_inverse"):
             g_inverse(1e300, make_link(), 1.3e6)
+
+
+class TestPsiInverse:
+    def test_matches_the_scalar_gradient_inverse(self):
+        # G^-1(theta) at link x is x * psi_inverse(theta * x^2 / pq), for
+        # bandwidths from 1e-6 to 1e12 times the link.
+        x, pq = make_link(), 1.3e6
+        t = np.logspace(-6.0, 12.0, 91)
+        thetas = np.array([g_value(float(v) * x, x, pq) for v in t])
+        arr = x * psi_inverse(thetas * x * x / pq)
+        for theta, b in zip(thetas, arr):
+            assert b == pytest.approx(g_inverse(float(theta), x, pq), rel=1e-9)
+
+    def test_roundtrip_through_psi(self):
+        s = np.logspace(-30.0, 30.0, 61)
+        assert psi(psi_inverse(s)) == pytest.approx(s, rel=1e-11)
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -508,3 +529,70 @@ def test_prop_objective_is_sum_of_transmit_energies(instance):
             )
         )
         assert report.objective == pytest.approx(expect, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The Lagrangian energy bound against brute force
+
+
+def _min_transmit_energy(scn, bounds):
+    """(objective, matching) minimising kkt_allocate's objective over
+    every matching whose pair bounds are finite and sum to at most
+    B_max; None when there is none."""
+    users, cfg, rows = list(scn.users), scn.cfg, bounds.tolist()
+    best = None
+    for pairs in all_matchings(cfg.n_users):
+        lower = [rows[i][j] for i, j in pairs]
+        if any(math.isinf(b) for b in lower) or math.fsum(lower) > cfg.b_max:
+            continue
+        matching = Matching(pairs=pairs, total_cost=0.0)
+        objective = kkt_allocate(users, matching, cfg, lower).objective
+        if best is None or objective < best[0]:
+            best = (objective, matching)
+    return best
+
+
+@st.composite
+def _energy_bound_instance(draw):
+    """A generated scenario of 4 to 10 users and its pair bounds.  At 10
+    users the distortion cap stays tight, so that brute force over the
+    945 matchings meets fewer finite ones."""
+    n = draw(st.sampled_from([4, 6, 8, 10]))
+    template = ScenarioTemplate(
+        n_users=n,
+        b_max=draw(st.floats(min_value=1.0e6, max_value=40.0e6)),
+        t_max=draw(st.floats(min_value=2.0, max_value=10.0)),
+        d_max=draw(st.floats(min_value=0.8, max_value=0.87 if n == 10 else 1.0)),
+        e_max=1.0e4,
+    )
+    scn = generate_scenario(template, draw(st.integers(min_value=0, max_value=10_000)))
+    return scn, solver._pair_bounds(scn, solver._cost_matrix(scn))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    instance=_energy_bound_instance(),
+    log_thetas=st.lists(st.floats(min_value=-35.0, max_value=5.0), min_size=3, max_size=3),
+    budget_share=st.sampled_from([0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.1, 1.5]),
+)
+def test_prop_energy_bound_is_sound(instance, log_thetas, budget_share):
+    scn, bounds = instance
+    best = _min_transmit_energy(scn, bounds)
+    assume(best is not None)
+    least, argmin = best
+    users = list(scn.users)
+
+    # Weak duality: every q(theta) is at most the least transmit energy.
+    q, theta_max = energy_dual(users, scn.cfg, bounds)
+    for k in log_thetas:
+        assert q(theta_max * math.exp(k)) <= least * (1.0 + 1e-12)
+
+    # A budget share below 1 leaves no matching energy-feasible.  When
+    # the bound fires, brute force must agree: the least-energy matching,
+    # and with it every other, misses the budget.
+    cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + budget_share * least)
+    fired = energy_infeasible(users, cfg, bounds)
+    event(f"budget share {'below' if budget_share < 1.0 else 'above'} 1, bound fired: {fired}")
+    if fired:
+        lower = [bounds[i, j] for i, j in argmin.pairs]
+        assert not kkt_allocate(users, argmin, cfg, lower).feasible

@@ -19,6 +19,8 @@ from pairband.channel import (
     f_value,
     g_value,
     path_loss_db,
+    phi,
+    psi,
 )
 from support import NOISE, make_cfg, make_link, make_user
 
@@ -232,6 +234,48 @@ class TestFPrime:
                 log_term = math.log1p(hp / (n0b + hp)) / ln2
                 ref = log_term - n0b * hp / (ln2 * (n0b + 2.0 * hp) * (n0b + hp))
                 assert abs(f_prime(float(b), x) - ref) <= 1e-14 * log_term
+
+
+    def test_matches_a_50_digit_reference(self):
+        # mpmath at 50 digits, for b/x from 1e-6 into the wide band at
+        # 1e14, where the closed form's two terms cancel to ~28 digits.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            for x in (1.0, make_link(), 2.5e10):
+                xm = mpmath.mpf(x)
+                for t in np.logspace(-6.0, 14.0, 121):
+                    b = float(t) * x
+                    bm = mpmath.mpf(b)
+                    ref = (
+                        mpmath.log((2 * bm + 2 * xm) / (2 * bm + xm)) / mpmath.log(2)
+                        - 2 * bm * xm / (mpmath.log(2) * (2 * bm + 2 * xm) * (2 * bm + xm))
+                    )
+                    assert abs(f_prime(b, x) - ref) <= 1e-13 * ref
+
+
+class TestPhiPsi:
+    # F(b, x) = x*phi(b/x) and G(b, x, pq) = (pq/x^2)*psi(b/x).
+    def test_phi_scales_to_the_rate(self):
+        x = make_link()
+        t = np.logspace(-6.0, 12.0, 73)
+        expect = [f_value(float(v) * x, x) / x for v in t]
+        assert phi(t) == pytest.approx(expect, rel=1e-14)
+
+    def test_psi_scales_to_the_gradient(self):
+        x, pq = make_link(power=1.5), 1.5 * 1.3e6
+        t = np.logspace(-6.0, 12.0, 73)
+        expect = [g_value(float(v) * x, x, pq) * x * x / pq for v in t]
+        assert psi(t) == pytest.approx(expect, rel=1e-13)
+
+    def test_psi_is_strictly_decreasing_with_bounded_scaled_form(self):
+        # t^2*psi(t) runs from 1 (t -> 0) to 3*ln2/2 (t -> inf), which is
+        # what brackets the array inverse.
+        t = np.logspace(-8.0, 14.0, 2001)
+        vals = psi(t)
+        assert np.all(np.diff(vals) < 0)
+        scaled = t * t * vals
+        assert np.all(scaled >= 1.0 - 1e-12)
+        assert np.all(scaled <= 1.5 * math.log(2.0) * (1.0 + 1e-12))
 
 
 class TestGradientG:

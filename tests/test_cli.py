@@ -2,6 +2,7 @@
 and byte-level determinism of every artifact."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -275,6 +276,33 @@ class TestSolve:
         assert "the pairing rule found no pairing within the quality cap" in out
         assert run("solve", str(path)) == EXIT_OK
         assert "strategy=proposed [feasible]" in capsys.readouterr().out
+
+    def test_very_wide_band_is_split(self, tmp_path, capsys):
+        # At B_max = 1e20 Hz every group sits deep in its wide band, where
+        # the two terms of F' nearly cancel; the allocator must still
+        # converge rather than exit 1.
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "3", "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        assert run("solve", str(path), "--bmax", "1e20") == EXIT_OK
+        assert "strategy=proposed [feasible]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "n, seed, budget",
+        [("32", "0", ("--bmax", "20e6")), ("16", "1", ("--emax", "95"))],
+        ids=["hang-A", "hang-B"],
+    )
+    def test_energy_bound_decides_former_hangs(self, tmp_path, capsys, n, seed, budget):
+        # Energy binds on every matching, which the b_min certificate
+        # cannot see: the walk used to run through all (N-1)!! of them.
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", n, "--seed", seed, "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run("solve", str(path), *budget) == EXIT_INFEASIBLE
+        assert time.perf_counter() - start < 2.0
+        out = capsys.readouterr().out
+        assert "no feasible pairing exists (candidates tried: 1)" in out
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", str(tmp_path / "nope.json")) == EXIT_INVALID_INPUT

@@ -90,24 +90,61 @@ class TestProposed:
 
     def test_window_doubles_until_every_matching_is_tried(self, monkeypatch):
         # E_max at half the compute floor: none of the 105 matchings of
-        # 8 users fits, and the b_min certificate cannot see energy, so
-        # the window must grow by itself until the ranked list runs out.
-        template = ScenarioTemplate(n_users=8, b_max=40.0e6, t_max=10.0, d_max=1.0)
-        scn = generate_scenario(template, 0)
-        floor = e_const(list(scn.users), scn.cfg)
-        starved = replace(scn, cfg=replace(scn.cfg, e_max=0.5 * floor))
+        # 8 users fits, and the b_min certificate cannot see energy.  With
+        # the energy bound silent, as on a duality gap, the window must
+        # grow by itself until the ranked list runs out.
+        starved = _energy_starved_instance()
         windows = []
 
         def spy(costs, window):
             windows.append(window)
             return k_best_matchings(costs, window)
 
+        bound_calls = _silence_energy_bound(monkeypatch)
         monkeypatch.setattr(solver, "k_best_matchings", spy)
         res = solve_proposed(starved)
         assert windows == [1, 2, 4, 8, 16, 32, 64, 128]
         assert res.matching is None
         assert not res.feasible
         assert res.candidates_tried == 105
+        assert len(bound_calls) == 1
+
+    def test_energy_bound_ends_the_walk_at_candidate_one(self, monkeypatch):
+        # The same starved instance: candidate 1 fails on energy, and the
+        # energy bound, run once, proves that no matching can fit.
+        starved = _energy_starved_instance()
+        windows = []
+
+        def spy_rank(costs, window):
+            windows.append(window)
+            return k_best_matchings(costs, window)
+
+        bound_calls = _spy_energy_bound(monkeypatch)
+        monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
+        res = solve_proposed(starved)
+        assert res.matching is None
+        assert not res.feasible
+        assert res.candidates_tried == 1
+        assert windows == [1]
+        assert bound_calls == [True]
+
+    def test_energy_rejection_runs_the_bound_once(self, monkeypatch):
+        # Candidate 1 fails on energy and candidate 2 fits: the bound runs
+        # once, stays silent, and the walk goes on.
+        tight = _energy_wedged_fixture()
+        bound_calls = _spy_energy_bound(monkeypatch)
+        res = solve_proposed(tight)
+        assert res.feasible
+        assert res.candidates_tried == 2
+        assert bound_calls == [False]
+
+    def test_feasible_first_candidate_runs_no_energy_bound(self, monkeypatch):
+        scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
+        bound_calls = _silence_energy_bound(monkeypatch)
+        res = solve_proposed(scn)
+        assert res.feasible
+        assert res.candidates_tried == 1
+        assert bound_calls == []
 
     def test_candidate_one_ranks_one_matching(self, monkeypatch):
         # Feasible at candidate 1: the solver asks for one matching, and
@@ -173,17 +210,22 @@ class TestProposed:
             assert all(type(b) is float for b in bounds)
             assert bounds == [computed[p] for p in matching.pairs]
 
-    def test_exhausting_every_candidate_reports_infeasible(self):
+    def test_exhausting_every_candidate_reports_infeasible(self, monkeypatch):
         cfg = make_cfg(4, b_max=10.0e6, t_max=5.0)
         gains = [1e-12, 1e-12, 1e-10, 1e-10]
         pair_costs = [[0.0 if i == j else 1.0 for j in range(4)] for i in range(4)]
         scn = scenario_from_pair_costs(pair_costs, gains, cfg)
         # Energy budget below compute energy: nothing can fit, and the
         # sum-based certificate cannot see it (it only covers spectrum
-        # and latency), so all three matchings must be tried.
+        # and latency).  The energy bound proves it at candidate 1; with
+        # the bound silent all three matchings must be tried.
         tight = replace(
             scn, cfg=replace(cfg, e_max=0.5 * e_const(list(scn.users), cfg))
         )
+        res = solve_proposed(tight)
+        assert res.matching is None
+        assert res.candidates_tried == 1
+        _silence_energy_bound(monkeypatch)
         res = solve_proposed(tight)
         assert not res.feasible
         assert res.matching is None
@@ -231,26 +273,67 @@ class TestProposed:
     def test_oracle_agrees_when_a_candidate_is_skipped(self):
         # The energy-tightened fixture from above: the oracle must land
         # on the same second-ranked matching the solver picks.
-        cfg = make_cfg(4, b_max=10.0e6, t_max=5.0)
-        gains = [1e-12, 1e-12, 1e-10, 1e-10]
-        pair_costs = [
-            [0.0, 1.2, 0.8, 1.6],
-            [1.2, 0.0, 1.6, 0.8],
-            [0.8, 1.6, 0.0, 1.2],
-            [1.6, 0.8, 1.2, 0.0],
-        ]
-        scn = scenario_from_pair_costs(pair_costs, gains, cfg)
-        mixed = Matching(pairs=((0, 2), (1, 3)), total_cost=1.6)
-        same = Matching(pairs=((0, 1), (2, 3)), total_cost=2.4)
-        obj_mixed = check_feasibility(list(scn.users), mixed, cfg).objective
-        obj_same = check_feasibility(list(scn.users), same, cfg).objective
-        budget = e_const(list(scn.users), cfg) + 0.5 * (obj_same + obj_mixed)
-        tight = replace(scn, cfg=replace(cfg, e_max=budget))
-
+        tight = _energy_wedged_fixture()
         res = solve_proposed(tight)
         ref = exhaustive_first_feasible(tight)
         assert res.candidates_tried == 2
         assert res.matching.pairs == ref.pairs == ((0, 1), (2, 3))
+
+
+def _energy_wedged_fixture():
+    """Four users, E_max wedged between the energy needs of the cheapest
+    matching ((0,2),(1,3)) and the second ((0,1),(2,3))."""
+    cfg = make_cfg(4, b_max=10.0e6, t_max=5.0)
+    gains = [1e-12, 1e-12, 1e-10, 1e-10]
+    pair_costs = [
+        [0.0, 1.2, 0.8, 1.6],
+        [1.2, 0.0, 1.6, 0.8],
+        [0.8, 1.6, 0.0, 1.2],
+        [1.6, 0.8, 1.2, 0.0],
+    ]
+    scn = scenario_from_pair_costs(pair_costs, gains, cfg)
+    mixed = Matching(pairs=((0, 2), (1, 3)), total_cost=1.6)
+    same = Matching(pairs=((0, 1), (2, 3)), total_cost=2.4)
+    obj_mixed = check_feasibility(list(scn.users), mixed, cfg).objective
+    obj_same = check_feasibility(list(scn.users), same, cfg).objective
+    budget = e_const(list(scn.users), cfg) + 0.5 * (obj_same + obj_mixed)
+    return replace(scn, cfg=replace(cfg, e_max=budget))
+
+
+def _energy_starved_instance():
+    """Eight generated users with E_max at half the compute floor: none
+    of the 105 matchings fits."""
+    template = ScenarioTemplate(n_users=8, b_max=40.0e6, t_max=10.0, d_max=1.0)
+    scn = generate_scenario(template, 0)
+    floor = e_const(list(scn.users), scn.cfg)
+    return replace(scn, cfg=replace(scn.cfg, e_max=0.5 * floor))
+
+
+def _spy_energy_bound(monkeypatch) -> list:
+    """Record each verdict of the solver's energy bound in the returned
+    list."""
+    verdicts = []
+    bound = solver.energy_infeasible
+
+    def spy(*args):
+        verdicts.append(bound(*args))
+        return verdicts[-1]
+
+    monkeypatch.setattr(solver, "energy_infeasible", spy)
+    return verdicts
+
+
+def _silence_energy_bound(monkeypatch) -> list:
+    """Make the solver's energy bound prove nothing, as on a duality gap;
+    returns the list its calls are recorded in."""
+    calls = []
+
+    def silent(users, cfg, bounds):
+        calls.append(1)
+        return False
+
+    monkeypatch.setattr(solver, "energy_infeasible", silent)
+    return calls
 
 
 def _costs(scn):
