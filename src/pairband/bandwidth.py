@@ -37,8 +37,11 @@ theta makes transmit energy pair-additive, so by weak duality (Fisher
     w_ij(theta) = min_{b >= L_ij} p*Q/F_ij(b) + theta*b,
 
 whose inner minimiser is b* = max{L_ij, G_ij^-1(theta)}.  q is concave
-in theta, so a golden-section search on log theta maximises it.  The
-b_min certificate is its theta -> inf limit.
+in theta with supergradient sum_M b*_ij - B_max over the minimising
+matching M.  The search probes the rejected candidate's own KKT
+multiplier first, then maximises q by golden section on log theta, and
+stops a silent search once two tangents meet at or below the budget.
+The b_min certificate is its theta -> inf limit.
 """
 
 from __future__ import annotations
@@ -220,13 +223,15 @@ def psi_inverse(s: np.ndarray) -> np.ndarray:
 
 
 def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
-    """(q, theta_max): the Lagrangian lower bound q(theta) on the transmit
-    energy of every pairing, and the largest finite G_ij(L_ij).
+    """(q, theta_max): the Lagrangian lower bound on the transmit energy
+    of every pairing, and the largest finite G_ij(L_ij).
 
-    ``bounds`` is the N x N matrix of pair minimum bandwidths L_ij, +inf
-    for pairs that may not be matched.  Every q(theta) with theta > 0 is
-    a valid bound (see the module docstring); at theta >= theta_max each
-    pair's price sits at its L_ij.
+    ``q(theta)`` returns the bound q(theta) and its supergradient
+    s(theta) = sum of b*_ij(theta) over the minimising matching, minus
+    B_max.  ``bounds`` is the N x N matrix of pair minimum bandwidths
+    L_ij, +inf for pairs that may not be matched.  Every q(theta) with
+    theta > 0 is a valid bound (see the module docstring); at theta >=
+    theta_max each pair's price sits at its L_ij.
     """
     n = len(users)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
@@ -236,46 +241,91 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
     pq = cfg.power * cfg.payload_bits
     scale = pq / (x * x)
 
-    def q(theta: float) -> float:
+    def q(theta: float) -> tuple[float, float]:
         t = np.maximum(t_low, psi_inverse(theta / scale))
         w = np.full((n, n), INFEASIBLE)
         w[i, j] = w[j, i] = pq / (x * phi(t)) + theta * x * t
-        return mwpm(PairCostMatrix(n=n, costs=w)).total_cost - theta * cfg.b_max
+        best = mwpm(PairCostMatrix(n=n, costs=w))
+        b = np.zeros((n, n))
+        b[i, j] = b[j, i] = x * t
+        used = math.fsum(b[u, v] for u, v in best.pairs)
+        return best.total_cost - theta * cfg.b_max, used - cfg.b_max
 
     return q, float(np.max(scale * psi(t_low)))
 
 
-def energy_infeasible(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray) -> bool:
+def energy_infeasible(
+    users: list[UserProfile],
+    cfg: SystemConfig,
+    bounds: np.ndarray,
+    pairs,
+    bandwidths,
+) -> bool:
     """True when the Lagrangian bound proves that no pairing meets E_max.
 
-    Maximises q (:func:`energy_dual`) by golden section on log theta
-    over [theta_max * e^-30, theta_max] and stops at the first theta
-    whose bound exceeds the transmit budget E_max - e_const by more than
-    1e-9 relative; False once the bracket is under 1e-3 wide.  ``bounds``
-    must admit a perfect matching (the b_min certificate passed).
+    ``pairs`` and ``bandwidths`` are a candidate rejected for energy and
+    its KKT allocation.  Its multiplier theta_1 = max_k G_k(b_k) prices
+    bandwidth as that allocation does, so q(theta_1) is probed first.
+    If that is silent, q (:func:`energy_dual`) is maximised by golden
+    section on log theta over [theta_max * e^-30, theta_max].  The
+    search returns True at the first theta whose bound exceeds the
+    transmit budget E_max - e_const by more than 1e-9 relative.  It
+    returns False once the bracket is under 1e-3 wide, or as soon as two
+    probes with supergradients of opposite sign have tangents that meet
+    at or below the budget: q is concave, so no theta can beat that
+    meeting point.  ``bounds`` must admit a perfect matching (the b_min
+    certificate passed).
     """
     budget = cfg.e_max - e_const(users, cfg)
     margin = 1e-9 * max(abs(budget), 1.0)
     q, theta_max = energy_dual(users, cfg, bounds)
+    # The nearest probes left (s > 0) and right (s < 0) of the maximiser,
+    # as (theta, q, s).
+    rising, falling = (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0)
+
+    def probe(theta: float) -> tuple[float, bool | None]:
+        """q(theta), and the verdict it settles, if any."""
+        nonlocal rising, falling
+        value, slope = q(theta)
+        if value - budget > margin:
+            return value, True
+        if slope > 0.0 and theta > rising[0]:
+            rising = (theta, value, slope)
+        elif slope < 0.0 and theta < falling[0]:
+            falling = (theta, value, slope)
+        (ta, qa, sa), (tb, qb, sb) = rising, falling
+        # Both tangents lie above q, so where they meet caps max q.
+        if sa > 0.0 > sb and qa + sa * (qb - qa + sb * (ta - tb)) / (sa - sb) - budget <= margin:
+            return value, False
+        return value, None
+
+    pq = cfg.power * cfg.payload_bits
+    theta_1 = max(
+        g_value(b, pair_link(users[u], users[v], cfg), pq)
+        for (u, v), b in zip(pairs, bandwidths)
+    )
+    _, verdict = probe(theta_1)
+    if verdict is not None:
+        return verdict
     hi = math.log(theta_max)
     lo = hi - _LOG_THETA_SPAN
     c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    qc = q(math.exp(c))
-    if qc - budget > margin:
-        return True
-    qd = new = q(math.exp(d))
-    while new - budget <= margin:
+    qc, verdict = probe(math.exp(c))
+    if verdict is not None:
+        return verdict
+    qd, verdict = probe(math.exp(d))
+    while verdict is None:
         if hi - lo < _LOG_THETA_TOL:
             return False
         if qc < qd:  # q is unimodal in log theta: its maximum is right of c
             lo, c, qc = c, d, qd
             d = lo + _GOLDEN * (hi - lo)
-            qd = new = q(math.exp(d))
+            qd, verdict = probe(math.exp(d))
         else:
             hi, d, qd = d, c, qc
             c = hi - _GOLDEN * (hi - lo)
-            qc = new = q(math.exp(c))
-    return True
+            qc, verdict = probe(math.exp(c))
+    return verdict
 
 
 def _xi(b: float, x: float, Q: float) -> float:

@@ -14,8 +14,12 @@ ranking: pop the cheapest cell, split it into subcells that each
 include a prefix of its matching's edges and exclude the next one,
 re-solve each subcell, and keep them in a priority queue.  Cells
 partition the matching space, so the ranking is exact and
-duplicate-free.  A cell is split only when the next matching is asked
-for, so the first costs one MWPM plus K-1 subcell solves (more on ties).
+duplicate-free.  A popped matching that is cheaper than everything
+else by more than a float tie tolerance, and unique in its cell (one
+MWPM with its own edges raised by that tolerance still returns it), is
+yielded before its cell is split; a cell is split only when the next
+matching is asked for.  So the first matching costs two MWPMs unless
+something ties it.
 """
 
 from __future__ import annotations
@@ -223,29 +227,61 @@ def _solve_cell(
     return _canonical(pairs)
 
 
+def _unique_in_cell(
+    c: np.ndarray,
+    pairs: tuple[Pair, ...],
+    free_edges: list[Pair],
+    forced_in: frozenset[Pair],
+    forced_out: frozenset[Pair],
+    tau: float,
+) -> bool:
+    """True when no other matching of the cell costs within ``tau`` of
+    ``pairs``: raising each of its free edges by ``tau`` puts any rival
+    (which misses at least two of them) 2*tau closer, so the cell's
+    minimum stays ``pairs`` only if every rival is 2*tau dearer."""
+    raised = c.copy()
+    for i, j in free_edges:
+        raised[i, j] += tau
+        raised[j, i] += tau
+    return _solve_cell(raised, forced_in, forced_out) == pairs
+
+
 def _ranked(costs: PairCostMatrix):
     """Yield every finite perfect matching in ascending (cost, pairs) order.
 
-    One Lawler heap of cells, each keyed by its best matching.  A cell
-    is popped and split only when the next yield needs it: its matching
-    moves to the settled heap, and the smallest settled matching is
-    yielded once every unsplit cell costs strictly more, so nothing
-    still unranked can tie or beat it.
+    One Lawler heap of cells, each keyed by its best matching, and a
+    settled heap of matchings whose cells were split.  networkx returns
+    a cell's minimum only to within float error, so "cheaper" means by
+    more than a tie tolerance tau.  A popped cell's matching is yielded
+    before its cell is split when it is cheaper than every other cell
+    key and settled matching and unique in its cell; otherwise it is
+    settled, and the smallest settled matching is yielded once every
+    unsplit cell is dearer, so nothing still unranked can tie or beat
+    it.  A cell is split only when the next yield needs it.
     """
     first = mwpm(costs)
     if first is None:
         return
     c = costs.costs
+    # Costs closer than tau may be float ties (finite costs are >= 0).
+    tau = 1e-9 * max(float(c[np.isfinite(c)].max(initial=0.0)), 1.0)
     cells = [(first.total_cost, first.pairs, frozenset(), frozenset())]
     settled: list[tuple[float, tuple[Pair, ...]]] = []
     while cells or settled:
-        if settled and (not cells or cells[0][0] > settled[0][0]):
+        if settled and (not cells or cells[0][0] > settled[0][0] + tau):
             total, pairs = heapq.heappop(settled)
             yield Matching(pairs=pairs, total_cost=total)
             continue
         total, pairs, f_in, f_out = heapq.heappop(cells)
-        heapq.heappush(settled, (total, pairs))
         free_edges = [p for p in pairs if p not in f_in]
+        if (
+            (not cells or cells[0][0] > total + tau)
+            and (not settled or settled[0][0] > total + tau)
+            and _unique_in_cell(c, pairs, free_edges, f_in, f_out, tau)
+        ):
+            yield Matching(pairs=pairs, total_cost=total)
+        else:
+            heapq.heappush(settled, (total, pairs))
         for t, edge in enumerate(free_edges):
             child_in = f_in | frozenset(free_edges[:t])
             child_out = f_out | frozenset({edge})

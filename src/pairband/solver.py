@@ -9,8 +9,9 @@ because every cheaper pairing was already proven infeasible.
 
 Candidates come from a lazy ranking whose window starts at one
 matching and doubles on exhaustion, so a solve decided by its first
-candidate ranks just that one.  Two sound certificates stop hopeless
-instances instead of enumerating all (N-1)!! matchings:
+candidate ranks just that one: with the certificate, three MWPMs in
+all, the third proving that nothing ties it.  Two sound certificates
+stop hopeless instances instead of enumerating all (N-1)!! matchings:
 
 * Before enumerating at all: the matching that minimizes the summed
   per-pair minimum bandwidths is itself a minimum-weight perfect
@@ -19,9 +20,9 @@ instances instead of enumerating all (N-1)!! matchings:
   pairing whatsoever is feasible (0 candidates tried).
 * At the first candidate rejected for energy, once per solve: the
   Lagrangian bound of :func:`~pairband.bandwidth.energy_infeasible`
-  on every pairing's transmit energy.  If it exceeds the budget left
-  after compute energy, no pairing meets E_max.  A solve decided at
-  candidate 1 never runs it.
+  on every pairing's transmit energy, first at that candidate's own
+  KKT multiplier.  If it exceeds the budget left after compute energy,
+  no pairing meets E_max.  A solve decided at candidate 1 never runs it.
 
 Four reference strategies mirror the evaluation baselines.  Each is a
 pairing rule (random, greedy or channel-balanced) combined with a
@@ -183,7 +184,9 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
             if report.infeasibility_reason == "energy" and not energy_bound_run:
                 # Energy binds: a pairing-wide bound can end the walk here.
                 energy_bound_run = True
-                if energy_infeasible(list(scenario.users), scenario.cfg, bounds):
+                if energy_infeasible(
+                    list(scenario.users), scenario.cfg, bounds, matching.pairs, report.bandwidths
+                ):
                     return _no_pairing(tried)
         if len(candidates) < window:
             # Window exceeded the number of finite matchings: everything

@@ -313,7 +313,9 @@ def test_criterion_5_solver_end_to_end(monkeypatch):
     # (d) The doubling path: with the energy bound silent, as on a
     # duality gap, the window grows 1 -> 2 -> ... -> 128 until all 105
     # matchings of 8 users have been tried.
-    monkeypatch.setattr(solver, "energy_infeasible", lambda users, cfg, bounds: False)
+    monkeypatch.setattr(
+        solver, "energy_infeasible", lambda users, cfg, bounds, pairs, bandwidths: False
+    )
     res = solve_proposed(starved)
     assert res.matching is None
     assert not res.feasible

@@ -8,13 +8,14 @@ complementary-slackness residuals and a dense grid oracle.
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
-from pairband import solver
+from pairband import bandwidth, solver
 from pairband.bandwidth import (
     b_min_pair,
     b_min_user,
@@ -535,21 +536,19 @@ def test_prop_objective_is_sum_of_transmit_energies(instance):
 # The Lagrangian energy bound against brute force
 
 
-def _min_transmit_energy(scn, bounds):
-    """(objective, matching) minimising kkt_allocate's objective over
-    every matching whose pair bounds are finite and sum to at most
-    B_max; None when there is none."""
+def _eligible_allocations(scn, bounds):
+    """(objective, matching, report) of kkt_allocate on every matching
+    whose pair bounds are finite and sum to at most B_max."""
     users, cfg, rows = list(scn.users), scn.cfg, bounds.tolist()
-    best = None
+    eligible = []
     for pairs in all_matchings(cfg.n_users):
         lower = [rows[i][j] for i, j in pairs]
         if any(math.isinf(b) for b in lower) or math.fsum(lower) > cfg.b_max:
             continue
         matching = Matching(pairs=pairs, total_cost=0.0)
-        objective = kkt_allocate(users, matching, cfg, lower).objective
-        if best is None or objective < best[0]:
-            best = (objective, matching)
-    return best
+        report = kkt_allocate(users, matching, cfg, lower)
+        eligible.append((report.objective, matching, report))
+    return eligible
 
 
 @st.composite
@@ -569,30 +568,86 @@ def _energy_bound_instance(draw):
     return scn, solver._pair_bounds(scn, solver._cost_matrix(scn))
 
 
+# A silent search that is not cut short probes theta_1, then 2 + 22
+# golden-section points.
+_FULL_SEARCH_PROBES = 25
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     instance=_energy_bound_instance(),
     log_thetas=st.lists(st.floats(min_value=-35.0, max_value=5.0), min_size=3, max_size=3),
     budget_share=st.sampled_from([0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.1, 1.5]),
+    start=st.integers(min_value=0, max_value=10_000),
+    stretch=st.sampled_from([0.0, -2.0, 2.0]),
+    between=st.floats(min_value=0.1, max_value=0.9),
 )
-def test_prop_energy_bound_is_sound(instance, log_thetas, budget_share):
+def test_prop_energy_bound_is_sound(
+    instance, log_thetas, budget_share, start, stretch, between
+):
     scn, bounds = instance
-    best = _min_transmit_energy(scn, bounds)
-    assume(best is not None)
-    least, argmin = best
+    eligible = _eligible_allocations(scn, bounds)
+    assume(eligible)
+    least, argmin, _ = min(eligible, key=lambda e: e[0])
     users = list(scn.users)
 
     # Weak duality: every q(theta) is at most the least transmit energy.
+    # Concavity: every tangent q(a) + s(a)*(theta - a) lies above q.
     q, theta_max = energy_dual(users, scn.cfg, bounds)
-    for k in log_thetas:
-        assert q(theta_max * math.exp(k)) <= least * (1.0 + 1e-12)
+    thetas = [theta_max * math.exp(k) for k in log_thetas]
+    probes = [q(theta) for theta in thetas]
+    for a, (qa, sa) in zip(thetas, probes):
+        assert qa <= least * (1.0 + 1e-12)
+        for theta, (value, _) in zip(thetas, probes):
+            rise = sa * (theta - a)
+            assert value <= qa + rise + 1e-12 * (abs(qa) + abs(rise) + least)
 
-    # A budget share below 1 leaves no matching energy-feasible.  When
-    # the bound fires, brute force must agree: the least-energy matching,
-    # and with it every other, misses the budget.
-    cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + budget_share * least)
-    fired = energy_infeasible(users, cfg, bounds)
-    event(f"budget share {'below' if budget_share < 1.0 else 'above'} 1, bound fired: {fired}")
-    if fired:
-        lower = [bounds[i, j] for i, j in argmin.pairs]
-        assert not kkt_allocate(users, argmin, cfg, lower).feasible
+    # The search starts at theta_1 = max_k G_k(b_k) of some matching:
+    # its KKT multiplier, or (stretched bandwidths) a theta off it.
+    _, rejected, report = eligible[start % len(eligible)]
+    start_bandwidths = [b * math.exp(stretch) for b in report.bandwidths]
+    grid_max = max(q(theta_max * math.exp(k))[0] for k in np.linspace(-30.0, 0.0, 200))
+
+    def check(label, transmit_budget):
+        """Run the bound at this transmit budget, check its verdict, and
+        return the first theta it probed."""
+        cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + transmit_budget)
+        probed = []
+
+        def counted_dual(*args):
+            q, theta_max = energy_dual(*args)
+
+            def counted(theta):
+                probed.append(theta)
+                return q(theta)
+
+            return counted, theta_max
+
+        with mock.patch.object(bandwidth, "energy_dual", counted_dual):
+            fired = energy_infeasible(users, cfg, bounds, rejected.pairs, start_bandwidths)
+        cut = not fired and len(probed) < _FULL_SEARCH_PROBES
+        event(f"budget {label}, stretch {stretch}, bound fired: {fired}, cut short: {cut}")
+        if fired:
+            # Brute force must agree: the least-energy matching, and with
+            # it every other, misses the budget.
+            lower = [bounds[i, j] for i, j in argmin.pairs]
+            assert not kkt_allocate(users, argmin, cfg, lower).feasible
+        if cut:
+            # Stopped by the tangent cut: no grid theta may have beaten
+            # the budget.
+            budget = cfg.e_max - e_const(users, cfg)
+            assert grid_max - budget <= 1e-9 * max(abs(budget), 1.0)
+        return probed[0]
+
+    # Two budgets: a share of the least energy (below 1, no matching
+    # fits), and, when some theta on a 200-point log grid over the
+    # search's range beats theta_1, one between q(theta_1) (or 0, as a
+    # budget must be positive) and the best grid value: the first probe
+    # is silent there, the grid proves infeasibility, and a cut that
+    # ends the search too early shows.
+    theta_1 = check(
+        f"share {'below' if budget_share < 1.0 else 'above'} 1", budget_share * least
+    )
+    low = max(q(theta_1)[0], 0.0)
+    if grid_max > low:
+        check("between q(theta_1) and the grid", low + between * (grid_max - low))

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from pairband import __version__
+from pairband import __version__, bandwidth
 from pairband.cli import (
     EXIT_INFEASIBLE,
     EXIT_INVALID_INPUT,
@@ -292,17 +292,29 @@ class TestSolve:
         [("32", "0", ("--bmax", "20e6")), ("16", "1", ("--emax", "95"))],
         ids=["hang-A", "hang-B"],
     )
-    def test_energy_bound_decides_former_hangs(self, tmp_path, capsys, n, seed, budget):
+    def test_energy_bound_decides_former_hangs(
+        self, tmp_path, capsys, monkeypatch, n, seed, budget
+    ):
         # Energy binds on every matching, which the b_min certificate
         # cannot see: the walk used to run through all (N-1)!! of them.
+        # q at candidate 1's own multiplier proves it with one MWPM.
         path = tmp_path / "scn.json"
         assert run("gen-scenario", "--n", n, "--seed", seed, "--output", str(path)) == EXIT_OK
         capsys.readouterr()
+        bound_mwpms = []
+        original = bandwidth.mwpm
+
+        def spy(costs):
+            bound_mwpms.append(1)
+            return original(costs)
+
+        monkeypatch.setattr(bandwidth, "mwpm", spy)
         start = time.perf_counter()
         assert run("solve", str(path), *budget) == EXIT_INFEASIBLE
         assert time.perf_counter() - start < 2.0
         out = capsys.readouterr().out
         assert "no feasible pairing exists (candidates tried: 1)" in out
+        assert len(bound_mwpms) == 1
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", str(tmp_path / "nope.json")) == EXIT_INVALID_INPUT

@@ -326,6 +326,30 @@ class TestKBest:
             ((0, 3), (1, 2)),
         ]
 
+    def test_float_ties_keep_brute_force_order(self):
+        # Two matchings sum to exactly 0.6.  networkx solves the cell
+        # without (0, 4) to ((0, 3), (1, 2), (4, 5)), which sums to
+        # 0.6000000000000001, though ((0, 1), (2, 5), (3, 4)) in that
+        # cell sums to 0.6: a key one ulp above the cell's minimum must
+        # not let the other 0.6 matching be yielded first.
+        c = np.array(
+            [
+                [INFEASIBLE, 0.2, 0.4, 0.4, 0.2, 0.4],
+                [0.2, INFEASIBLE, 0.1, 0.2, 0.4, 0.5],
+                [0.4, 0.1, INFEASIBLE, 0.5, 0.5, 0.1],
+                [0.4, 0.2, 0.5, INFEASIBLE, 0.3, 0.3],
+                [0.2, 0.4, 0.5, 0.3, INFEASIBLE, 0.1],
+                [0.4, 0.5, 0.1, 0.3, 0.1, INFEASIBLE],
+            ]
+        )
+        ms = k_best_matchings(matrix(c), 3)
+        assert [m.pairs for m in ms] == [
+            ((0, 4), (1, 3), (2, 5)),
+            ((0, 1), (2, 5), (3, 4)),
+            ((0, 4), (1, 2), (3, 5)),
+        ]
+        assert ms == enumerate_sorted(matrix(c))[:3]
+
     def test_window_larger_than_population(self):
         cm = four_user_fixture()
         ms = k_best_matchings(cm, 50)
@@ -369,3 +393,21 @@ def test_prop_shorter_window_is_a_prefix_in_brute_force_order(
     longer = k_best_matchings(cm, short + extra)
     assert k_best_matchings(cm, short) == longer[:short]
     assert longer == enumerate_sorted(cm)[: short + extra]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8, 10]),
+    seed=st.integers(0, 10_000),
+    top=st.sampled_from([3, 5, 10]),
+)
+def test_prop_integer_tenth_costs_rank_in_brute_force_order(n, seed, top):
+    # Sums of tenths tie exactly or to within an ulp all the time, so
+    # both the early yield of a unique matching and the settled yield
+    # are checked against brute force's (cost, pairs) order.
+    rng = np.random.default_rng(seed)
+    c = np.triu(rng.integers(1, top + 1, size=(n, n)) / 10.0, 1)
+    c = c + c.T
+    np.fill_diagonal(c, INFEASIBLE)
+    cm = matrix(c)
+    assert k_best_matchings(cm, 60) == enumerate_sorted(cm)[:60]

@@ -11,7 +11,7 @@ import pytest
 
 from pairband.bandwidth import check_feasibility
 from pairband.latency_energy import e_const
-from pairband import pairing, solver
+from pairband import bandwidth, pairing, solver
 from pairband.pairing import (
     INFEASIBLE,
     Matching,
@@ -120,6 +120,7 @@ class TestProposed:
             return k_best_matchings(costs, window)
 
         bound_calls = _spy_energy_bound(monkeypatch)
+        bound_mwpms = _count_calls(monkeypatch, bandwidth, "mwpm")
         monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
         res = solve_proposed(starved)
         assert res.matching is None
@@ -127,6 +128,8 @@ class TestProposed:
         assert res.candidates_tried == 1
         assert windows == [1]
         assert bound_calls == [True]
+        # q at candidate 1's own multiplier already proves it.
+        assert len(bound_mwpms) == 1
 
     def test_energy_rejection_runs_the_bound_once(self, monkeypatch):
         # Candidate 1 fails on energy and candidate 2 fits: the bound runs
@@ -148,30 +151,22 @@ class TestProposed:
 
     def test_candidate_one_ranks_one_matching(self, monkeypatch):
         # Feasible at candidate 1: the solver asks for one matching, and
-        # the blossom runs once for the certificate, once for the best
-        # matching and at most K-1 times to prove nothing ties it.
+        # the blossom runs exactly three times: once for the certificate,
+        # once for the best matching, and once to prove nothing ties it.
         scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
-        k = scn.cfg.n_users // 2
         windows = []
 
         def spy_rank(costs, window):
             windows.append(window)
             return k_best_matchings(costs, window)
 
-        blossom = pairing.nx.max_weight_matching
-        blossom_calls = []
-
-        def spy_blossom(*args, **kwargs):
-            blossom_calls.append(1)
-            return blossom(*args, **kwargs)
-
+        blossom_calls = _count_calls(monkeypatch, pairing.nx, "max_weight_matching")
         monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
-        monkeypatch.setattr(pairing.nx, "max_weight_matching", spy_blossom)
         res = solve_proposed(scn)
         assert res.feasible
         assert res.candidates_tried == 1
         assert windows == [1]
-        assert len(blossom_calls) <= 1 + 1 + (k - 1)
+        assert len(blossom_calls) == 3
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
         # One bound matrix serves the certificate and every candidate:
@@ -279,6 +274,28 @@ class TestProposed:
         assert res.candidates_tried == 2
         assert res.matching.pairs == ref.pairs == ((0, 1), (2, 3))
 
+    @pytest.mark.parametrize("n, seeds", [(6, 8), (8, 4)])
+    def test_oracle_agrees_on_walks_past_an_energy_rejection(self, n, seeds):
+        # E_max just under candidate 1's energy: candidate 1 fails on
+        # energy, the bound runs and mostly stays silent, and the walk
+        # goes on.  Wherever it stops, brute force must stop there too.
+        template = ScenarioTemplate(n_users=n, b_max=40.0e6, t_max=10.0, d_max=1.0)
+        walked = 0
+        for seed in range(seeds):
+            scn = generate_scenario(template, seed)
+            first = k_best_matchings(_costs(scn), 1)[0]
+            energy = check_feasibility(list(scn.users), first, scn.cfg).energy_total
+            tight = replace(scn, cfg=replace(scn.cfg, e_max=(1.0 - 1e-7) * energy))
+            res = solve_proposed(tight)
+            ref = exhaustive_first_feasible(tight)
+            walked += res.candidates_tried > 1
+            if ref is None:
+                assert res.matching is None
+            else:
+                assert res.feasible
+                assert res.matching.pairs == ref.pairs
+        assert walked >= 3
+
 
 def _energy_wedged_fixture():
     """Four users, E_max wedged between the energy needs of the cheapest
@@ -328,11 +345,24 @@ def _silence_energy_bound(monkeypatch) -> list:
     returns the list its calls are recorded in."""
     calls = []
 
-    def silent(users, cfg, bounds):
+    def silent(users, cfg, bounds, pairs, bandwidths):
         calls.append(1)
         return False
 
     monkeypatch.setattr(solver, "energy_infeasible", silent)
+    return calls
+
+
+def _count_calls(monkeypatch, owner, name: str) -> list:
+    """Record each call of ``owner.name`` in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
