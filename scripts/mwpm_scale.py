@@ -1,0 +1,92 @@
+"""Time one minimum-weight perfect matching (MWPM) at N = 16/32/64/128.
+
+For each N, draws the default-template scenario of one seed and solves
+two MWPMs: on its distortion cost matrix (a solve's candidate 1) and on
+its pair-bound matrix (the b_min certificate).  Prints one JSON line
+per N: each matching's total cost and pairs, the median CPU
+milliseconds of three solves, and how many of the N(N-1)/2 edges
+networkx was handed; the bound entry also times the bound matrix
+itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate.
+With ``--no-time`` the lines hold answers only, so two checkouts
+compare with one ``diff``:
+
+    PYTHONPATH=src python scripts/mwpm_scale.py --no-time > mwpm.jsonl
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import time
+
+from pairband import pairing
+from pairband.pairing import PairCostMatrix, mwpm
+from pairband.scenario import ScenarioTemplate, generate_scenario
+from pairband.solver import _cost_matrix, _pair_bounds
+
+SIZES = (16, 32, 64, 128)
+REPEATS = 3
+
+
+def cpu_ms(fn, *args):
+    """(result, CPU milliseconds) of one call."""
+    start = time.process_time()
+    result = fn(*args)
+    return result, 1e3 * (time.process_time() - start)
+
+
+def edges_handed(costs: PairCostMatrix) -> int | None:
+    """Edges in the graph the MWPM hands networkx; None if it never calls it."""
+    blossom = pairing.nx.max_weight_matching
+    seen = []
+
+    def counted(graph, **kwargs):
+        seen.append(graph.number_of_edges())
+        return blossom(graph, **kwargs)
+
+    pairing.nx.max_weight_matching = counted
+    try:
+        mwpm(costs)
+    finally:
+        pairing.nx.max_weight_matching = blossom
+    return seen[0] if seen else None
+
+
+def entry(costs: PairCostMatrix, timed: bool) -> dict:
+    best = mwpm(costs)
+    out = {
+        "total": None if best is None else best.total_cost,
+        "pairs": None if best is None else best.pairs,
+    }
+    if timed:
+        times = [cpu_ms(mwpm, costs)[1] for _ in range(REPEATS)]
+        out["ms"] = round(statistics.median(times), 2)
+        out["edges_kept"] = edges_handed(costs)
+    return out
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
+    parser.add_argument("--no-time", action="store_true", help="print answers only")
+    args = parser.parse_args(argv)
+
+    for n in SIZES:
+        scn = generate_scenario(ScenarioTemplate(n_users=n), args.seed)
+        costs = _cost_matrix(scn)
+        bounds, bounds_ms = cpu_ms(_pair_bounds, scn, costs)
+        line = {
+            "n": n,
+            "seed": args.seed,
+            "edges": n * (n - 1) // 2,
+            "cost": entry(costs, not args.no_time),
+            "bound": entry(PairCostMatrix(n=n, costs=bounds), not args.no_time),
+        }
+        if not args.no_time:
+            line["bound"]["matrix_ms"] = round(bounds_ms, 2)
+        print(json.dumps(line), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -6,8 +6,16 @@ edge weights C_ij (infinite where either user would exceed the
 distortion cap).  The kernel is an Edmonds blossom solver (networkx),
 run on max-transformed weights so that a max-cardinality/max-weight
 matching of the finite-edge subgraph is exactly the min-cost perfect
-matching; a double-factorial brute-force enumerator serves as the
-exactness oracle.
+matching.
+
+networkx sees only the edges that can still be optimal.  The
+assignment relaxation, solved in numpy by shortest augmenting paths,
+gives duals w with sum(w) <= the optimum; a perfect matching read off
+its cycles (left-over users joined along alternating paths, then
+2-opt) gives a cost UB >= the optimum; an edge whose reduced cost
+C_ij - w_i - w_j exceeds the gap UB - sum(w) lies in no matching that
+cheap, so it is dropped (Cook & Rohe 1999, INFORMS J. Comput. 11(2)).
+On the default generator typically one or two edges per user remain.
 
 Candidate lists for the feasibility search come from a lazy Lawler
 ranking: pop the cheapest cell, split it into subcells that each
@@ -38,9 +46,7 @@ __all__ = [
     "Matching",
     "build_cost_matrix",
     "mwpm",
-    "brute_force_mwpm",
     "k_best_matchings",
-    "all_matchings",
 ]
 
 # Sentinel for pairs that may never be matched.  +inf (not a big finite
@@ -128,24 +134,197 @@ def build_cost_matrix(pair_sums, per_user, d_max: float) -> PairCostMatrix:
     return PairCostMatrix(n=n, costs=np.minimum(upper, upper.T))
 
 
+def _assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Optimal duals w and row-to-column map of the assignment relaxation.
+
+    Solves min sum_i c[i, s(i)] over permutations s (inf = forbidden) by
+    column reduction and then one shortest augmenting path per free row
+    (Jonker & Volgenant 1987, Computing 38(4)), keeping duals u, v with
+    u_i + v_j <= c_ij.  A perfect matching M is the symmetric assignment
+    of cost 2 c(M), so w = (u + v) / 2 has w_i + w_j <= c_ij and
+    sum(w) <= every matching's cost.  None when no finite assignment,
+    and so no finite perfect matching, exists.
+    """
+    n = c.shape[0]
+    v = c.min(axis=0)
+    if not np.all(np.isfinite(v)):
+        return None
+    u = np.zeros(n)
+    col_of = np.full(n, -1)
+    row_of = np.full(n, -1)
+    rows, cols = np.unique(c.argmin(axis=0), return_index=True)
+    col_of[rows], row_of[cols] = cols, rows
+    for root in np.flatnonzero(col_of < 0):
+        # Dijkstra over columns on reduced costs; a scanned column's
+        # distance is final, and +inf in ``scanned`` keeps it out.
+        reduced = c - v
+        dist = np.full(n, np.inf)
+        pred = np.zeros(n, dtype=int)
+        scanned = np.zeros(n)
+        i, d_i = root, 0.0
+        while True:
+            reach = reduced[i] + scanned + (d_i - u[i])
+            closer = reach < dist
+            dist[closer], pred[closer] = reach[closer], i
+            open_dist = dist + scanned
+            j = int(np.argmin(open_dist))
+            d_i = open_dist[j]
+            if not math.isfinite(d_i):
+                return None
+            scanned[j] = np.inf
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        # Shift the duals so every scanned edge stays tight, then flip
+        # the path from root to the free column j.
+        done = scanned > 0
+        tree = row_of[done & (row_of >= 0)]
+        u[tree] += d_i - dist[col_of[tree]]
+        u[root] += d_i
+        v[done] -= d_i - dist[done]
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == root:
+                break
+    return 0.5 * (u + v), col_of
+
+
+def _two_opt(c: np.ndarray, pairs: list[Pair]) -> list[Pair]:
+    """Swap partners between two pairs while that lowers their cost."""
+    a, b = np.array(pairs).T
+    with np.errstate(invalid="ignore"):
+        for _ in range(len(pairs)):
+            cur = c[a, b]
+            cross = c[a[:, None], a] + c[b[:, None], b]
+            twist = c[a[:, None], b] + c[b[:, None], a]
+            # fmax turns the nan of inf - inf into no gain.
+            gain = np.fmax(cur[:, None] + cur - np.minimum(cross, twist), -np.inf)
+            k, m = np.unravel_index(np.argmax(gain), gain.shape)
+            if not gain[k, m] > 0.0:
+                break
+            if cross[k, m] <= twist[k, m]:
+                b[k], a[m] = a[m], b[k]
+            else:
+                b[k], b[m] = b[m], b[k]
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def _join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
+    """Pair up the exposed users (mate -1) in place, each along the
+    alternating path of least reduced-cost increase r to another one.
+
+    Dijkstra over the users reached through a mate: from such a user y,
+    an edge (y, x) plus x's mate e reach e, at the cost r_yx - r_xe
+    floored at 0.  A path that meets itself (an odd cycle) is not
+    flipped; its two ends are paired directly.
+    """
+    n = mate.size
+    rows = np.arange(n)
+    while (exposed := np.flatnonzero(mate < 0)).size:
+        a = exposed[0]
+        dist = np.full(n, np.inf)
+        dist[a] = 0.0
+        via = np.full(n, -1)
+        done = np.zeros(n, dtype=bool)
+        matched = mate >= 0
+        own = np.where(matched, r[rows, mate], 0.0)
+        best, end = np.inf, (a, exposed[1])
+        while True:
+            open_dist = np.where(done, np.inf, dist)
+            y = int(np.argmin(open_dist))
+            if not open_dist[y] < best:
+                break
+            done[y] = True
+            finish = np.where(matched, np.inf, dist[y] + r[y])
+            finish[a] = np.inf
+            b = int(np.argmin(finish))
+            if finish[b] < best:
+                best, end = finish[b], (y, b)
+            with np.errstate(invalid="ignore"):  # inf - inf: no step
+                reach = dist[y] + np.maximum(r[y] - own, 0.0)
+            e = mate[matched]
+            closer = ~done[e] & (reach[matched] < dist[e])
+            dist[e[closer]], via[e[closer]] = reach[matched][closer], y
+        y, b = end
+        path = [b, y]
+        while path[-1] != a:
+            path += [mate[path[-1]], via[path[-1]]]
+        if len(set(path)) < len(path):
+            mate[a], mate[b] = b, a
+            continue
+        for k in range(0, len(path), 2):
+            mate[path[k]], mate[path[k + 1]] = path[k + 1], path[k]
+
+
+def _cycle_matching(c: np.ndarray, w: np.ndarray, col_of: np.ndarray) -> list[Pair]:
+    """A perfect matching read off an assignment's cycles.
+
+    An even cycle splits into its cheaper set of alternate edges and an
+    odd cycle into the cheapest such set over all but one user; the
+    left-over users are joined along alternating paths, and 2-opt
+    polishes the result.  Its edges may be infinite.
+    """
+    mate = np.full(c.shape[0], -1)
+    seen = np.zeros(c.shape[0], dtype=bool)
+    for start in range(c.shape[0]):
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = int(col_of[k])
+        if not cycle:
+            continue
+        odd = len(cycle) % 2
+        turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
+        turn = min(turns, key=lambda t: _total(c, zip(t[odd::2], t[odd + 1 :: 2])))
+        mate[turn[odd::2]], mate[turn[odd + 1 :: 2]] = turn[odd + 1 :: 2], turn[odd::2]
+    _join_exposed(c - w[:, None] - w, mate)
+    return _two_opt(c, [(k, int(m)) for k, m in enumerate(mate) if k < m])
+
+
+def _priced_edges(c: np.ndarray, w: np.ndarray, ub: float) -> np.ndarray:
+    """Upper-triangle mask of the edges that can lie in a matching of
+    cost at most ``ub``: those with reduced cost r_ij = c_ij - w_i - w_j
+    at most ub - sum(w) + (N/2) rho, rho = max(0, -min r).
+
+    Any matching M has sum_M r = c(M) - sum(w) and N/2 edges, each with
+    r >= -rho, so an edge of M has r <= c(M) - sum(w) + (N/2 - 1) rho.
+    That holds for every w, so the mask is sound even where float
+    rounding breaks dual feasibility; a tolerance covers the rounding
+    of r itself.  An infinite ``ub`` keeps every finite edge.
+    """
+    n = c.shape[0]
+    finite = np.triu(np.isfinite(c), 1)
+    r = np.where(finite, c - w[:, None] - w, np.inf)
+    rho = max(0.0, -float(r.min()))
+    tol = 1e-9 * (abs(ub) + float(np.abs(w).sum()))
+    return finite & (r <= ub - math.fsum(w) + 0.5 * n * rho + tol)
+
+
 def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
-    """Min-cost perfect matching over finite edges, or None if none exists."""
+    """Min-cost perfect matching over finite edges, or None if none exists.
+
+    The assignment relaxation prices out every edge that no matching as
+    cheap as a heuristic one can use, and networkx's blossom solves the
+    rest exactly (one networkx call per solve).  Without a finite
+    heuristic matching it gets every finite edge.
+    """
     n = costs.shape[0]
     if n == 0:
         return ()
-    edges = [
-        (i, j, costs[i, j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if math.isfinite(costs[i, j])
-    ]
-    if not edges:
+    solved = _assignment(costs)
+    if solved is None:
         return None
-    w_max = max(w for _, _, w in edges)
+    w, col_of = solved
+    ub = _total(costs, _cycle_matching(costs, w, col_of))
+    i, j = np.nonzero(_priced_edges(costs, w, ub))
+    cost = costs[i, j]
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
-    for i, j, w in edges:
-        graph.add_edge(i, j, weight=w_max - w)
+    graph.add_weighted_edges_from(zip(i.tolist(), j.tolist(), (cost.max() - cost).tolist()))
     mate = nx.max_weight_matching(graph, maxcardinality=True)
     if 2 * len(mate) != n:
         return None
@@ -161,48 +340,6 @@ def mwpm(costs: PairCostMatrix) -> Matching | None:
     if pairs is None:
         return None
     return Matching(pairs=pairs, total_cost=_total(costs.costs, pairs))
-
-
-def all_matchings(n: int):
-    """Yield every perfect matching of 0..n-1 as a canonical pair tuple.
-
-    There are (n-1)!! of them; always pairs the lowest unmatched index
-    first, so the order is deterministic.
-    """
-    if n % 2 != 0:
-        raise ValueError("n must be even")
-
-    def rec(rest: tuple[int, ...]):
-        if not rest:
-            yield ()
-            return
-        head, others = rest[0], rest[1:]
-        for idx, partner in enumerate(others):
-            for tail in rec(others[:idx] + others[idx + 1 :]):
-                yield ((head, partner),) + tail
-
-    yield from rec(tuple(range(n)))
-
-
-def brute_force_mwpm(costs: PairCostMatrix, max_n: int = 12) -> Matching | None:
-    """Exhaustive minimum over all (n-1)!! perfect matchings.
-
-    Test oracle only — refuses n above ``max_n`` (10395 matchings at
-    n = 12).  Ties resolve to the lexicographically smallest pair list.
-    """
-    if costs.n > max_n:
-        raise ValueError(f"brute force limited to n <= {max_n}, got {costs.n}")
-    best: tuple[float, tuple[Pair, ...]] | None = None
-    for pairs in all_matchings(costs.n):
-        total = _total(costs.costs, pairs)
-        if math.isinf(total):
-            continue
-        key = (total, pairs)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        return None
-    return Matching(pairs=best[1], total_cost=best[0])
 
 
 def _solve_cell(

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
 from pairband.channel import ChannelGain, f_value, g_value
 from pairband.distortion import DistortionTable
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
-from pairband.pairing import Matching
+from pairband.pairing import Matching, PairCostMatrix
 from pairband.scenario import Scenario, ScenarioTemplate
 
 NOISE = 10.0 ** (-20.4)  # W/Hz
@@ -137,6 +138,68 @@ def random_cost_matrix(rng: np.random.Generator, n: int, scale: float = 10.0):
 
 
 # ---------------------------------------------------------------------------
+# Matching oracles: exhaustive enumeration for small N, and networkx's
+# blossom on every finite edge (the kernel before edge pricing).
+
+
+def all_matchings(n: int):
+    """Yield every perfect matching of 0..n-1 as a canonical pair tuple.
+
+    There are (n-1)!! of them; always pairs the lowest unmatched index
+    first, so the order is deterministic.
+    """
+    if n % 2 != 0:
+        raise ValueError("n must be even")
+
+    def rec(rest: tuple[int, ...]):
+        if not rest:
+            yield ()
+            return
+        head, others = rest[0], rest[1:]
+        for idx, partner in enumerate(others):
+            for tail in rec(others[:idx] + others[idx + 1 :]):
+                yield ((head, partner),) + tail
+
+    yield from rec(tuple(range(n)))
+
+
+def matching_cost(costs: np.ndarray, pairs) -> float:
+    return math.fsum(costs[i, j] for i, j in pairs)
+
+
+def brute_force_mwpm(costs: PairCostMatrix, max_n: int = 12) -> Matching | None:
+    """Exhaustive minimum over all (n-1)!! perfect matchings.
+
+    Refuses n above ``max_n`` (10395 matchings at n = 12).  Ties resolve
+    to the lexicographically smallest pair list.
+    """
+    if costs.n > max_n:
+        raise ValueError(f"brute force limited to n <= {max_n}, got {costs.n}")
+    best = None
+    for pairs in all_matchings(costs.n):
+        key = (matching_cost(costs.costs, pairs), pairs)
+        if math.isfinite(key[0]) and (best is None or key < best):
+            best = key
+    return None if best is None else Matching(pairs=best[1], total_cost=best[0])
+
+
+def unpruned_mwpm(costs: PairCostMatrix) -> Matching | None:
+    """networkx's blossom on the complete finite-edge graph."""
+    c = costs.costs
+    i, j = np.nonzero(np.triu(np.isfinite(c), 1))
+    graph = nx.Graph()
+    graph.add_nodes_from(range(costs.n))
+    graph.add_weighted_edges_from(
+        zip(i.tolist(), j.tolist(), (c[i, j].max(initial=0.0) - c[i, j]).tolist())
+    )
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
+    if 2 * len(mate) != costs.n:
+        return None
+    pairs = tuple(sorted((min(a, b), max(a, b)) for a, b in mate))
+    return Matching(pairs=pairs, total_cost=matching_cost(c, pairs))
+
+
+# ---------------------------------------------------------------------------
 # Allocation-instance builders and optimality certificates, shared by the
 # unit tests and the end-to-end acceptance checks.
 
@@ -157,7 +220,6 @@ def scenario_from_pair_costs(pair_costs, gains, cfg) -> Scenario:
 def exhaustive_first_feasible(scn):
     """Oracle: score every matching, return the cheapest feasible one."""
     from pairband.bandwidth import check_feasibility
-    from pairband.pairing import all_matchings
 
     best = None
     for pairs in all_matchings(scn.cfg.n_users):

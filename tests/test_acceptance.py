@@ -25,8 +25,6 @@ from pairband.latency_energy import e_const, group_time
 from pairband.pairing import (
     Matching,
     PairCostMatrix,
-    all_matchings,
-    brute_force_mwpm,
     build_cost_matrix,
     k_best_matchings,
     mwpm,
@@ -34,7 +32,9 @@ from pairband.pairing import (
 from pairband.scenario import ScenarioTemplate, generate_scenario, scenario_to_json
 from pairband.solver import STRATEGIES, solve, solve_proposed, sweep_bandwidth
 from support import (
+    all_matchings,
     assert_kkt_certificates,
+    brute_force_mwpm,
     consecutive_matching,
     exhaustive_first_feasible,
     group_airtime,

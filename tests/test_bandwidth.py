@@ -29,10 +29,11 @@ from pairband.bandwidth import (
 )
 from pairband.channel import f_limit, f_value, g_value, psi
 from pairband.latency_energy import delta_slack, e_const, group_time, transmit_energy
-from pairband.pairing import Matching, all_matchings
+from pairband.pairing import Matching
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from support import (
     active_gradient,
+    all_matchings,
     assert_kkt_certificates,
     consecutive_matching,
     group_airtime,

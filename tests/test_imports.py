@@ -4,9 +4,16 @@ An imported name must be referenced somewhere in its file or listed in
 the file's ``__all__``.  ``from __future__`` imports and the package's
 ``__init__`` re-exports are exempt.  Parsed with the standard ``ast``
 module, so no linter needs to be installed.
+
+Importing the package pulls in no third-party package beyond numpy and
+networkx.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -78,3 +85,31 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text(), reexports=path == PACKAGE_INIT)
     ]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_package_imports_only_numpy_and_networkx():
+    # Import time is the benchmark's setup_s: a third-party import
+    # (scipy alone takes about 0.7 s) must not slip in unnoticed.
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import pairband\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    third_party = {
+        name
+        for name in json.loads(out.stdout)
+        if name not in sys.stdlib_module_names
+        and not name.startswith("__")  # __mp_main__ from multiprocessing
+        and name != "pairband"
+    }
+    assert third_party == {"networkx", "numpy"}

@@ -10,20 +10,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairband.pairing import (
     INFEASIBLE,
     Matching,
     PairCostMatrix,
-    all_matchings,
-    brute_force_mwpm,
     build_cost_matrix,
     k_best_matchings,
     mwpm,
 )
-from support import random_cost_matrix
+from pairband import pairing
+from support import (
+    all_matchings,
+    brute_force_mwpm,
+    matching_cost,
+    random_cost_matrix,
+    unpruned_mwpm,
+)
 
 
 def matrix(costs) -> PairCostMatrix:
@@ -263,6 +268,144 @@ def test_prop_optimal_matching_invariant_under_scaling(scale, seed):
     scaled = mwpm(matrix(c * scale))
     assert scaled.pairs == base.pairs
     assert scaled.total_cost == pytest.approx(base.total_cost * scale, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Edge pricing: the assignment bound, the matching read off its cycles,
+# and the reduced-cost test that decides which edges networkx sees.
+
+
+def tenth_costs(rng, n: int, hole_rate: float) -> np.ndarray:
+    """Integer-tenth costs, which tie often, with symmetric inf holes."""
+    c = np.triu(rng.integers(1, 11, size=(n, n)) / 10.0, 1)
+    holes = np.triu(rng.uniform(size=(n, n)) < hole_rate, 1)
+    c[holes] = INFEASIBLE
+    c = c + c.T
+    np.fill_diagonal(c, INFEASIBLE)
+    return c
+
+
+_small = st.sampled_from([2, 4, 6, 8, 10])
+_seeds = st.integers(0, 10_000)
+_holes = st.sampled_from([0.0, 0.3, 0.6, 0.8])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=_small, seed=_seeds, hole_rate=_holes)
+def test_prop_priced_mwpm_matches_brute_force(n, seed, hole_rate):
+    cm = matrix(tenth_costs(np.random.default_rng(seed), n, hole_rate))
+    fast, slow = mwpm(cm), brute_force_mwpm(cm)
+    if slow is None:
+        assert fast is None
+    else:
+        assert fast.total_cost == pytest.approx(slow.total_cost, rel=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.sampled_from([16, 24, 32, 48, 64]),
+    seed=st.integers(0, 10_000),
+    scale=st.floats(min_value=1e-3, max_value=1e7),
+    hole_rate=st.sampled_from([0.0, 0.5, 0.9]),
+)
+def test_prop_priced_mwpm_matches_unpruned_networkx(n, seed, scale, hole_rate):
+    rng = np.random.default_rng(seed)
+    c = random_cost_matrix(rng, n) * scale
+    holes = np.triu(rng.uniform(size=(n, n)) < hole_rate, 1)
+    c[holes | holes.T] = INFEASIBLE
+    cm = matrix(c)
+    fast, full = mwpm(cm), unpruned_mwpm(cm)
+    if full is None:
+        assert fast is None
+    else:
+        assert fast.total_cost == pytest.approx(full.total_cost, rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=_small, seed=_seeds, hole_rate=_holes)
+def test_prop_assignment_bound_and_cycle_matching_bracket_the_optimum(
+    n, seed, hole_rate
+):
+    c = tenth_costs(np.random.default_rng(seed), n, hole_rate)
+    best = brute_force_mwpm(matrix(c))
+    solved = pairing._assignment(c)
+    if solved is None:
+        assert best is None
+        return
+    w, col_of = solved
+    assert sorted(col_of.tolist()) == list(range(n))
+    off = ~np.eye(n, dtype=bool)
+    assert np.all((w[:, None] + w)[off] <= c[off] + 1e-12)
+    pairs = pairing._cycle_matching(c, w, col_of)
+    assert sorted(k for p in pairs for k in p) == list(range(n))
+    if best is not None:
+        assert math.fsum(w) <= best.total_cost + 1e-12
+        assert best.total_cost <= matching_cost(c, pairs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([4, 6, 8, 10]),
+    seed=st.integers(0, 10_000),
+    noise=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+)
+def test_prop_pricing_keeps_every_optimal_edge_for_any_duals(n, seed, noise):
+    # The reduced-cost test must not rest on dual feasibility: with the
+    # assignment duals or any perturbation of them, and the tightest
+    # allowed bound UB = OPT, every edge of an optimum survives.
+    rng = np.random.default_rng(seed)
+    c = tenth_costs(rng, n, 0.2)
+    best = brute_force_mwpm(matrix(c))
+    solved = pairing._assignment(c)
+    assume(best is not None)
+    w = solved[0] + rng.normal(0.0, noise, size=n)
+    keep = pairing._priced_edges(c, w, best.total_cost)
+    assert all(keep[i, j] for i, j in best.pairs)
+
+
+def test_infinite_heuristic_bound_keeps_every_finite_edge():
+    c = tenth_costs(np.random.default_rng(3), 8, 0.5)
+    keep = pairing._priced_edges(c, np.zeros(8), math.inf)
+    assert np.array_equal(keep, np.triu(np.isfinite(c), 1))
+
+
+def test_odd_cycles_are_joined_along_an_alternating_path():
+    # Two triangles joined by one finite edge (2, 5): the assignment is
+    # the two 3-cycles, each leaves out its first user, and the edge
+    # (0, 3) between those two is infinite.  The path 0-1=2-5=4-3 pairs
+    # them at the optimum.
+    c = np.full((6, 6), INFEASIBLE)
+    for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
+        c[i, j] = c[j, i] = 1.0
+    c[2, 5] = c[5, 2] = 7.0
+    w, _ = pairing._assignment(c)
+    pairs = pairing._cycle_matching(c, w, np.array([1, 2, 0, 4, 5, 3]))
+    assert sorted((min(p), max(p)) for p in pairs) == [(0, 1), (2, 5), (3, 4)]
+    assert mwpm(matrix(c)).pairs == ((0, 1), (2, 5), (3, 4))
+
+
+def test_a_path_that_meets_itself_is_paired_directly_and_repaired():
+    # Here the cheapest alternating path between the two left-over users
+    # runs round an odd cycle, so they are paired directly over an
+    # infinite edge, and 2-opt swaps partners back to the optimum (1.9).
+    c = tenth_costs(np.random.default_rng(11498), 8, 0.6)
+    w, col_of = pairing._assignment(c)
+    pairs = pairing._cycle_matching(c, w, col_of)
+    assert sorted(k for p in pairs for k in p) == list(range(8))
+    assert matching_cost(c, pairs) == pytest.approx(1.9)
+    assert brute_force_mwpm(matrix(c)).total_cost == pytest.approx(1.9)
+
+
+def test_no_perfect_matching_behind_a_finite_assignment():
+    # Two triangles and no edge between them: the assignment is finite
+    # (two 3-cycles), the matching read off it is not, so networkx gets
+    # every finite edge and finds no perfect matching.
+    c = np.full((6, 6), INFEASIBLE)
+    for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
+        c[i, j] = c[j, i] = 1.0
+    w, col_of = pairing._assignment(c)
+    assert matching_cost(c, pairing._cycle_matching(c, w, col_of)) == math.inf
+    assert mwpm(matrix(c)) is None
 
 
 # ---------------------------------------------------------------------------

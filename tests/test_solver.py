@@ -16,7 +16,6 @@ from pairband.pairing import (
     INFEASIBLE,
     Matching,
     PairCostMatrix,
-    brute_force_mwpm,
     k_best_matchings,
 )
 from pairband.scenario import ScenarioTemplate, generate_scenario
@@ -29,6 +28,7 @@ from pairband.solver import (
     sweep_bandwidth,
 )
 from support import (
+    brute_force_mwpm,
     exhaustive_first_feasible,
     make_cfg,
     make_scenario,
