@@ -13,6 +13,8 @@ and gradient there.  Three structural facts make this easy:
 * The latency budget turns into a per-group lower bound L_k: the unique
   root of F(b) = Q/Delta (F is strictly increasing with a finite
   asymptote, so the root exists iff Q/Delta < f_limit and Delta > 0).
+  Since F(b) = x*phi(b/x), it is L = x*phi^-1(Q/(Delta*x)), one array
+  expression over every pair at once.
 
 * xi_k = Q/F is differentiable with -d/db [p*Q/F(b)] = G(b) strictly
   decreasing, so the KKT system reduces to a single multiplier Theta:
@@ -23,8 +25,12 @@ and gradient there.  Three structural facts make this easy:
   plain bisection on (0, Theta_max], Theta_max = max_k G_k(L_k): at or
   above it every group sits at L_k.
 
-All root-finding is bracketed bisection: inner roots to 1e-12 relative,
-the outer multiplier to 1e-9 relative, so the inner solves always
+The bounds' phi^-1 takes three guarded Newton steps from a closed-form
+start, and each finite root is then raised to its hi side: walking up
+from it, the first b with F(b) >= Q/Delta in floating point, so a group
+at its bound always meets the deadline.  The gradient inverse and the
+multiplier are bracketed bisections: inner roots to 1e-12 relative, the
+outer multiplier to 1e-9 relative, so the inner solves always
 out-resolve the outer one.  The energy budget is checked after the
 allocation rather than dualized.
 
@@ -52,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import f_limit, f_value, g_value, phi, psi
-from .latency_energy import SystemConfig, UserProfile, delta_slack, e_const, pair_link
+from .latency_energy import SystemConfig, UserProfile, e_const, pair_link, tau_bs, tau_rx
 from .pairing import INFEASIBLE, PairCostMatrix, mwpm
 
 __all__ = [
@@ -60,6 +66,7 @@ __all__ = [
     "b_min_user",
     "b_min_pair",
     "g_inverse",
+    "phi_inverse",
     "psi_inverse",
     "energy_dual",
     "energy_infeasible",
@@ -73,6 +80,13 @@ _INNER_REL_TOL = 1e-12
 _OUTER_REL_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_BISECT = 400
+
+# phi rises from phi(t) ~ t at 0 to its limit 1/(2 ln 2); three Newton
+# steps from phi_inverse's start leave |phi(t) - s| within about 2 ulps
+# of s for s from 1e-20 up to 1 - 1e-12 of the limit.
+_LN2 = math.log(2.0)
+_PHI_LIMIT = f_limit(1.0)
+_PHI_NEWTON_STEPS = 3
 
 # psi(t)*t^2 lies in [1, 3*ln2/2] for every t > 0, so psi(t) = s has its
 # root in [1, 1.02]/sqrt(s); 40 halvings of that bracket (widened for
@@ -144,45 +158,64 @@ def _bisect(left_of_root, lo: float, hi: float, what: str) -> tuple[float, float
     return lo, hi
 
 
-def b_min_user(
-    delta: float,
-    x: float,
-    payload_bits: float,
-    b_hint: float = 1.0e6,
-) -> float:
-    """Unique root of F(b) = Q/delta at link ``x``, or +inf when no root
-    exists.
+def _hi_side(b: float, x: float, target: float) -> float:
+    """``b`` raised until F(b, x) >= target, by increments that start at
+    one ulp and double; +inf when _MAX_DOUBLINGS rate evaluations do not
+    get there (the rate never reaches ``target`` in floating point)."""
+    step = math.ulp(b)
+    for _ in range(_MAX_DOUBLINGS):
+        if f_value(b, x) >= target:
+            return b
+        b += step
+        step *= 2.0
+    return math.inf
+
+
+def b_min_user(delta, x, payload_bits: float):
+    """Unique root of F(b, x) = Q/delta, elementwise over ``delta`` and
+    ``x`` (scalars or arrays), +inf where no root exists.
 
     The root exists iff delta > 0 and Q/delta < f_limit (the required
-    rate must sit below the saturation rate).  Found by bracketed
-    bisection to 1e-12 relative on b; ``b_hint`` seeds the upper
-    bracket (doubled as needed).  F(b) < b, so the root lies above
-    Q/delta and the bracket starts no higher than that.
+    rate must sit below the saturation rate).  It is x*phi^-1(Q/(delta*x))
+    (:func:`phi_inverse`), raised to its hi side: F(root) >= Q/delta holds
+    as evaluated by :func:`~pairband.channel.f_value`.  Returns a float
+    for scalar arguments and an array otherwise.
     """
-    if delta <= 0.0:
-        return math.inf
-    target = payload_bits / delta
-    if target >= f_limit(x):
-        return math.inf
-    _, hi = _bisect(
-        lambda b: f_value(b, x) < target,
-        min(1.0, target),
-        max(2.0, b_hint),
-        "b_min_user",
-    )
-    return hi
+    delta, x = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(x, dtype=float))
+    positive = delta > 0.0
+    target = np.divide(payload_bits, delta, out=np.full(delta.shape, math.inf), where=positive)
+    found = positive & (target < f_limit(x))
+    roots = np.full(delta.shape, math.inf)
+    xs, ts = x[found], target[found]
+    # F(b) < b, so the root lies above the demanded rate Q/delta.
+    start = np.maximum(xs * phi_inverse(ts / xs), ts)
+    roots[found] = [
+        _hi_side(b, xk, tk) for b, xk, tk in zip(start.tolist(), xs.tolist(), ts.tolist())
+    ]
+    return float(roots) if roots.ndim == 0 else roots
 
 
-def b_min_pair(i: UserProfile, j: UserProfile, cfg: SystemConfig) -> float:
-    """Minimum bandwidth pair (i, j) needs to meet the deadline: the
-    root at the pair's link.
+def _pair_links(users: list[UserProfile], cfg: SystemConfig, i, j) -> np.ndarray:
+    """The links of pairs (i[k], j[k]), the smaller of their users' links
+    (:func:`~pairband.latency_energy.pair_link`), on index arrays."""
+    own = np.array([cfg.link(u, cfg.power) for u in users])
+    return np.minimum(own[i], own[j])
 
-    +inf when the deadline cannot be met at any finite bandwidth
+
+def b_min_pair(users: list[UserProfile], i, j, cfg: SystemConfig) -> np.ndarray:
+    """Minimum bandwidths pairs (i[k], j[k]) need to meet the deadline:
+    each the root at the pair's link (:func:`b_min_user`).
+
+    ``i`` and ``j`` are index arrays into ``users``.  A bound is +inf
+    when the deadline cannot be met at any finite bandwidth
     (non-positive slack, or required rate at/above the pair's
     saturation rate).
     """
-    x = pair_link(i, j, cfg)
-    return b_min_user(delta_slack(i, j, cfg), x, cfg.payload_bits, cfg.b_max)
+    bs = np.array([tau_bs(u, cfg) for u in users])
+    rx = np.array([tau_rx(u, cfg) for u in users])
+    # delta_slack's order of operations, so each slack is bit-identical.
+    delta = cfg.t_max - bs[i] - rx[i] - bs[j] - rx[j]
+    return b_min_user(delta, _pair_links(users, cfg, i, j), cfg.payload_bits)
 
 
 def g_inverse(
@@ -206,6 +239,28 @@ def g_inverse(
         "g_inverse",
     )
     return 0.5 * (lo + hi)
+
+
+def phi_inverse(s: np.ndarray) -> np.ndarray:
+    """Elementwise t > 0 with phi(t) = s (:func:`~pairband.channel.phi`)
+    for 0 < s < 1/(2 ln 2): F^-1(r) at link x is x * phi_inverse(r/x).
+
+    Newton steps from t0 = s/(1 - r) * (0.75/L)^r, with r = s/L and L =
+    1/(2 ln 2) the limit of phi, a start that matches both ends: t ~ s
+    as s -> 0 and t ~ 3/(4(1 - r)) as s -> L.  r is clamped below 1,
+    and a step that would leave t <= 0 halves t instead.
+    """
+    r = np.minimum(s / _PHI_LIMIT, np.nextafter(1.0, 0.0))
+    t = s / (1.0 - r) * (0.75 / _PHI_LIMIT) ** r
+    target = s * _LN2  # ln2*phi(t) = t*log1p(u), with u = 1/(2t + 1)
+    for _ in range(_PHI_NEWTON_STEPS):
+        u = 1.0 / (2.0 * t + 1.0)
+        log_term = np.log1p(u)
+        # ln2*phi'(t) = log1p(u) - u + u/(t + 1): near the limit the
+        # difference loses digits, but no more than the root itself has.
+        step = (t * log_term - target) / (log_term - u + u / (t + 1.0))
+        t = np.where(step < t, t - step, 0.5 * t)
+    return t
 
 
 def psi_inverse(s: np.ndarray) -> np.ndarray:
@@ -235,8 +290,7 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
     """
     n = len(users)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
-    own = np.array([cfg.link(u, cfg.power) for u in users])
-    x = np.minimum(own[i], own[j])
+    x = _pair_links(users, cfg, i, j)
     t_low = bounds[i, j] / x
     pq = cfg.power * cfg.payload_bits
     scale = pq / (x * x)
@@ -465,7 +519,7 @@ def check_feasibility(users: list[UserProfile], matching, cfg: SystemConfig) -> 
     report (reason \"latency\" when any pair cannot meet the deadline at
     any bandwidth).  ``matching.pairs`` index ``users``.
     """
-    bounds = [b_min_pair(users[a], users[b], cfg) for a, b in matching.pairs]
+    bounds = b_min_pair(users, *np.transpose(matching.pairs), cfg).tolist()
     return kkt_allocate(users, matching, cfg, bounds)
 
 

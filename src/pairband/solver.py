@@ -113,13 +113,11 @@ def _cost_matrix(scenario: Scenario) -> PairCostMatrix:
 def _pair_bounds(scenario: Scenario, costs: PairCostMatrix) -> np.ndarray:
     """N x N minimum bandwidths of every quality-feasible pair; +inf on
     the diagonal, for quality-violating pairs and for latency-infeasible
-    ones."""
-    users, cfg, n = scenario.users, scenario.cfg, costs.n
-    bounds = np.full((n, n), INFEASIBLE)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.isfinite(costs.costs[i, j]):
-                bounds[i, j] = bounds[j, i] = b_min_pair(users[i], users[j], cfg)
+    ones.  One :func:`~pairband.bandwidth.b_min_pair` call takes every
+    quality-feasible pair i < j."""
+    i, j = np.nonzero(np.triu(np.isfinite(costs.costs), 1))
+    bounds = np.full((costs.n, costs.n), INFEASIBLE)
+    bounds[i, j] = bounds[j, i] = b_min_pair(list(scenario.users), i, j, scenario.cfg)
     return bounds
 
 
@@ -276,7 +274,7 @@ def solve(
         pairs=pairs, total_cost=float(math.fsum(costs.costs[i, j] for i, j in pairs))
     )
     users, cfg = scenario.users, scenario.cfg
-    bounds = [b_min_pair(users[i], users[j], cfg) for i, j in pairs]
+    bounds = b_min_pair(list(users), *np.transpose(pairs), cfg).tolist()
     if split == "kkt":
         report = _check_with_bounds(scenario, matching, bounds)
     else:

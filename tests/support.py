@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairband.channel import ChannelGain, f_value, g_value
+from pairband.channel import ChannelGain, f_limit, f_value, g_value
 from pairband.distortion import DistortionTable
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
 from pairband.pairing import Matching, PairCostMatrix
@@ -197,6 +197,49 @@ def unpruned_mwpm(costs: PairCostMatrix) -> Matching | None:
         return None
     pairs = tuple(sorted((min(a, b), max(a, b)) for a, b in mate))
     return Matching(pairs=pairs, total_cost=matching_cost(c, pairs))
+
+
+# ---------------------------------------------------------------------------
+# Root oracle: the scalar bisection the minimum-bandwidth roots used before
+# they became one array expression.
+
+
+def bisection_b_min(delta: float, x: float, payload_bits: float, b_hint: float = 1.0e6) -> float:
+    """Root of F(b, x) = Q/delta by bracketed bisection, or +inf when none
+    exists (delta <= 0 or Q/delta >= f_limit(x)).
+
+    Halves ``min(1, Q/delta)`` until F is below the target and doubles
+    ``max(2, b_hint)`` until it is not, 60 times at most each (RuntimeError
+    beyond), then bisects to 1e-12 relative and returns the hi side, where
+    F(b) >= Q/delta.
+    """
+    if delta <= 0.0:
+        return math.inf
+    target = payload_bits / delta
+    if target >= f_limit(x):
+        return math.inf
+    lo, hi = min(1.0, target), max(2.0, b_hint)
+    for _ in range(60):
+        if f_value(lo, x) < target:
+            break
+        lo *= 0.5
+    else:
+        raise RuntimeError(f"bisection_b_min: root below {lo!r}")
+    for _ in range(60):
+        if f_value(hi, x) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError(f"bisection_b_min: root above {hi!r}")
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if f_value(mid, x) < target:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return hi
 
 
 # ---------------------------------------------------------------------------

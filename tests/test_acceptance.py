@@ -107,28 +107,33 @@ def test_criterion_2_minimum_bandwidth_roots():
     start = time.perf_counter()
     rng = np.random.default_rng(202)
 
-    for _ in range(1000):
-        x = make_link(
+    # One call roots every draw: the roots are elementwise.
+    x = np.array([
+        make_link(
             power=float(rng.uniform(0.25, 4.0)),
             gain=float(10.0 ** rng.uniform(-13.0, -9.0)),
         )
-        q = float(10.0 ** rng.uniform(5.0, 7.0))
-        # Demand a rate strictly below saturation: a root must exist.
-        target = float(rng.uniform(0.01, 0.999)) * f_limit(x)
-        delta = q / target
-        b = b_min_user(delta, x, q)
+        for _ in range(1000)
+    ])
+    q = 10.0 ** rng.uniform(5.0, 7.0, size=1000)
+    # Demand a rate strictly below saturation: a root must exist.
+    delta = q / (rng.uniform(0.01, 0.999, size=1000) * f_limit(x))
+    roots = b_min_user(delta, x, q)
+    for b, xk, qk, dk in zip(roots.tolist(), x.tolist(), q.tolist(), delta.tolist()):
         assert math.isfinite(b)
-        assert f_value(b, x) == pytest.approx(q / delta, rel=1e-9)
+        assert f_value(b, xk) == pytest.approx(qk / dk, rel=1e-9)
 
-    for _ in range(200):
-        x = make_link(
+    x = np.array([
+        make_link(
             power=float(rng.uniform(0.25, 4.0)),
             gain=float(10.0 ** rng.uniform(-13.0, -9.0)),
         )
-        q = float(10.0 ** rng.uniform(5.0, 7.0))
-        # At or above saturation no bandwidth suffices.
-        delta = q / (float(rng.uniform(1.0, 3.0)) * f_limit(x))
-        assert b_min_user(delta, x, q) == math.inf
+        for _ in range(200)
+    ])
+    q = 10.0 ** rng.uniform(5.0, 7.0, size=200)
+    # At or above saturation no bandwidth suffices.
+    delta = q / (rng.uniform(1.0, 3.0, size=200) * f_limit(x))
+    assert np.all(b_min_user(delta, x, q) == math.inf)
 
     assert b_min_user(0.0, make_link(), 1.3e6) == math.inf
     assert b_min_user(-2.0, make_link(), 1.3e6) == math.inf

@@ -2,11 +2,14 @@
 and the multiplier-bisection allocator with its KKT certificates.
 
 Root finders are validated by forward construction (pick the answer,
-build the problem); the allocator is validated against stationarity /
-complementary-slackness residuals and a dense grid oracle.
+build the problem) and, for the minimum-bandwidth roots, against the
+scalar bisection oracle in ``support``; the allocator is validated
+against stationarity / complementary-slackness residuals and a dense
+grid oracle.
 """
 
 import math
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -25,9 +28,10 @@ from pairband.bandwidth import (
     evaluate_fixed_allocation,
     g_inverse,
     kkt_allocate,
+    phi_inverse,
     psi_inverse,
 )
-from pairband.channel import f_limit, f_value, g_value, psi
+from pairband.channel import f_limit, f_prime, f_value, g_value, phi, psi
 from pairband.latency_energy import delta_slack, e_const, group_time, transmit_energy
 from pairband.pairing import Matching
 from pairband.scenario import ScenarioTemplate, generate_scenario
@@ -35,6 +39,7 @@ from support import (
     active_gradient,
     all_matchings,
     assert_kkt_certificates,
+    bisection_b_min,
     consecutive_matching,
     group_airtime,
     make_cfg,
@@ -84,14 +89,6 @@ class TestBMinUser:
         assert math.isfinite(b)
         assert f_value(b, x) == pytest.approx(target, rel=1e-9)
 
-    def test_hint_does_not_change_root(self):
-        x = make_link(gain=2e-12)
-        q = 1.3e6
-        delta = 1.5
-        roots = [b_min_user(delta, x, q, b_hint=h) for h in (1.0, 1e6, 1e9)]
-        assert roots[0] == pytest.approx(roots[1], rel=1e-9)
-        assert roots[0] == pytest.approx(roots[2], rel=1e-9)
-
     def test_randomized_roundtrips(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
@@ -113,13 +110,53 @@ class TestBMinUser:
         assert 0.0 < b < 2.0**-60
         assert f_value(b, x) == pytest.approx(q / delta, rel=1e-9)
 
+    def test_arrays_root_elementwise(self):
+        # One call over arrays equals the scalar calls, element by element,
+        # infeasible slacks and demands at saturation included.
+        x = np.array([make_link(gain=g) for g in (1e-12, 3e-12, 1e-11, 2e-10, 1e-11)])
+        q = 1.3e6
+        delta = np.array([1.2, 0.7, -1.0, 2.5, q / f_limit(make_link(gain=1e-11))])
+        roots = b_min_user(delta, x, q)
+        assert roots.shape == (5,)
+        expect = [b_min_user(float(d), float(xk), q) for d, xk in zip(delta, x)]
+        assert roots.tolist() == expect
+        assert math.isinf(expect[2]) and math.isinf(expect[4])
+        assert type(expect[0]) is float
+
+    @pytest.mark.parametrize("x", [2.3e5, 3.7e7, 1e9])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-11, 1e-13, 1e-15, "ulp"])
+    def test_saturation_edge_ends_fast_at_a_hi_side_root(self, x, eps):
+        # Near saturation the root is ill-conditioned: each case ends in
+        # well under a second with a finite root meeting the demand, or
+        # +inf, and agrees with the bisection wherever that decides.
+        q = 1.3e6
+        limit = f_limit(x)
+        delta = q / (math.nextafter(limit, 0.0) if eps == "ulp" else limit * (1.0 - eps))
+        start = time.perf_counter()
+        b = b_min_user(delta, x, q)
+        assert time.perf_counter() - start < 0.5
+        if math.isfinite(b):
+            assert f_value(b, x) >= q / delta
+        try:
+            oracle = bisection_b_min(delta, x, q)
+        except RuntimeError:
+            # The bisection cannot bracket roots past 2^60 MHz.
+            return
+        assert math.isinf(b) == math.isinf(oracle)
+
+
+def _one_pair_bound(i, j, cfg):
+    """b_min_pair of the single pair (i, j)."""
+    (bound,) = b_min_pair([i, j], [0], [1], cfg)
+    return bound
+
 
 class TestBMinPair:
     def test_weaker_user_binds(self):
         cfg = make_cfg(t_max=2.0)
         i = make_user(0, gain=1e-10)
         j = make_user(1, gain=1e-12)
-        bound = b_min_pair(i, j, cfg)
+        bound = _one_pair_bound(i, j, cfg)
         delta = delta_slack(i, j, cfg)
         expect = b_min_user(delta, cfg.link(j, 1.0), cfg.payload_bits)
         assert math.isfinite(bound)
@@ -128,7 +165,7 @@ class TestBMinPair:
     def test_identical_users_match_single_root(self):
         cfg = make_cfg(t_max=2.0)
         i, j = make_user(0), make_user(1)
-        bound = b_min_pair(i, j, cfg)
+        bound = _one_pair_bound(i, j, cfg)
         delta = delta_slack(i, j, cfg)
         expect = b_min_user(delta, cfg.link(i, 1.0), cfg.payload_bits)
         assert bound == pytest.approx(expect, rel=1e-9)
@@ -137,14 +174,52 @@ class TestBMinPair:
         cfg = make_cfg(t_max=2.0)
         i = make_user(0, gain=4e-12)
         j = make_user(1, gain=9e-13, dec=1.3)
-        bound = b_min_pair(i, j, cfg)
+        bound = _one_pair_bound(i, j, cfg)
         assert group_time((i, j), bound, 1.0, cfg) == pytest.approx(
             cfg.t_max, rel=1e-9
         )
 
     def test_compute_delays_alone_can_break_the_deadline(self):
         cfg = make_cfg(t_max=0.1)  # below the four compute delays
-        assert b_min_pair(make_user(0), make_user(1), cfg) == math.inf
+        assert _one_pair_bound(make_user(0), make_user(1), cfg) == math.inf
+
+    def test_pairs_in_one_call_match_single_pairs(self):
+        # Bounds come back in the order of the index arrays, each the one
+        # its pair gets alone, with slacks exactly delta_slack's.
+        cfg = make_cfg(6, t_max=2.0)
+        gains = (1e-10, 1e-12, 4e-12, 9e-13, 1e-11, 2e-12)
+        users = [make_user(k, gain=g) for k, g in enumerate(gains)]
+        i, j = [0, 2, 5, 1, 3], [1, 4, 0, 3, 4]
+        bounds = b_min_pair(users, i, j, cfg)
+        for a, b, bound in zip(i, j, bounds.tolist()):
+            assert bound == _one_pair_bound(users[a], users[b], cfg)
+            link = min(cfg.link(users[a], 1.0), cfg.link(users[b], 1.0))
+            assert bound == b_min_user(delta_slack(users[a], users[b], cfg), link, cfg.payload_bits)
+
+    def test_bounds_do_not_depend_on_b_max(self):
+        # Nothing in a bound reads B_max: the pair-bound matrix is bitwise
+        # the same at 5 and 40 MHz.
+        for seed in range(10):
+            matrices = []
+            for b_max in (5.0e6, 40.0e6):
+                scn = generate_scenario(ScenarioTemplate(b_max=b_max), seed)
+                matrices.append(solver._pair_bounds(scn, solver._cost_matrix(scn)))
+            assert np.isfinite(matrices[0]).any()
+            assert matrices[0].tobytes() == matrices[1].tobytes(), seed
+
+
+class TestPhiInverse:
+    def test_roundtrip_through_phi(self):
+        limit = f_limit(1.0)
+        s = np.concatenate(
+            [np.logspace(-20.0, -0.2, 60), limit * (1.0 - np.logspace(-1.0, -8.0, 8))]
+        )
+        assert phi(phi_inverse(s)) == pytest.approx(s, rel=1e-14)
+
+    def test_positive_up_to_one_ulp_under_the_limit(self):
+        s = np.array([np.nextafter(f_limit(1.0), 0.0), f_limit(1.0) * (1.0 - 1e-15)])
+        t = phi_inverse(s)
+        assert np.all(np.isfinite(t)) and np.all(t > 1e14)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +500,7 @@ class TestKktAllocate:
 
 def _bounds(users, matching, cfg):
     """The pairs' minimum bandwidths, as the solver passes them."""
-    return [b_min_pair(users[a], users[b], cfg) for a, b in matching.pairs]
+    return b_min_pair(users, *np.transpose(matching.pairs), cfg).tolist()
 
 
 class TestEvaluateFixedAllocation:
@@ -502,11 +577,50 @@ class TestEvaluateFixedAllocation:
 def test_prop_b_min_pair_is_max_of_user_roots(pair, t_max, power):
     cfg = make_cfg(2, t_max=t_max, power=power)
     delta = delta_slack(*pair, cfg)
-    roots = [
-        b_min_user(delta, cfg.link(u, power), cfg.payload_bits, cfg.b_max)
-        for u in pair
-    ]
-    assert b_min_pair(*pair, cfg) == max(roots)
+    roots = [b_min_user(delta, cfg.link(u, power), cfg.payload_bits) for u in pair]
+    assert _one_pair_bound(*pair, cfg) == max(roots)
+
+
+# Rate demands Q/delta as a share of the saturation rate: tiny, ordinary,
+# near saturation, at it and above it.
+_demand_shares = st.one_of(
+    st.floats(min_value=1e-20, max_value=1e-3),
+    st.floats(min_value=1e-3, max_value=1.0 - 1e-6),
+    st.floats(min_value=1e-9, max_value=1e-6).map(lambda e: 1.0 - e),
+    st.floats(min_value=1.0, max_value=3.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.floats(min_value=1e4, max_value=1e12),
+    q=st.floats(min_value=1e4, max_value=1e8),
+    share=_demand_shares,
+    slack_sign=st.sampled_from([1.0, 1.0, 1.0, 0.0, -1.0]),
+)
+def test_prop_b_min_user_matches_the_bisection_oracle(x, q, share, slack_sign):
+    delta = slack_sign * q / (share * f_limit(x))
+    b = b_min_user(delta, x, q)
+    if math.isfinite(b):
+        assert f_value(b, x) >= q / delta
+    try:
+        oracle = bisection_b_min(delta, x, q)
+    except RuntimeError:
+        # Within ulps of saturation the root can lie past the bisection's
+        # reach (2^60 MHz); only the hi-side contract above applies there.
+        return
+    assert math.isinf(b) == math.isinf(oracle)
+    if math.isinf(b):
+        return
+    target = q / delta
+    # The root's relative condition number F/(b F'): in floating point the
+    # rate is known to an ulp or two, so near saturation any two roots of
+    # F(b) = target, the oracle's included, differ by a few ulps times it.
+    # Away from saturation that term is tiny and the gap is within 1e-11.
+    kappa = target / (oracle * f_prime(oracle, x))
+    assert abs(b - oracle) <= (1e-11 + 8.0 * kappa * 2.0**-52) * oracle
+    if target <= (1.0 - 1e-4) * f_limit(x):
+        assert abs(b - oracle) <= 1e-11 * oracle
 
 
 @st.composite

@@ -169,19 +169,18 @@ class TestProposed:
         assert len(blossom_calls) == 3
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
-        # One bound matrix serves the certificate and every candidate:
-        # b_min_pair runs once per quality-feasible pair i < j, and the
-        # candidates get those same values as plain floats.
+        # One bound matrix serves the certificate and every candidate: a
+        # solve makes one b_min_pair call, over exactly the quality-feasible
+        # pairs i < j, and the candidates get those values as plain floats.
         scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
         costs = _costs(scn)
         original_bound, original_check = solver.b_min_pair, solver._check_with_bounds
-        computed = {}
+        calls = []
 
-        def spy_bound(i, j, cfg):
-            key = (i.id, j.id)
-            assert key not in computed, f"bound of pair {key} computed twice"
-            computed[key] = original_bound(i, j, cfg)
-            return computed[key]
+        def spy_bound(users, i, j, cfg):
+            bounds = original_bound(users, i, j, cfg)
+            calls.append((list(zip(i.tolist(), j.tolist())), bounds.tolist()))
+            return bounds
 
         checked = []
 
@@ -199,7 +198,10 @@ class TestProposed:
             if math.isfinite(costs.costs[i, j])
         }
         assert res.feasible
-        assert set(computed) == finite
+        assert len(calls) == 1
+        pairs, values = calls[0]
+        assert len(pairs) == len(set(pairs)) and set(pairs) == finite
+        computed = dict(zip(pairs, values))
         assert len(checked) == res.candidates_tried
         for matching, bounds in checked:
             assert all(type(b) is float for b in bounds)
@@ -590,6 +592,21 @@ class TestDispatch:
         res = solve(scn, strategy)
         assert res.strategy == strategy
         assert res.matching is not None
+
+    @pytest.mark.parametrize("strategy", STRATEGIES[1:])
+    def test_a_baseline_computes_its_bounds_in_one_call(self, strategy, monkeypatch):
+        scn = generate_scenario(ScenarioTemplate(n_users=8, b_max=5.0e6), 3)
+        original = solver.b_min_pair
+        calls = []
+
+        def spy(users, i, j, cfg):
+            calls.append(list(zip(i.tolist(), j.tolist())))
+            return original(users, i, j, cfg)
+
+        monkeypatch.setattr(solver, "b_min_pair", spy)
+        res = solve(scn, strategy)
+        assert calls == [list(res.matching.pairs)]
+        assert all(type(b) is float for b in res.allocation.lower_bounds)
 
 
 # ---------------------------------------------------------------------------
