@@ -7,8 +7,11 @@ per N: each matching's total cost and pairs, the median CPU
 milliseconds of three solves, and how many of the N(N-1)/2 edges
 networkx was handed; the bound entry also times the bound matrix
 itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate.
-With ``--no-time`` the lines hold answers only, so two checkouts
-compare with one ``diff``:
+With ``--no-time`` the lines hold answers only, and each total is
+rounded to 9 significant digits, the 1e-9 relative tolerance the
+benchmark references are checked at: a change in a total's last bits
+does not show (unless it crosses a rounding boundary), so two
+checkouts compare with one ``diff``:
 
     PYTHONPATH=src python scripts/mwpm_scale.py --no-time > mwpm.jsonl
 """
@@ -55,10 +58,10 @@ def edges_handed(costs: PairCostMatrix) -> int | None:
 
 def entry(costs: PairCostMatrix, timed: bool) -> dict:
     best = mwpm(costs)
-    out = {
-        "total": None if best is None else best.total_cost,
-        "pairs": None if best is None else best.pairs,
-    }
+    out = {"total": None, "pairs": None}
+    if best is not None:
+        total = best.total_cost if timed else float(f"{best.total_cost:.9g}")
+        out = {"total": total, "pairs": best.pairs}
     if timed:
         times = [cpu_ms(mwpm, costs)[1] for _ in range(REPEATS)]
         out["ms"] = round(statistics.median(times), 2)

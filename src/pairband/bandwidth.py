@@ -45,8 +45,9 @@ theta makes transmit energy pair-additive, so by weak duality (Fisher
 whose inner minimiser is b* = max{L_ij, G_ij^-1(theta)}.  q is concave
 in theta with supergradient sum_M b*_ij - B_max over the minimising
 matching M.  The search probes the rejected candidate's own KKT
-multiplier first, then maximises q by golden section on log theta, and
-stops a silent search once two tangents meet at or below the budget.
+multiplier first, then bisects log theta by the sign of that
+supergradient, and stops a silent search once two tangents meet at or
+below the budget.
 The b_min certificate is its theta -> inf limit.
 """
 
@@ -95,10 +96,9 @@ _PSI_BRACKET = (0.99, 1.03)
 _PSI_HALVINGS = 40
 
 # The energy bound's search: log theta over [log theta_max - 30,
-# log theta_max], golden section down to 1e-3 wide.
+# log theta_max], bisected down to 1e-3 wide (15 halvings).
 _LOG_THETA_SPAN = 30.0
 _LOG_THETA_TOL = 1e-3
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -124,38 +124,6 @@ class AllocationReport:
 def _exceeds(value: float, limit: float) -> bool:
     """True when ``value`` is above ``limit`` beyond floating-point slop."""
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
-
-
-def _bisect(left_of_root, lo: float, hi: float, what: str) -> tuple[float, float]:
-    """Bracket and bisect the root of a monotone predicate.
-
-    ``left_of_root(b)`` is true below the root and false above it.
-    Halves ``lo`` until it is left of the root and doubles ``hi`` until
-    it is not, then bisects to 1e-12 relative.  Raises RuntimeError
-    naming ``what`` when either end cannot be pushed past the root.
-    """
-    for _ in range(_MAX_DOUBLINGS):
-        if left_of_root(lo):
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError(f"{what}: bracket expansion failed, root below {lo!r}")
-    for _ in range(_MAX_DOUBLINGS):
-        if not left_of_root(hi):
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"{what}: bracket expansion failed, root above {hi!r}")
-
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if left_of_root(mid):
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _INNER_REL_TOL * hi:
-            break
-    return lo, hi
 
 
 def _hi_side(b: float, x: float, target: float) -> float:
@@ -227,17 +195,34 @@ def g_inverse(
     """Unique b with G(b) = theta (G strictly decreasing) at link ``x``
     and ``pq`` = p*Q, by bisection.
 
-    Raises RuntimeError with a diagnostic if the bracket cannot be
-    expanded to contain the root.
+    Halves lo = 1 Hz until G(lo) >= theta and doubles hi = max(2,
+    ``b_hint``) until G(hi) < theta, then bisects to 1e-12 relative.
+    Raises RuntimeError naming g_inverse when either end cannot be
+    pushed past the root.
     """
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    lo, hi = _bisect(
-        lambda b: g_value(b, x, pq) >= theta,
-        1.0,
-        max(2.0, b_hint),
-        "g_inverse",
-    )
+    lo, hi = 1.0, max(2.0, b_hint)
+    for _ in range(_MAX_DOUBLINGS):
+        if g_value(lo, x, pq) >= theta:
+            break
+        lo *= 0.5
+    else:
+        raise RuntimeError(f"g_inverse: bracket expansion failed, root below {lo!r}")
+    for _ in range(_MAX_DOUBLINGS):
+        if g_value(hi, x, pq) < theta:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError(f"g_inverse: bracket expansion failed, root above {hi!r}")
+    for _ in range(_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if g_value(mid, x, pq) >= theta:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= _INNER_REL_TOL * hi:
+            break
     return 0.5 * (lo + hi)
 
 
@@ -320,66 +305,48 @@ def energy_infeasible(
     ``pairs`` and ``bandwidths`` are a candidate rejected for energy and
     its KKT allocation.  Its multiplier theta_1 = max_k G_k(b_k) prices
     bandwidth as that allocation does, so q(theta_1) is probed first.
-    If that is silent, q (:func:`energy_dual`) is maximised by golden
-    section on log theta over [theta_max * e^-30, theta_max].  The
+    Then q (:func:`energy_dual`) is bisected on log theta over [theta_max
+    * e^-30, theta_max] by the sign of its supergradient, keeping the
+    nearest probes left (s > 0) and right (s < 0) of the maximiser.  The
     search returns True at the first theta whose bound exceeds the
     transmit budget E_max - e_const by more than 1e-9 relative.  It
-    returns False once the bracket is under 1e-3 wide, or as soon as two
-    probes with supergradients of opposite sign have tangents that meet
-    at or below the budget: q is concave, so no theta can beat that
-    meeting point.  ``bounds`` must admit a perfect matching (the b_min
-    certificate passed).
+    returns False at a zero supergradient (that probe maximises q), once
+    the tangents of the two nearest probes meet at or below the budget
+    (q is concave, so no theta can beat that meeting point), or once the
+    bracket is under 1e-3 wide: at most 16 probes.  ``bounds`` must
+    admit a perfect matching (the b_min certificate passed).
     """
     budget = cfg.e_max - e_const(users, cfg)
     margin = 1e-9 * max(abs(budget), 1.0)
     q, theta_max = energy_dual(users, cfg, bounds)
-    # The nearest probes left (s > 0) and right (s < 0) of the maximiser,
-    # as (theta, q, s).
-    rising, falling = (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0)
-
-    def probe(theta: float) -> tuple[float, bool | None]:
-        """q(theta), and the verdict it settles, if any."""
-        nonlocal rising, falling
-        value, slope = q(theta)
-        if value - budget > margin:
-            return value, True
-        if slope > 0.0 and theta > rising[0]:
-            rising = (theta, value, slope)
-        elif slope < 0.0 and theta < falling[0]:
-            falling = (theta, value, slope)
-        (ta, qa, sa), (tb, qb, sb) = rising, falling
-        # Both tangents lie above q, so where they meet caps max q.
-        if sa > 0.0 > sb and qa + sa * (qb - qa + sb * (ta - tb)) / (sa - sb) - budget <= margin:
-            return value, False
-        return value, None
-
     pq = cfg.power * cfg.payload_bits
-    theta_1 = max(
+    theta = max(
         g_value(b, pair_link(users[u], users[v], cfg), pq)
         for (u, v), b in zip(pairs, bandwidths)
     )
-    _, verdict = probe(theta_1)
-    if verdict is not None:
-        return verdict
     hi = math.log(theta_max)
     lo = hi - _LOG_THETA_SPAN
-    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    qc, verdict = probe(math.exp(c))
-    if verdict is not None:
-        return verdict
-    qd, verdict = probe(math.exp(d))
-    while verdict is None:
-        if hi - lo < _LOG_THETA_TOL:
+    # The nearest probes left and right of the maximiser, as (theta, q,
+    # s).  Every probe after theta_1 lies inside the bracket, so it is
+    # the nearest on its side.
+    rising, falling = (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0)
+    while True:
+        value, slope = q(theta)
+        if value - budget > margin:
+            return True
+        if slope == 0.0:  # a zero supergradient: theta maximises q
             return False
-        if qc < qd:  # q is unimodal in log theta: its maximum is right of c
-            lo, c, qc = c, d, qd
-            d = lo + _GOLDEN * (hi - lo)
-            qd, verdict = probe(math.exp(d))
+        if slope > 0.0:
+            rising, lo = (theta, value, slope), max(lo, math.log(theta))
         else:
-            hi, d, qd = d, c, qc
-            c = hi - _GOLDEN * (hi - lo)
-            qc, verdict = probe(math.exp(c))
-    return verdict
+            falling, hi = (theta, value, slope), min(hi, math.log(theta))
+        (ta, qa, sa), (tb, qb, sb) = rising, falling
+        # Both tangents lie above q, so where they meet caps max q.
+        if sa > 0.0 > sb and qa + sa * (qb - qa + sb * (ta - tb)) / (sa - sb) - budget <= margin:
+            return False
+        if hi - lo < _LOG_THETA_TOL:  # also when theta_1 empties the bracket
+            return False
+        theta = math.exp(0.5 * (lo + hi))
 
 
 def _xi(b: float, x: float, Q: float) -> float:

@@ -334,11 +334,13 @@ def sweep_bandwidth(
     Returns one aggregate row per (b_max, strategy): mean total
     distortion and mean bandwidth over the feasible draws, feasibility
     rate, and mean candidate count.  Workers split by seed and results
-    merge by sorted cell key, so any ``jobs`` count produces the
-    identical table.
+    merge by cell key with exact sums, so any ``jobs`` count produces
+    the identical table.
     """
     if not b_max_values:
         raise ValueError("b_max_values must be non-empty")
+    if not seeds:
+        raise ValueError("seeds must be non-empty")
     if any(a >= b for a, b in zip(b_max_values, b_max_values[1:])):
         raise ValueError("b_max_values must be strictly ascending")
     for s in strategies:
@@ -362,17 +364,18 @@ def sweep_bandwidth(
     else:
         per_seed = [_sweep_cell_records(t) for t in tasks]
 
-    records = [rec for seed_recs in per_seed for rec in seed_recs]
-    records.sort(key=lambda r: (r["b_max_hz"], r["strategy"], r["seed"]))
+    cells = {}
+    for seed_recs in per_seed:
+        for rec in seed_recs:
+            cells.setdefault((rec["b_max_hz"], rec["strategy"]), []).append(rec)
+
+    def mean(recs: list[dict], key: str) -> float:
+        return math.fsum(r[key] for r in recs) / len(recs) if recs else math.nan
 
     rows = []
     for b_max in b_max_values:
         for strategy in strategies:
-            cell = [
-                r
-                for r in records
-                if r["b_max_hz"] == b_max and r["strategy"] == strategy
-            ]
+            cell = cells[b_max, strategy]
             ok = [r for r in cell if r["feasible"]]
             rows.append(
                 {
@@ -380,22 +383,10 @@ def sweep_bandwidth(
                     "strategy": strategy,
                     "n_seeds": len(cell),
                     "n_feasible": len(ok),
-                    "feasibility_rate": len(ok) / len(cell) if cell else math.nan,
-                    "mean_total_distortion": (
-                        math.fsum(r["total_distortion"] for r in ok) / len(ok)
-                        if ok
-                        else math.nan
-                    ),
-                    "mean_bandwidth_used": (
-                        math.fsum(r["bandwidth_used"] for r in ok) / len(ok)
-                        if ok
-                        else math.nan
-                    ),
-                    "mean_candidates_tried": (
-                        math.fsum(r["candidates_tried"] for r in cell) / len(cell)
-                        if cell
-                        else math.nan
-                    ),
+                    "feasibility_rate": len(ok) / len(cell),
+                    "mean_total_distortion": mean(ok, "total_distortion"),
+                    "mean_bandwidth_used": mean(ok, "bandwidth_used"),
+                    "mean_candidates_tried": mean(cell, "candidates_tried"),
                 }
             )
     return rows

@@ -32,7 +32,13 @@ from pairband.bandwidth import (
     psi_inverse,
 )
 from pairband.channel import f_limit, f_prime, f_value, g_value, phi, psi
-from pairband.latency_energy import delta_slack, e_const, group_time, transmit_energy
+from pairband.latency_energy import (
+    delta_slack,
+    e_const,
+    group_time,
+    pair_link,
+    transmit_energy,
+)
 from pairband.pairing import Matching
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from support import (
@@ -683,11 +689,6 @@ def _energy_bound_instance(draw):
     return scn, solver._pair_bounds(scn, solver._cost_matrix(scn))
 
 
-# A silent search that is not cut short probes theta_1, then 2 + 22
-# golden-section points.
-_FULL_SEARCH_PROBES = 25
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     instance=_energy_bound_instance(),
@@ -727,20 +728,31 @@ def test_prop_energy_bound_is_sound(
         """Run the bound at this transmit budget, check its verdict, and
         return the first theta it probed."""
         cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + transmit_budget)
-        probed = []
+        probed = []  # (theta, q, s)
 
         def counted_dual(*args):
             q, theta_max = energy_dual(*args)
 
             def counted(theta):
-                probed.append(theta)
-                return q(theta)
+                probed.append((theta, *q(theta)))
+                return probed[-1][1:]
 
             return counted, theta_max
 
         with mock.patch.object(bandwidth, "energy_dual", counted_dual):
             fired = energy_infeasible(users, cfg, bounds, rejected.pairs, start_bandwidths)
-        cut = not fired and len(probed) < _FULL_SEARCH_PROBES
+        # The bracket the probes leave: the search range, cut at the
+        # largest rising and the smallest falling probe.  A silent search
+        # that stops while it is still 1e-3 wide or more stopped at a
+        # tangent cut (or a zero supergradient, a maximum of q).
+        hi = min(
+            [math.log(theta_max)] + [math.log(t) for t, _, s in probed if s < 0.0]
+        )
+        lo = max(
+            [math.log(theta_max) - bandwidth._LOG_THETA_SPAN]
+            + [math.log(t) for t, _, s in probed if s > 0.0]
+        )
+        cut = not fired and hi - lo >= bandwidth._LOG_THETA_TOL
         event(f"budget {label}, stretch {stretch}, bound fired: {fired}, cut short: {cut}")
         if fired:
             # Brute force must agree: the least-energy matching, and with
@@ -752,7 +764,7 @@ def test_prop_energy_bound_is_sound(
             # the budget.
             budget = cfg.e_max - e_const(users, cfg)
             assert grid_max - budget <= 1e-9 * max(abs(budget), 1.0)
-        return probed[0]
+        return probed[0][0]
 
     # Two budgets: a share of the least energy (below 1, no matching
     # fits), and, when some theta on a 200-point log grid over the
@@ -766,3 +778,80 @@ def test_prop_energy_bound_is_sound(
     low = max(q(theta_1)[0], 0.0)
     if grid_max > low:
         check("between q(theta_1) and the grid", low + between * (grid_max - low))
+
+
+class TestEnergyBoundSearch:
+    """energy_infeasible's search on hand-made concave bounds q, patched
+    in for energy_dual.  The search starts at theta_1, the rejected
+    candidate's multiplier, and bisects log theta over [theta_max *
+    e^-30, theta_max]."""
+
+    PAIRS, BANDWIDTHS = [(0, 1), (2, 3)], [2.0e6, 3.0e6]
+
+    def _candidate(self):
+        """(users, cfg, theta_1, transmit budget) of a 4-user scenario."""
+        scn = generate_scenario(ScenarioTemplate(n_users=4), 0)
+        users, cfg = list(scn.users), scn.cfg
+        pq = cfg.power * cfg.payload_bits
+        theta_1 = max(
+            g_value(b, pair_link(users[u], users[v], cfg), pq)
+            for (u, v), b in zip(self.PAIRS, self.BANDWIDTHS)
+        )
+        return users, cfg, theta_1, cfg.e_max - e_const(users, cfg)
+
+    def _search(self, users, cfg, q, theta_max):
+        """The verdict, and every theta probed, in order."""
+        probed = []
+
+        def counted(theta):
+            probed.append(theta)
+            return q(theta)
+
+        dual = lambda *args: (counted, theta_max)
+        with mock.patch.object(bandwidth, "energy_dual", dual):
+            verdict = energy_infeasible(
+                users, cfg, np.zeros((4, 4)), self.PAIRS, self.BANDWIDTHS
+            )
+        return verdict, probed
+
+    def test_narrow_peak_above_the_budget_is_found(self):
+        users, cfg, theta_1, budget = self._candidate()
+        # A tent peaking 1e-3 above the budget at theta_1 * e^-7.3, above
+        # the budget only within 0.5 % of its peak.
+        peak, rise = theta_1 * math.exp(-7.3), 1e-3 * max(abs(budget), 1.0)
+        slope = rise / (0.005 * peak)
+
+        def q(theta):
+            s = slope if theta < peak else -slope
+            return budget + rise - slope * abs(theta - peak), s
+
+        verdict, probed = self._search(users, cfg, q, theta_1 * math.exp(10.0))
+        assert verdict is True
+        assert probed[0] == theta_1
+        assert q(probed[-1])[0] > budget
+        assert len(probed) <= 16
+
+    def test_zero_supergradient_at_a_silent_probe_ends_the_search(self):
+        users, cfg, theta_1, budget = self._candidate()
+        # Rising at theta_1, then flat 1 J under the budget from theta_1 * e
+        # on: the first bisection point (theta_1 * e^5) is a maximum.
+        top, slope = theta_1 * math.e, 1.0 / theta_1
+
+        def q(theta):
+            if theta < top:
+                return budget - 1.0 - slope * (top - theta), slope
+            return budget - 1.0, 0.0
+
+        verdict, probed = self._search(users, cfg, q, theta_1 * math.exp(10.0))
+        assert verdict is False
+        assert len(probed) == 2
+        assert probed[1] == pytest.approx(theta_1 * math.exp(5.0), rel=1e-12)
+
+    def test_rising_theta_1_above_theta_max_probes_once(self):
+        users, cfg, theta_1, budget = self._candidate()
+        # Rising at theta_1 > theta_max: every theta the search may probe
+        # lies left of it, where a concave q is lower still.
+        q = lambda theta: (budget - 1.0 + (theta - theta_1) / theta_1, 1.0 / theta_1)
+        verdict, probed = self._search(users, cfg, q, theta_1 * math.exp(-1.0))
+        assert verdict is False
+        assert probed == [theta_1]

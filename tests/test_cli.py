@@ -460,6 +460,13 @@ class TestSweep:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_empty_seed_list_rejected(self, small_scenario, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        code = run("sweep", str(small_scenario), "--bmax", "9e6", "--seeds", ",", "--output", str(out))
+        assert code == EXIT_INVALID_INPUT
+        assert "seeds must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_seed_spec_rejected(self, small_scenario, tmp_path):
         code = run(
             "sweep", str(small_scenario), "--bmax", "9e6",
