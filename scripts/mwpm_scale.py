@@ -6,7 +6,8 @@ its pair-bound matrix (the b_min certificate).  Prints one JSON line
 per N: each matching's total cost and pairs, the median CPU
 milliseconds of three solves, and how many of the N(N-1)/2 edges
 networkx was handed; the bound entry also times the bound matrix
-itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate.
+itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate, and
+``generate_ms`` is the median CPU milliseconds of ``generate_scenario``.
 With ``--no-time`` the lines hold answers only, and each total is
 rounded to 9 significant digits, the 1e-9 relative tolerance the
 benchmark references are checked at: a change in a total's last bits
@@ -76,7 +77,8 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
 
     for n in SIZES:
-        scn = generate_scenario(ScenarioTemplate(n_users=n), args.seed)
+        template = ScenarioTemplate(n_users=n)
+        scn = generate_scenario(template, args.seed)
         costs = _cost_matrix(scn)
         bounds, bounds_ms = cpu_ms(_pair_bounds, scn, costs)
         line = {
@@ -88,6 +90,8 @@ def main(argv: list[str] | None = None) -> None:
         }
         if not args.no_time:
             line["bound"]["matrix_ms"] = round(bounds_ms, 2)
+            times = [cpu_ms(generate_scenario, template, args.seed)[1] for _ in range(REPEATS)]
+            line["generate_ms"] = round(statistics.median(times), 2)
         print(json.dumps(line), flush=True)
 
 

@@ -9,7 +9,9 @@ and more-similar pairs get proportionally lower distortion:
 
     D_i(w_ij) = base * (1 - weight * sigmoid(kappa * cos(v_i, v_j))).
 
-This mirrors the qualitative behavior that pairing semantically similar
+The cosine is symmetric, so each value is computed once per unordered
+pair and the synthetic table is symmetric, D_i(w_ij) = D_j(w_ji).  This
+mirrors the qualitative behavior that pairing semantically similar
 users reconstructs better, which is all the pairing layer depends on.
 """
 
@@ -106,16 +108,14 @@ def distortions_from_features(features: np.ndarray, model: SimilarityModel) -> D
     n = features.shape[0]
     if n % 2 != 0:
         raise ValueError("n must be even")
+    i, j = np.triu_indices(n, 1)
+    # The same BLAS dot as features[i] @ features[j]; F @ F.T sums in another order.
+    dots = np.matmul(features[i][:, None, :], features[j][:, :, None])[:, 0, 0]
+    gates = [similarity_gate(cos, model.kappa) for cos in np.clip(dots, -1.0, 1.0).tolist()]
     per_user = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            cos = float(np.clip(features[i] @ features[j], -1.0, 1.0))
-            gate = similarity_gate(cos, model.kappa)
-            per_user[i, j] = model.base_distortion * (
-                1.0 - model.similarity_weight * gate
-            )
+    per_user[i, j] = per_user[j, i] = model.base_distortion * (
+        1.0 - model.similarity_weight * np.array(gates)
+    )
     return DistortionTable.from_per_user(per_user)
 
 

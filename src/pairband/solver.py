@@ -34,7 +34,6 @@ include their infeasible draws.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -359,6 +358,7 @@ def sweep_bandwidth(
         for seed in seeds
     ]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_seed = list(pool.map(_sweep_cell_records, tasks))
     else:

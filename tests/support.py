@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pairband.channel import ChannelGain, f_limit, f_value, g_value
-from pairband.distortion import DistortionTable
+from pairband.distortion import DistortionTable, SimilarityModel, similarity_gate
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
 from pairband.pairing import Matching, PairCostMatrix
 from pairband.scenario import Scenario, ScenarioTemplate
@@ -240,6 +240,30 @@ def bisection_b_min(delta: float, x: float, payload_bits: float, b_hint: float =
         if hi - lo <= 1e-12 * hi:
             break
     return hi
+
+
+# ---------------------------------------------------------------------------
+# Table oracle: the per-ordered-pair loop the synthetic distortion table
+# was built with before it became one array pass over unordered pairs.
+
+
+def loop_distortions(features: np.ndarray, model: SimilarityModel) -> DistortionTable:
+    """The synthetic table, one clipped scalar dot product and one
+    similarity gate per ordered pair (i, j), i != j."""
+    n = features.shape[0]
+    if n % 2 != 0:
+        raise ValueError("n must be even")
+    per_user = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            cos = float(np.clip(features[i] @ features[j], -1.0, 1.0))
+            gate = similarity_gate(cos, model.kappa)
+            per_user[i, j] = model.base_distortion * (
+                1.0 - model.similarity_weight * gate
+            )
+    return DistortionTable.from_per_user(per_user)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Distortion tables: the similarity gate, synthetic table generation,
-and the external text format (grammar, diagnostics, exact roundtrip)."""
+"""Distortion tables: the similarity gate, synthetic table generation
+(bit for bit against the per-pair loop in ``support``), and the external
+text format (grammar, diagnostics, exact roundtrip)."""
 
 import math
 
@@ -17,6 +18,7 @@ from pairband.distortion import (
     similarity_gate,
     synthesize_distortions,
 )
+from support import loop_distortions
 
 SIGMA_AT_5 = 0.9933071490757153  # logistic(5), frozen
 
@@ -111,8 +113,22 @@ class TestDistortionsFromFeatures:
         assert table.per_user[0, 1] < table.per_user[0, 3]
 
     def test_rejects_odd_user_count(self):
-        with pytest.raises(ValueError):
-            distortions_from_features(np.eye(3), SimilarityModel())
+        for n in (1, 3, 5):
+            for build in (distortions_from_features, loop_distortions):
+                with pytest.raises(ValueError, match="even"):
+                    build(np.eye(n), SimilarityModel())
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_cosine_rounding_past_one_is_clipped(self, sign):
+        # The unit vector (1, 1, 1)/sqrt(3) dots with itself to 1 + 2**-52.
+        v = np.full(3, 1.0 / math.sqrt(3.0))
+        assert sign * (v @ (sign * v)) > 1.0
+        model = SimilarityModel(kappa=5.0, base_distortion=2.0, similarity_weight=0.5)
+        table = distortions_from_features(np.stack([v, sign * v]), model)
+        edge = 2.0 * (1.0 - 0.5 * similarity_gate(sign, 5.0))
+        assert table.per_user[0, 1] == table.per_user[1, 0] == edge
+        oracle = loop_distortions(np.stack([v, sign * v]), model)
+        assert np.array_equal(table.per_user, oracle.per_user)
 
 
 class TestSynthesize:
@@ -123,6 +139,7 @@ class TestSynthesize:
         assert n == 8
         off = ~np.eye(n, dtype=bool)
         assert np.all(table.per_user[off] > 0)
+        assert np.array_equal(table.per_user, table.per_user.T)
         assert np.allclose(
             table.pair_sum, table.per_user + table.per_user.T, rtol=1e-12
         )
@@ -155,6 +172,50 @@ def test_prop_synthesized_tables_are_valid(seed):
     off = ~np.eye(6, dtype=bool)
     assert np.all(table.per_user[off] >= 0)
     assert np.allclose(table.pair_sum, table.pair_sum.T, rtol=1e-12)
+
+
+@st.composite
+def feature_matrices(draw):
+    """Even N in 2..64, dimension 1..32: unit, scaled or integer rows,
+    sometimes with a NaN or infinite entry."""
+    n = 2 * draw(st.integers(1, 32))
+    dim = draw(st.integers(1, 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["unit", "scaled", "int", "int-valued"]))
+    if kind in ("int", "int-valued"):
+        feats = rng.integers(-3, 4, size=(n, dim))
+        return feats if kind == "int" else feats.astype(float)
+    feats = rng.normal(size=(n, dim))
+    if kind == "unit":
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    else:
+        feats *= draw(st.floats(1e-3, 1e3))
+    poison = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if poison is not None:
+        feats[draw(st.integers(0, n - 1)), draw(st.integers(0, dim - 1))] = poison
+    return feats
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    feats=feature_matrices(),
+    model=st.builds(
+        SimilarityModel,
+        kappa=st.floats(1e-2, 50.0),
+        base_distortion=st.floats(1e-2, 10.0),
+        similarity_weight=st.floats(0.0, 0.99),
+    ),
+)
+def test_prop_array_table_is_the_loop_table_bit_for_bit(feats, model):
+    try:
+        expected = loop_distortions(feats, model)
+    except ValueError:
+        with pytest.raises(ValueError):
+            distortions_from_features(feats, model)
+        return
+    table = distortions_from_features(feats, model)
+    assert np.array_equal(table.per_user, expected.per_user)
+    assert np.array_equal(table.pair_sum, expected.pair_sum)
 
 
 class TestDistortionTableValidation:
