@@ -6,8 +6,10 @@ its pair-bound matrix (the b_min certificate).  Prints one JSON line
 per N: each matching's total cost and pairs, the median CPU
 milliseconds of three solves, and how many of the N(N-1)/2 edges
 networkx was handed; the bound entry also times the bound matrix
-itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate, and
-``generate_ms`` is the median CPU milliseconds of ``generate_scenario``.
+itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate,
+``generate_ms`` is the median CPU milliseconds of ``generate_scenario``,
+and ``kkt_ms`` that of ``kkt_allocate`` on candidate 1 (the cost
+matrix's MWPM) with its pairs' bounds.
 With ``--no-time`` the lines hold answers only, and each total is
 rounded to 9 significant digits, the 1e-9 relative tolerance the
 benchmark references are checked at: a change in a total's last bits
@@ -25,6 +27,7 @@ import statistics
 import time
 
 from pairband import pairing
+from pairband.bandwidth import kkt_allocate
 from pairband.pairing import PairCostMatrix, mwpm
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from pairband.solver import _cost_matrix, _pair_bounds
@@ -70,6 +73,17 @@ def entry(costs: PairCostMatrix, timed: bool) -> dict:
     return out
 
 
+def kkt_ms(scn, costs: PairCostMatrix, bounds) -> float | None:
+    """Median CPU milliseconds of candidate 1's KKT split; None when the
+    cost matrix has no perfect matching."""
+    best = mwpm(costs)
+    if best is None:
+        return None
+    lower = [float(bounds[i, j]) for i, j in best.pairs]
+    times = [cpu_ms(kkt_allocate, list(scn.users), best, scn.cfg, lower)[1] for _ in range(REPEATS)]
+    return round(statistics.median(times), 2)
+
+
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="scenario seed (default 0)")
@@ -92,6 +106,7 @@ def main(argv: list[str] | None = None) -> None:
             line["bound"]["matrix_ms"] = round(bounds_ms, 2)
             times = [cpu_ms(generate_scenario, template, args.seed)[1] for _ in range(REPEATS)]
             line["generate_ms"] = round(statistics.median(times), 2)
+            line["kkt_ms"] = kkt_ms(scn, costs, bounds)
         print(json.dumps(line), flush=True)
 
 

@@ -21,18 +21,20 @@ and gradient there.  Three structural facts make this easy:
   b_k* = max{L_k, G_k^-1(Theta*)}, with Theta* chosen so the
   bandwidths sum to B_max.
 
-* sum_k b_k(Theta) is non-increasing in Theta, hence Theta* is found by
-  plain bisection on (0, Theta_max], Theta_max = max_k G_k(L_k): at or
-  above it every group sits at L_k.
+* sum_k b_k(Theta) is non-increasing in Theta, hence Theta* is one root
+  on (0, Theta_max], Theta_max = max_k G_k(L_k): at or above it every
+  group sits at L_k.  Since G(b) = (p*Q/x^2)*psi(b/x), one Theta gives
+  every b_k = max{L_k, x_k*psi^-1(Theta*x_k^2/(p*Q))} in one array
+  expression.
 
 The bounds' phi^-1 takes three guarded Newton steps from a closed-form
 start, and each finite root is then raised to its hi side: walking up
 from it, the first b with F(b) >= Q/Delta in floating point, so a group
-at its bound always meets the deadline.  The gradient inverse and the
-multiplier are bracketed bisections: inner roots to 1e-12 relative, the
-outer multiplier to 1e-9 relative, so the inner solves always
-out-resolve the outer one.  The energy budget is checked after the
-allocation rather than dualized.
+at its bound always meets the deadline.  psi^-1 is six steps of a
+fixed point, to about 4e-15 relative, and Theta* is found by regula
+falsi on log Theta until the bandwidths fill B_max to 1e-9 relative,
+from below.  The energy budget is checked after the allocation rather
+than dualized.
 
 Across pairings the energy budget is dualized once, to prove that no
 pairing meets it (:func:`energy_infeasible`).  Pricing bandwidth at
@@ -66,7 +68,6 @@ __all__ = [
     "AllocationReport",
     "b_min_user",
     "b_min_pair",
-    "g_inverse",
     "phi_inverse",
     "psi_inverse",
     "energy_dual",
@@ -76,11 +77,11 @@ __all__ = [
     "evaluate_fixed_allocation",
 ]
 
-# Bisection tolerances: inner roots must out-resolve the outer multiplier.
-_INNER_REL_TOL = 1e-12
-_OUTER_REL_TOL = 1e-9
+# The multiplier search stops once the hi side's bandwidths use B_max up
+# to 1e-9 relative; the bandwidth-sum verdict allows the same slack.
+_BAND_TOL = 1e-9
 _MAX_DOUBLINGS = 60
-_MAX_BISECT = 400
+_MAX_STEPS = 400
 
 # phi rises from phi(t) ~ t at 0 to its limit 1/(2 ln 2); three Newton
 # steps from phi_inverse's start leave |phi(t) - s| within about 2 ulps
@@ -89,11 +90,11 @@ _LN2 = math.log(2.0)
 _PHI_LIMIT = f_limit(1.0)
 _PHI_NEWTON_STEPS = 3
 
-# psi(t)*t^2 lies in [1, 3*ln2/2] for every t > 0, so psi(t) = s has its
-# root in [1, 1.02]/sqrt(s); 40 halvings of that bracket (widened for
-# rounding) reach 4e-14 relative.
-_PSI_BRACKET = (0.99, 1.03)
-_PSI_HALVINGS = 40
+# psi(t)*t^2 lies in [1, 3*ln2/2] for every t > 0 and changes by under
+# 1.2 % per unit of ln t, so t <- sqrt(psi(t)*t^2/s) contracts the error
+# of its start 1/sqrt(s) (at most 2 %) by 0.006 a step: six steps reach
+# 4e-15 relative.
+_PSI_STEPS = 6
 
 # The energy bound's search: log theta over [log theta_max - 30,
 # log theta_max], bisected down to 1e-3 wide (15 halvings).
@@ -186,46 +187,6 @@ def b_min_pair(users: list[UserProfile], i, j, cfg: SystemConfig) -> np.ndarray:
     return b_min_user(delta, _pair_links(users, cfg, i, j), cfg.payload_bits)
 
 
-def g_inverse(
-    theta: float,
-    x: float,
-    pq: float,
-    b_hint: float = 1.0e6,
-) -> float:
-    """Unique b with G(b) = theta (G strictly decreasing) at link ``x``
-    and ``pq`` = p*Q, by bisection.
-
-    Halves lo = 1 Hz until G(lo) >= theta and doubles hi = max(2,
-    ``b_hint``) until G(hi) < theta, then bisects to 1e-12 relative.
-    Raises RuntimeError naming g_inverse when either end cannot be
-    pushed past the root.
-    """
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    lo, hi = 1.0, max(2.0, b_hint)
-    for _ in range(_MAX_DOUBLINGS):
-        if g_value(lo, x, pq) >= theta:
-            break
-        lo *= 0.5
-    else:
-        raise RuntimeError(f"g_inverse: bracket expansion failed, root below {lo!r}")
-    for _ in range(_MAX_DOUBLINGS):
-        if g_value(hi, x, pq) < theta:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"g_inverse: bracket expansion failed, root above {hi!r}")
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lo + hi)
-        if g_value(mid, x, pq) >= theta:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _INNER_REL_TOL * hi:
-            break
-    return 0.5 * (lo + hi)
-
-
 def phi_inverse(s: np.ndarray) -> np.ndarray:
     """Elementwise t > 0 with phi(t) = s (:func:`~pairband.channel.phi`)
     for 0 < s < 1/(2 ln 2): F^-1(r) at link x is x * phi_inverse(r/x).
@@ -250,16 +211,12 @@ def phi_inverse(s: np.ndarray) -> np.ndarray:
 
 def psi_inverse(s: np.ndarray) -> np.ndarray:
     """Elementwise t > 0 with psi(t) = s (:func:`~pairband.channel.psi`),
-    by one array bisection: G^-1(theta) at link x and pq = p*Q is
-    x * psi_inverse(theta * x^2 / pq)."""
-    t0 = 1.0 / np.sqrt(s)
-    lo, hi = _PSI_BRACKET[0] * t0, _PSI_BRACKET[1] * t0
-    for _ in range(_PSI_HALVINGS):
-        mid = 0.5 * (lo + hi)
-        left = psi(mid) >= s
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    return 0.5 * (lo + hi)
+    by the fixed point t <- sqrt(psi(t)*t^2/s) from t = 1/sqrt(s):
+    G^-1(theta) at link x and pq = p*Q is x * psi_inverse(theta * x^2 / pq)."""
+    t = 1.0 / np.sqrt(s)
+    for _ in range(_PSI_STEPS):
+        t = np.sqrt(psi(t) * t * t / s)
+    return t
 
 
 def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
@@ -381,7 +338,7 @@ def _report(
     reason = None
     if any(b < lb * (1.0 - 1e-12) for b, lb in zip(bandwidths, lower)):
         reason = "latency"  # covers infeasible pairs too (b_min = inf)
-    elif used > cfg.b_max * (1.0 + _OUTER_REL_TOL):
+    elif used > cfg.b_max * (1.0 + _BAND_TOL):
         reason = "bandwidth_sum"
     elif _exceeds(obj, cfg.e_max - fixed):
         reason = "energy"
@@ -397,13 +354,66 @@ def _report(
     )
 
 
+def _multiplier(
+    lower: list[float], links: list[float], pq: float, b_max: float, theta_max: float
+) -> tuple[float, list[float]]:
+    """(theta*, b(theta*)) with b(theta) = max(L, x*psi^-1(theta*x^2/pq)),
+    by Illinois regula falsi (Dowell & Jarratt 1971) on log theta.
+
+    The bracket starts at theta_max and steps down by ln 2 until
+    sum b > B_max, each step short of it becoming the hi side; from then
+    on sum b(theta_hi) <= B_max < sum b(theta_lo).  The search stops
+    once B_max - sum b(theta_hi) <= 1e-9*B_max and returns that side,
+    so the bandwidths never overfill the band.  RuntimeError when either
+    phase takes more than 400 steps.
+    """
+    bound, x = np.array(lower), np.array(links)
+    scale = x * x / pq
+
+    def excess(y: float) -> tuple[float, np.ndarray]:
+        b = np.maximum(bound, x * psi_inverse(math.exp(y) * scale))
+        return float(b.sum()) - b_max, b
+
+    hi = math.log(theta_max)
+    f_hi, b_hi = excess(hi)
+    lo = hi
+    for _ in range(_MAX_STEPS):
+        lo -= _LN2
+        f_lo, b_lo = excess(lo)
+        if f_lo > 0.0:
+            break
+        hi, f_hi, b_hi = lo, f_lo, b_lo
+    else:
+        raise RuntimeError("could not bracket the bandwidth multiplier from below")
+
+    # The secant runs through (lo, w_lo) and (hi, w_hi), the ends'
+    # excesses, except that an end kept twice in a row has its w halved
+    # (the Illinois rule), so neither end stalls.
+    w_lo, w_hi, kept = f_lo, f_hi, 0
+    for _ in range(_MAX_STEPS):
+        if -f_hi <= _BAND_TOL * b_max:
+            return math.exp(hi), b_hi.tolist()
+        y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
+        f_y, b_y = excess(y)
+        if f_y > 0.0:
+            if kept > 0:
+                w_hi *= 0.5
+            lo, w_lo, kept = y, f_y, 1
+        else:
+            if kept < 0:
+                w_lo *= 0.5
+            hi, f_hi, b_hi, w_hi, kept = y, f_y, b_y, f_y, -1
+    raise RuntimeError("bandwidth multiplier search did not converge")
+
+
 def kkt_allocate(
     users: list[UserProfile],
     matching,
     cfg: SystemConfig,
     bounds: list[float],
 ) -> AllocationReport:
-    """Optimal bandwidth split for one matching via multiplier bisection.
+    """Optimal bandwidth split for one matching: the KKT multiplier
+    theta* at which the groups' bandwidths fill B_max (:func:`_multiplier`).
 
     ``matching.pairs`` index ``users``; ``bounds`` are the pairs'
     minimum bandwidths (:func:`b_min_pair`).  When any is +inf no
@@ -429,52 +439,19 @@ def kkt_allocate(
     pq = cfg.power * cfg.payload_bits
     sum_lower = math.fsum(lower)
 
-    if sum_lower > cfg.b_max * (1.0 + _OUTER_REL_TOL):
+    if sum_lower > cfg.b_max * (1.0 + _BAND_TOL):
         return _report(users, links, cfg, lower, lower)
 
     # Theta_max: the largest gradient value any group attains at its
     # lower bound; above it every group sits at L_k.
     theta_max = max(g_value(lb, x, pq) for lb, x in zip(lower, links))
 
-    if cfg.b_max - sum_lower <= _OUTER_REL_TOL * cfg.b_max:
+    if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:
         # Degenerate corner: the lower bounds already exhaust the band.
-        b_star = list(lower)
+        b_star = lower
         theta_star = theta_max
     else:
-        def allocation_at(theta: float) -> list[float]:
-            return [
-                max(lb, g_inverse(theta, x, pq, cfg.b_max))
-                for lb, x in zip(lower, links)
-            ]
-
-        total_at = lambda th: sum(allocation_at(th))
-        hi = theta_max
-        lo = 0.5 * theta_max
-        for _ in range(_MAX_BISECT):
-            if total_at(lo) >= cfg.b_max:
-                break
-            lo *= 0.5
-        else:
-            raise RuntimeError("could not bracket the bandwidth multiplier from below")
-
-        # Invariant: total(hi) <= B_max <= total(lo); shrink until the
-        # hi-side allocation uses the band up to tolerance, then return
-        # that side so sum(b) never exceeds B_max.
-        t_hi = total_at(hi)
-        for _ in range(_MAX_BISECT):
-            if cfg.b_max - t_hi <= _OUTER_REL_TOL * cfg.b_max:
-                break
-            mid = 0.5 * (lo + hi)
-            t_mid = total_at(mid)
-            if t_mid >= cfg.b_max:
-                lo = mid
-            else:
-                hi, t_hi = mid, t_mid
-        else:
-            raise RuntimeError("bandwidth multiplier bisection did not converge")
-
-        theta_star = hi
-        b_star = allocation_at(theta_star)
+        theta_star, b_star = _multiplier(lower, links, pq, cfg.b_max, theta_max)
 
     return _report(users, links, cfg, lower, b_star, theta_star)
 

@@ -243,6 +243,90 @@ def bisection_b_min(delta: float, x: float, payload_bits: float, b_hint: float =
 
 
 # ---------------------------------------------------------------------------
+# Allocator oracle: the scalar gradient inverse and the multiplier bisection
+# the KKT split used before it became one array expression per multiplier.
+
+
+def bisection_g_inverse(theta: float, x: float, pq: float, b_hint: float = 1.0e6) -> float:
+    """Unique b with G(b) = theta (G strictly decreasing) at link ``x``
+    and ``pq`` = p*Q, by bisection.
+
+    Halves lo = 1 Hz until G(lo) >= theta and doubles hi = max(2,
+    ``b_hint``) until G(hi) < theta, 60 times at most each (RuntimeError
+    naming the function beyond), then bisects to 1e-12 relative.
+    """
+    if theta <= 0.0:
+        raise ValueError(f"theta must be positive, got {theta}")
+    lo, hi = 1.0, max(2.0, b_hint)
+    for _ in range(60):
+        if g_value(lo, x, pq) >= theta:
+            break
+        lo *= 0.5
+    else:
+        raise RuntimeError(f"bisection_g_inverse: root below {lo!r}")
+    for _ in range(60):
+        if g_value(hi, x, pq) < theta:
+            break
+        hi *= 2.0
+    else:
+        raise RuntimeError(f"bisection_g_inverse: root above {hi!r}")
+    for _ in range(400):
+        mid = 0.5 * (lo + hi)
+        if g_value(mid, x, pq) >= theta:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * hi:
+            break
+    return 0.5 * (lo + hi)
+
+
+def bisection_kkt(
+    lower: list[float], links: list[float], pq: float, b_max: float
+) -> tuple[float, list[float]]:
+    """(theta*, bandwidths) of the KKT split with finite bounds ``lower``
+    at pair links ``links``, by bisection on theta.
+
+    (nan, lower) when sum(lower) exceeds B_max by more than 1e-9
+    relative; (theta_max, lower) when it fills B_max to within 1e-9.
+    Otherwise b(theta) = max(L, G^-1(theta)) with the scalar
+    :func:`bisection_g_inverse`: theta halves down from theta_max / 2
+    until sum b >= B_max, then bisects keeping sum b(hi) <= B_max <=
+    sum b(lo) until B_max - sum b(hi) <= 1e-9*B_max, and returns hi.
+    """
+    sum_lower = math.fsum(lower)
+    if sum_lower > b_max * (1.0 + 1e-9):
+        return math.nan, list(lower)
+    theta_max = max(g_value(lb, x, pq) for lb, x in zip(lower, links))
+    if b_max - sum_lower <= 1e-9 * b_max:
+        return theta_max, list(lower)
+
+    def allocation_at(theta: float) -> list[float]:
+        return [max(lb, bisection_g_inverse(theta, x, pq, b_max)) for lb, x in zip(lower, links)]
+
+    hi, lo = theta_max, 0.5 * theta_max
+    for _ in range(400):
+        if sum(allocation_at(lo)) >= b_max:
+            break
+        lo *= 0.5
+    else:
+        raise RuntimeError("bisection_kkt: no multiplier fills the band")
+    t_hi = sum(allocation_at(hi))
+    for _ in range(400):
+        if b_max - t_hi <= 1e-9 * b_max:
+            break
+        mid = 0.5 * (lo + hi)
+        t_mid = sum(allocation_at(mid))
+        if t_mid >= b_max:
+            lo = mid
+        else:
+            hi, t_hi = mid, t_mid
+    else:
+        raise RuntimeError("bisection_kkt: did not converge")
+    return hi, allocation_at(hi)
+
+
+# ---------------------------------------------------------------------------
 # Table oracle: the per-ordered-pair loop the synthetic distortion table
 # was built with before it became one array pass over unordered pairs.
 

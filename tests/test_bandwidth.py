@@ -1,11 +1,11 @@
 """Bandwidth allocation: minimum-bandwidth roots, the gradient inverse,
-and the multiplier-bisection allocator with its KKT certificates.
+and the KKT multiplier allocator with its certificates.
 
 Root finders are validated by forward construction (pick the answer,
-build the problem) and, for the minimum-bandwidth roots, against the
-scalar bisection oracle in ``support``; the allocator is validated
-against stationarity / complementary-slackness residuals and a dense
-grid oracle.
+build the problem) and against the scalar bisection oracles in
+``support``; the allocator is validated against the oracle's
+multiplier bisection, stationarity / complementary-slackness residuals
+and a dense grid oracle.
 """
 
 import math
@@ -26,7 +26,6 @@ from pairband.bandwidth import (
     energy_dual,
     energy_infeasible,
     evaluate_fixed_allocation,
-    g_inverse,
     kkt_allocate,
     phi_inverse,
     psi_inverse,
@@ -46,6 +45,8 @@ from support import (
     all_matchings,
     assert_kkt_certificates,
     bisection_b_min,
+    bisection_g_inverse,
+    bisection_kkt,
     consecutive_matching,
     group_airtime,
     make_cfg,
@@ -232,13 +233,27 @@ class TestPhiInverse:
 # Gradient inverse and per-pair KKT bandwidth
 
 
+def _array_g_inverse(theta: float, x: float, pq: float) -> float:
+    """G^-1(theta) at link x as the allocator computes it: x *
+    psi_inverse(theta * x^2 / pq)."""
+    return x * float(psi_inverse(np.array(theta * x * x / pq)))
+
+
+_GRADIENT_INVERSES = [bisection_g_inverse, _array_g_inverse]
+
+
 class TestGInverse:
+    """G^-1 two ways: the scalar bisection the allocator oracle is built
+    on, and the allocator's array form (the error cases are the
+    oracle's)."""
+
     def test_roundtrip_through_gradient(self):
         x = make_link(gain=2e-12)
         pq = 1.0 * 1.3e6
         for b0 in (1e4, 1e5, 1e6, 1e7, 1e8):
             theta = g_value(b0, x, pq)
-            assert g_inverse(theta, x, pq) == pytest.approx(b0, rel=1e-9)
+            for g_inverse in _GRADIENT_INVERSES:
+                assert g_inverse(theta, x, pq) == pytest.approx(b0, rel=1e-9)
 
     def test_gradient_of_inverse_is_theta(self):
         rng = np.random.default_rng(3)
@@ -248,25 +263,27 @@ class TestGInverse:
             pq = power * float(rng.uniform(5e5, 5e6))
             b0 = float(10.0 ** rng.uniform(4, 8))
             theta = g_value(b0, x, pq)
-            b = g_inverse(theta, x, pq)
-            assert g_value(b, x, pq) == pytest.approx(theta, rel=1e-9)
+            for g_inverse in _GRADIENT_INVERSES:
+                b = g_inverse(theta, x, pq)
+                assert g_value(b, x, pq) == pytest.approx(theta, rel=1e-9)
 
     def test_decreasing_in_theta(self):
         x = make_link()
         q = 1.3e6
         thetas = [g_value(b, x, q) for b in (1e5, 1e6, 1e7)]
-        bs = [g_inverse(t, x, q) for t in thetas]
         assert thetas[0] > thetas[1] > thetas[2]
-        assert bs[0] < bs[1] < bs[2]
+        for g_inverse in _GRADIENT_INVERSES:
+            bs = [g_inverse(t, x, q) for t in thetas]
+            assert bs[0] < bs[1] < bs[2]
 
     def test_rejects_nonpositive_theta(self):
         with pytest.raises(ValueError):
-            g_inverse(0.0, make_link(), 1.3e6)
+            bisection_g_inverse(0.0, make_link(), 1.3e6)
 
     def test_unbracketable_theta_names_the_root_finder(self):
         # G(b) stays far below 1e300 down to 2^-60 Hz.
         with pytest.raises(RuntimeError, match="g_inverse"):
-            g_inverse(1e300, make_link(), 1.3e6)
+            bisection_g_inverse(1e300, make_link(), 1.3e6)
 
 
 class TestPsiInverse:
@@ -278,11 +295,15 @@ class TestPsiInverse:
         thetas = np.array([g_value(float(v) * x, x, pq) for v in t])
         arr = x * psi_inverse(thetas * x * x / pq)
         for theta, b in zip(thetas, arr):
-            assert b == pytest.approx(g_inverse(float(theta), x, pq), rel=1e-9)
+            assert b == pytest.approx(bisection_g_inverse(float(theta), x, pq), rel=1e-9)
 
     def test_roundtrip_through_psi(self):
         s = np.logspace(-30.0, 30.0, 61)
-        assert psi(psi_inverse(s)) == pytest.approx(s, rel=1e-11)
+        assert psi(psi_inverse(s)) == pytest.approx(s, rel=1e-11, abs=0.0)
+
+    def test_roundtrip_through_t(self):
+        t = np.logspace(-8.0, 12.0, 401)
+        assert psi_inverse(psi(t)) == pytest.approx(t, rel=1e-14, abs=0.0)
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -310,7 +331,7 @@ class TestTildeB:
         for u in (i, j):
             x = cfg.link(u, 1.0)
             assert b == pytest.approx(
-                g_inverse(theta, x, cfg.payload_bits, cfg.b_max), rel=1e-12
+                bisection_g_inverse(theta, x, cfg.payload_bits, cfg.b_max), rel=1e-12
             )
 
     def test_weaker_user_owns_the_bandwidth(self):
@@ -329,9 +350,9 @@ class TestTildeB:
         q = cfg.payload_bits
         x_w = cfg.link(weak, 1.0)
         x_s = cfg.link(strong, 1.0)
-        assert b == pytest.approx(g_inverse(theta, x_w, q, cfg.b_max), rel=1e-12)
+        assert b == pytest.approx(bisection_g_inverse(theta, x_w, q, cfg.b_max), rel=1e-12)
         # The stronger user's inverse is a different bandwidth.
-        assert abs(g_inverse(theta, x_s, q, cfg.b_max) - b) > 1e-5 * b
+        assert abs(bisection_g_inverse(theta, x_s, q, cfg.b_max) - b) > 1e-5 * b
 
     def test_decreasing_in_theta(self):
         # Widening the band lowers theta* and raises every share above
@@ -651,6 +672,66 @@ def test_prop_objective_is_sum_of_transmit_energies(instance):
             )
         )
         assert report.objective == pytest.approx(expect, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The allocator against the multiplier-bisection oracle
+
+
+@st.composite
+def _kkt_draw(draw):
+    """(users, cfg, matching, bounds) of K = 1-8 groups with random links,
+    p*Q, bounds and B_max.  B_max is drawn by case: with room to spare;
+    within a few 1e-9 of sum(L), the degenerate corner; with one group's
+    bound 1e3 times the rest, so that it sits at its bound; 1e20 Hz, the
+    wide band; or short of sum(L)."""
+    k = draw(st.integers(min_value=1, max_value=8))
+    users = [u for g in range(k) for u in draw(user_pair(2 * g))]
+    power = draw(st.floats(min_value=0.25, max_value=4.0))
+    payload = draw(st.floats(min_value=1e5, max_value=1e7))
+    case = draw(st.sampled_from(["room", "corner", "pinned", "wide", "short"]))
+    cfg = make_cfg(2 * k, power=power, payload=payload)
+    matching = consecutive_matching(2 * k)
+    # Bounds as multiples of each pair's link: from deep in the rate's
+    # linear range to well into its saturation.
+    shares = st.floats(min_value=1e-4, max_value=10.0)
+    bounds = [pair_link(users[a], users[b], cfg) * draw(shares) for a, b in matching.pairs]
+    if case == "pinned":
+        bounds[0] *= 1e3
+    total = math.fsum(bounds)
+    b_max = {
+        "room": total * (1.0 + draw(st.floats(min_value=1e-6, max_value=100.0))),
+        "corner": total * (1.0 + draw(st.floats(min_value=-5e-9, max_value=5e-9))),
+        "pinned": total * (1.0 + draw(st.floats(min_value=1e-3, max_value=0.5))),
+        "wide": 1e20,
+        "short": total * draw(st.floats(min_value=0.5, max_value=1.0 - 2e-9)),
+    }[case]
+    event(f"case {case}")
+    return users, replace(cfg, b_max=b_max), matching, bounds
+
+
+@settings(max_examples=150, deadline=None)
+@given(draw=_kkt_draw())
+def test_prop_kkt_allocate_matches_the_bisection_oracle(draw):
+    users, cfg, matching, bounds = draw
+    report = kkt_allocate(users, matching, cfg, bounds)
+    links = [pair_link(users[a], users[b], cfg) for a, b in matching.pairs]
+    _, oracle = bisection_kkt(bounds, links, cfg.power * cfg.payload_bits, cfg.b_max)
+    scored = evaluate_fixed_allocation(users, matching, cfg, bounds, oracle)
+    assert report.infeasibility_reason == scored.infeasibility_reason
+    assert all(b >= lb for b, lb in zip(report.bandwidths, bounds))
+    if report.infeasibility_reason == "bandwidth_sum":
+        assert report.bandwidths == tuple(bounds) == tuple(oracle)
+        return
+    assert math.fsum(report.bandwidths) <= cfg.b_max * (1.0 + 1e-9)
+    # Both searches stop by one rule, B_max - sum b <= 1e-9*B_max, on one
+    # curve b(theta) whose entries all move the same way with theta, so
+    # their gaps add up to at most 1e-9*B_max, plus the oracle's 1e-12
+    # roots.  Against its own size, a group that holds a small share of
+    # the band may move by more than that.
+    gaps = [abs(b - expect) for b, expect in zip(report.bandwidths, oracle, strict=True)]
+    assert math.fsum(gaps) <= 2e-9 * cfg.b_max
+    event(f"groups at their bound: {sum(b == lb for b, lb in zip(report.bandwidths, bounds))}")
 
 
 # ---------------------------------------------------------------------------

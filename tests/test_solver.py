@@ -2,9 +2,12 @@
 exhaustive oracle, the four baselines against their definitions, and
 the sweep driver's aggregation and parallel determinism."""
 
+import importlib.util
 import math
 import time
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -366,6 +369,56 @@ def _count_calls(monkeypatch, owner, name: str) -> list:
 
     monkeypatch.setattr(owner, name, spy)
     return calls
+
+
+def _walk_set_module():
+    """``scripts/walk_set.py``, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "walk_set.py"
+    spec = importlib.util.spec_from_file_location("walk_set", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
+    # Every energy bound the solver runs on the walk set and on the
+    # energy-tight benchmark pool (N=16, 5 MHz, 110 J, seeds 0-119), with
+    # its verdict and the number of q(theta) it probed.  The bound starts
+    # at the rejected candidate's KKT multiplier, so an allocator that
+    # moves in its last digits must move none of them.
+    calls, probed, key = [], [], [None]
+    bound, dual = solver.energy_infeasible, bandwidth.energy_dual
+
+    def counted_dual(*args):
+        q, theta_max = dual(*args)
+
+        def counted(theta):
+            probed.append(theta)
+            return q(theta)
+
+        return counted, theta_max
+
+    def spy(*args):
+        probed.clear()
+        verdict = bound(*args)
+        calls.append((key[0], verdict, len(probed)))
+        return verdict
+
+    monkeypatch.setattr(bandwidth, "energy_dual", counted_dual)
+    monkeypatch.setattr(solver, "energy_infeasible", spy)
+    template = ScenarioTemplate(b_max=5.0e6, e_max=110.0)
+    for seed in range(120):
+        key[0] = f"pool-s{seed}"
+        solve_proposed(generate_scenario(template, seed))
+    assert Counter((v, n) for _, v, n in calls) == {(True, 1): 41}
+    calls.clear()
+    walks = _walk_set_module()
+    for key[0], _, scn in walks.walk_set():
+        solve_proposed(scn)
+    assert Counter((v, n) for _, v, n in calls) == {(True, 1): 103, (False, 2): 19}
+    silent = {k for k, v, _ in calls if not v}
+    loud_under = {"n6-s4-under-c1", "n8-s0-under-c1", "n8-s8-under-c1"}
+    assert silent == {f"n{n}-s{s}-under-c1" for n, s in walks.SCENARIOS} - loud_under
 
 
 def _costs(scn):
