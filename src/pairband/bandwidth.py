@@ -127,28 +127,18 @@ def _exceeds(value: float, limit: float) -> bool:
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
 
 
-def _hi_side(b: float, x: float, target: float) -> float:
-    """``b`` raised until F(b, x) >= target, by increments that start at
-    one ulp and double; +inf when _MAX_DOUBLINGS rate evaluations do not
-    get there (the rate never reaches ``target`` in floating point)."""
-    step = math.ulp(b)
-    for _ in range(_MAX_DOUBLINGS):
-        if f_value(b, x) >= target:
-            return b
-        b += step
-        step *= 2.0
-    return math.inf
-
-
 def b_min_user(delta, x, payload_bits: float):
     """Unique root of F(b, x) = Q/delta, elementwise over ``delta`` and
     ``x`` (scalars or arrays), +inf where no root exists.
 
     The root exists iff delta > 0 and Q/delta < f_limit (the required
     rate must sit below the saturation rate).  It is x*phi^-1(Q/(delta*x))
-    (:func:`phi_inverse`), raised to its hi side: F(root) >= Q/delta holds
-    as evaluated by :func:`~pairband.channel.f_value`.  Returns a float
-    for scalar arguments and an array otherwise.
+    (:func:`phi_inverse`), raised to its hi side, where F(root) >= Q/delta
+    holds as evaluated by :func:`~pairband.channel.f_value`.  All roots
+    walk up together, each by increments that start at one ulp and
+    double; a root is +inf where _MAX_DOUBLINGS rate evaluations do not
+    get there (the rate never reaches Q/delta in floating point).
+    Returns a float for scalar arguments and an array otherwise.
     """
     delta, x = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(x, dtype=float))
     positive = delta > 0.0
@@ -157,10 +147,15 @@ def b_min_user(delta, x, payload_bits: float):
     roots = np.full(delta.shape, math.inf)
     xs, ts = x[found], target[found]
     # F(b) < b, so the root lies above the demanded rate Q/delta.
-    start = np.maximum(xs * phi_inverse(ts / xs), ts)
-    roots[found] = [
-        _hi_side(b, xk, tk) for b, xk, tk in zip(start.tolist(), xs.tolist(), ts.tolist())
-    ]
+    b = np.maximum(xs * phi_inverse(ts / xs), ts)
+    step = np.spacing(b)
+    for _ in range(_MAX_DOUBLINGS):
+        short = f_value(b, xs) < ts
+        if not short.any():
+            break
+        b = np.where(short, b + step, b)
+        step *= 2.0
+    roots[found] = np.where(short, math.inf, b)
     return float(roots) if roots.ndim == 0 else roots
 
 
@@ -276,11 +271,9 @@ def energy_infeasible(
     budget = cfg.e_max - e_const(users, cfg)
     margin = 1e-9 * max(abs(budget), 1.0)
     q, theta_max = energy_dual(users, cfg, bounds)
+    links = [pair_link(users[u], users[v], cfg) for u, v in pairs]
     pq = cfg.power * cfg.payload_bits
-    theta = max(
-        g_value(b, pair_link(users[u], users[v], cfg), pq)
-        for (u, v), b in zip(pairs, bandwidths)
-    )
+    theta = float(np.max(g_value(np.array(bandwidths), np.array(links), pq)))
     hi = math.log(theta_max)
     lo = hi - _LOG_THETA_SPAN
     # The nearest probes left and right of the maximiser, as (theta, q,
@@ -306,14 +299,6 @@ def energy_infeasible(
         theta = math.exp(0.5 * (lo + hi))
 
 
-def _xi(b: float, x: float, Q: float) -> float:
-    """Group airtime xi(b) = Q/F(b) at the pair's link x [s]."""
-    fv = f_value(b, x)
-    if fv <= 0.0:
-        return math.inf
-    return Q / fv
-
-
 def _report(
     users: list[UserProfile],
     links: list[float],
@@ -329,9 +314,10 @@ def _report(
     bandwidth_sum, then energy); ``theta_star`` is kept only when none
     is violated.
     """
-    p = cfg.power
+    # p times each group's airtime xi(b) = Q/F(b), inf at zero rate.
+    rates = f_value(np.array(bandwidths, dtype=float), np.array(links)).tolist()
     obj = math.fsum(
-        p * _xi(b, x, cfg.payload_bits) for x, b in zip(links, bandwidths)
+        cfg.power * (cfg.payload_bits / r) if r > 0.0 else math.inf for r in rates
     )
     used = math.fsum(bandwidths)
     fixed = e_const(users, cfg)
@@ -444,7 +430,7 @@ def kkt_allocate(
 
     # Theta_max: the largest gradient value any group attains at its
     # lower bound; above it every group sits at L_k.
-    theta_max = max(g_value(lb, x, pq) for lb, x in zip(lower, links))
+    theta_max = float(np.max(g_value(np.array(lower), np.array(links), pq)))
 
     if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:
         # Degenerate corner: the lower bounds already exhaust the band.
@@ -481,7 +467,10 @@ def evaluate_fixed_allocation(
     minimum bandwidths, as for :func:`kkt_allocate`.  Feasibility is
     evaluated, not enforced: the report carries the first violated
     budget so baseline strategies can still be compared on infeasible
-    draws.
+    draws.  ValueError unless ``bounds`` and ``bandwidths`` have one
+    entry per group.
     """
+    if not len(bounds) == len(bandwidths) == len(matching.pairs):
+        raise ValueError("bounds and bandwidths must have one entry per group")
     links = [pair_link(users[a], users[b], cfg) for a, b in matching.pairs]
     return _report(users, links, cfg, bounds, bandwidths)

@@ -19,10 +19,11 @@ gradient map G(b) = p*Q*F'(b)/F(b)^2 is strictly decreasing.  F also
 grows with x at every b, so of the two users sharing a group the one
 with the smaller x is the slower one at every bandwidth.
 
-Both scale out of the link: F(b) = x*phi(b/x) and G(b) = (p*Q/x^2) *
-psi(b/x), with the universal phi(t) = t*log2(1 + 1/(2t + 1)) and psi =
-phi'/phi^2.  :func:`phi` and :func:`psi` evaluate them on arrays, for
-the energy bound that prices every pair at once.
+The law itself is one universal function of t = b/x: F(b) = x*phi(b/x),
+F'(b) = phi'(b/x) and G(b) = (p*Q/x^2)*psi(b/x), with phi(t) =
+t*log2(1 + 1/(2t + 1)) and psi = phi'/phi^2.  Every function here is
+elementwise, on scalars or numpy arrays, so a whole matching's or every
+pair's rates are one call.
 """
 
 from __future__ import annotations
@@ -85,43 +86,27 @@ class ChannelGain:
             raise ValueError("gain_linear must be positive and finite")
 
 
-def f_value(b: float, x: float) -> float:
-    """Per-user rate F(b) = b*log2(1 + x/(2b + x)) in bits/s, for the
-    link x = g*p/N0 [Hz].
+def f_value(b, x):
+    """Per-user rate F(b) = b*log2(1 + x/(2b + x)) = x*phi(b/x) in bits/s,
+    for the link x = g*p/N0 [Hz], elementwise over scalars or arrays.
 
-    Continuously extended to 0 at b = 0 so downstream bisection brackets
-    never need a special case.
+    F(0) = 0, so downstream brackets never need a special case.
     """
-    if b < 0:
+    # count_nonzero, not np.any: on a scalar np.any costs several times
+    # the rest of the call.
+    if np.count_nonzero(b < 0):
         raise ValueError("bandwidth must be non-negative")
-    if b == 0.0:
-        return 0.0
-    # log1p keeps precision when b is huge and x/(2b + x) is tiny.
-    return b * math.log1p(x / (2.0 * b + x)) / _LN2
+    return x * phi(b / x)
 
 
-def _log1p_minus_series(u):
-    """log1p(u) - u from its series, for u below _SERIES_BELOW (scalar or
-    array)."""
-    series = 0.0
-    for c in _SERIES:
-        series = c + u * series
-    return u * u * series
+def f_prime(b, x):
+    """Derivative F'(b) = phi'(b/x) > 0, elementwise over scalars or arrays.
 
-
-def f_prime(b: float, x: float) -> float:
-    """Closed-form derivative F'(b) > 0.
-
-    F'(b) = log2((2b + 2x)/(2b + x)) - 2b*x / (ln2 * (2b + 2x) * (2b + x)),
-    computed as ln2*F' = (log1p(u) - u) + u*x/(b + x) with u = x/(2b + x):
-    in the wide band both forms' two terms nearly cancel, and this one
-    takes the small difference log1p(u) - u from its series.
+    F'(b) = log2((2b + 2x)/(2b + x)) - 2b*x / (ln2 * (2b + 2x) * (2b + x)).
     """
-    if b <= 0:
+    if np.count_nonzero(b <= 0):
         raise ValueError("bandwidth must be positive")
-    u = x / (2.0 * b + x)
-    head = _log1p_minus_series(u) if u < _SERIES_BELOW else math.log1p(u) - u
-    return (head + u * x / (b + x)) / _LN2
+    return _phi_prime(b / x)
 
 
 def f_limit(x: float) -> float:
@@ -129,30 +114,49 @@ def f_limit(x: float) -> float:
     return x / (2.0 * _LN2)
 
 
-def g_value(b: float, x: float, pq: float) -> float:
-    """Gradient map G(b) = p*Q*F'(b)/F(b)^2, strictly decreasing in b.
+def g_value(b, x, pq):
+    """Gradient map G(b) = p*Q*F'(b)/F(b)^2 = (pq/x^2)*psi(b/x), strictly
+    decreasing in b, elementwise over scalars or arrays.
 
     This is -d/db [p*Q/F(b)] with ``pq`` = p*Q, the marginal energy
     saving of widening the group's band; the water-filling allocator
     equalizes it across groups.
     """
-    if b <= 0:
+    if np.count_nonzero(b <= 0):
         raise ValueError("bandwidth must be positive")
-    fv = f_value(b, x)
-    return pq * f_prime(b, x) / (fv * fv)
+    return pq / (x * x) * psi(b / x)
+
+
+def _log1p_minus_series(u):
+    """log1p(u) - u from its series, for u below _SERIES_BELOW."""
+    series = 0.0
+    for c in _SERIES:
+        series = c + u * series
+    return u * u * series
+
+
+def _phi_prime(t):
+    """phi'(t) = (log1p(u) - u + u/(t + 1))/ln2 with u = 1/(2t + 1).
+
+    In the wide band log1p(u) and u nearly cancel, so their difference
+    comes from its series wherever u is below _SERIES_BELOW; the series
+    is evaluated only when some u is.
+    """
+    u = 1.0 / (2.0 * t + 1.0)
+    head = np.log1p(u) - u
+    small = u < _SERIES_BELOW
+    if np.count_nonzero(small):
+        head = np.where(small, _log1p_minus_series(u), head)
+    return (head + u / (t + 1.0)) / _LN2
 
 
 def phi(t):
     """phi(t) = t*log2(1 + 1/(2t + 1)), the rate at link 1 and bandwidth
-    t, elementwise on an array of t > 0: F(b, x) = x*phi(b/x)."""
+    t, elementwise: F(b, x) = x*phi(b/x)."""
     return t * np.log1p(1.0 / (2.0 * t + 1.0)) / _LN2
 
 
 def psi(t):
-    """psi(t) = phi'(t)/phi(t)^2, elementwise on an array of t > 0:
+    """psi(t) = phi'(t)/phi(t)^2, elementwise on t > 0:
     G(b, x, pq) = (pq/x^2)*psi(b/x), strictly decreasing like G."""
-    u = 1.0 / (2.0 * t + 1.0)
-    log_term = np.log1p(u)
-    head = np.where(u < _SERIES_BELOW, _log1p_minus_series(u), log_term - u)
-    # phi' = (head + u/(t + 1))/ln2 and phi = t*log_term/ln2.
-    return _LN2 * (head + u / (t + 1.0)) / (t * log_term) ** 2
+    return _phi_prime(t) / np.square(phi(t))

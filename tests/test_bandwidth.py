@@ -151,6 +151,27 @@ class TestBMinUser:
             return
         assert math.isinf(b) == math.isinf(oracle)
 
+    def test_saturation_edge_in_one_array_call_matches_the_scalar_roots(self):
+        # Every (x, eps) case of the test above, plus a target at the
+        # limit itself, as one call: the hi-side walk runs on the whole
+        # array, and the roots it cannot reach are +inf among finite ones.
+        q = 1.3e6
+        xs, deltas = [], []
+        for x in (2.3e5, 3.7e7, 1e9):
+            limit = f_limit(x)
+            for eps in (1e-6, 1e-9, 1e-11, 1e-13, 1e-15, 0.0):
+                xs.append(x)
+                deltas.append(q / (limit * (1.0 - eps)))
+            xs.append(x)
+            deltas.append(q / math.nextafter(limit, 0.0))
+        start = time.perf_counter()
+        roots = b_min_user(np.array(deltas), np.array(xs), q)
+        assert time.perf_counter() - start < 0.5
+        assert roots.tolist() == [b_min_user(d, x, q) for d, x in zip(deltas, xs)]
+        finite = np.isfinite(roots)
+        assert 0 < finite.sum() < len(roots) - 3  # not only the three at the limit
+        assert np.all(f_value(roots[finite], np.array(xs)[finite]) >= q / np.array(deltas)[finite])
+
 
 def _one_pair_bound(i, j, cfg):
     """b_min_pair of the single pair (i, j)."""
@@ -589,6 +610,23 @@ class TestEvaluateFixedAllocation:
         assert not scored.feasible
         assert scored.infeasibility_reason == "energy"
         assert scored.energy_total == pytest.approx(e_const(users, cfg) + scored.objective)
+
+    def test_rejects_bounds_or_bandwidths_not_one_per_group(self):
+        # Scoring 3 shares of 8 groups once read as a feasible split of
+        # a fraction of the energy; a single share must not broadcast.
+        scn = generate_scenario(ScenarioTemplate(b_max=40e6), 0)
+        users, cfg = list(scn.users), scn.cfg
+        matching = Matching(pairs=solver.channel_balanced_matching(users), total_cost=0.0)
+        bounds = _bounds(users, matching, cfg)
+        shares = [cfg.b_max / len(bounds)] * len(bounds)
+        assert evaluate_fixed_allocation(users, matching, cfg, bounds, shares).feasible
+        for short_bounds, short_shares in [
+            (bounds, shares[:3]),
+            (bounds, shares[:1]),
+            (bounds[:2], shares),
+        ]:
+            with pytest.raises(ValueError, match="one entry per group"):
+                evaluate_fixed_allocation(users, matching, cfg, short_bounds, short_shares)
 
 
 # ---------------------------------------------------------------------------

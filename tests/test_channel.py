@@ -39,6 +39,37 @@ def char_bandwidth(x: float) -> float:
     return x / 2.0
 
 
+def rate_reference(mp, b, x):
+    """F(b) = b*log2(1 + x/(2b + x)) in mpmath ``mp``."""
+    return b * mp.log(1 + x / (2 * b + x)) / mp.log(2)
+
+
+def slope_reference(mp, b, x):
+    """F'(b) = log2((2b + 2x)/(2b + x)) - 2bx/(ln2*(2b + 2x)*(2b + x))
+    in mpmath ``mp``."""
+    ln2 = mp.log(2)
+    return mp.log((2 * b + 2 * x) / (2 * b + x)) / ln2 - 2 * b * x / (
+        ln2 * (2 * b + 2 * x) * (2 * b + x)
+    )
+
+
+def assert_matches_reference(fn, reference, rel: float) -> None:
+    """``fn(b, x)`` within ``rel`` of ``reference(mpmath, b, x)`` at 50
+    digits, for b/x from 1e-6 into the wide band at 1e14 and three
+    links.  Each b is evaluated as a scalar and once more inside one
+    array call over all of them, and the two must be bit-equal."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in (1.0, make_link(), 2.5e10):
+            bs = np.logspace(-6.0, 14.0, 121) * x
+            together = fn(bs, x)
+            for b, value in zip(bs.tolist(), together.tolist()):
+                alone = fn(b, x)
+                assert value == alone
+                ref = reference(mpmath, mpmath.mpf(b), mpmath.mpf(x))
+                assert abs(alone - ref) <= rel * ref
+
+
 # ---------------------------------------------------------------------------
 # Path loss and shadowing
 
@@ -104,9 +135,18 @@ class TestRateParamsValidation:
             cfg.link(make_user(0, gain=fields["gain"]), cfg.power)
 
     def test_rejects_negative_bandwidth(self):
-        # Bandwidth is the rate's argument, not a link field.
-        with pytest.raises(ValueError):
-            f_value(-1.0, make_link())
+        # Bandwidth is the rate's argument, not a link field; one negative
+        # entry of an array is enough.
+        for b in (-1.0, np.array([1.0e6, -1.0])):
+            with pytest.raises(ValueError, match="non-negative"):
+                f_value(b, make_link())
+
+    def test_derivative_and_gradient_reject_nonpositive_bandwidth(self):
+        for b in (0.0, -1.0, np.array([1.0e6, 0.0])):
+            with pytest.raises(ValueError, match="positive"):
+                f_prime(b, make_link())
+            with pytest.raises(ValueError, match="positive"):
+                g_value(b, make_link(), 1.3e6)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +155,9 @@ class TestRateParamsValidation:
 
 class TestRate:
     def test_zero_bandwidth_zero_rate(self):
-        assert f_value(0.0, make_link()) == 0.0
+        x = make_link()
+        assert f_value(0.0, x) == 0.0
+        assert f_value(np.array([0.0, 1.0e6]), x).tolist() == [0.0, f_value(1.0e6, x)]
 
     def test_half_point_closed_form(self):
         # With x = 2b the in-log term is 1/2, so F = b log2(1.5).
@@ -172,6 +214,9 @@ class TestRate:
                 b = float(b)
                 ref = b * math.log1p(hp / (2.0 * n0 * b + hp)) / math.log(2.0)
                 assert f_value(b, x) == pytest.approx(ref, rel=1e-14)
+
+    def test_matches_a_50_digit_reference(self):
+        assert_matches_reference(f_value, rate_reference, 1e-14)
 
 
 class TestFLimit:
@@ -237,20 +282,8 @@ class TestFPrime:
 
 
     def test_matches_a_50_digit_reference(self):
-        # mpmath at 50 digits, for b/x from 1e-6 into the wide band at
-        # 1e14, where the closed form's two terms cancel to ~28 digits.
-        mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            for x in (1.0, make_link(), 2.5e10):
-                xm = mpmath.mpf(x)
-                for t in np.logspace(-6.0, 14.0, 121):
-                    b = float(t) * x
-                    bm = mpmath.mpf(b)
-                    ref = (
-                        mpmath.log((2 * bm + 2 * xm) / (2 * bm + xm)) / mpmath.log(2)
-                        - 2 * bm * xm / (mpmath.log(2) * (2 * bm + 2 * xm) * (2 * bm + xm))
-                    )
-                    assert abs(f_prime(b, x) - ref) <= 1e-13 * ref
+        # In the wide band the closed form's two terms cancel to ~28 digits.
+        assert_matches_reference(f_prime, slope_reference, 1e-13)
 
 
 class TestPhiPsi:
@@ -279,6 +312,12 @@ class TestPhiPsi:
 
 
 class TestGradientG:
+    def test_matches_a_50_digit_reference(self):
+        def reference(mp, b, x):
+            return 1.3e6 * slope_reference(mp, b, x) / rate_reference(mp, b, x) ** 2
+
+        assert_matches_reference(lambda b, x: g_value(b, x, 1.3e6), reference, 1e-13)
+
     def test_closed_form_composition(self):
         b, p, q = 2.0e6, 1.5, 1.3e6
         x = make_link(power=p)

@@ -76,7 +76,7 @@ def test_checker_flags_only_unreferenced_names():
 
 def test_files_are_checked():
     names = {path.name for path in CHECKED}
-    assert {"solver.py", "test_imports.py", "run_bandwidth_sweep.py"} <= names
+    assert {"solver.py", "test_imports.py", "walk_set.py"} <= names
 
 
 def test_no_unused_imports():

@@ -1,0 +1,44 @@
+"""The scripts under ``scripts/`` run end to end.
+
+They import private solver names (``_cost_matrix``, ``_pair_bounds``),
+so a refactor of the solver can break them without any other test
+noticing.  Each runs in its own interpreter on a small input.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from pairband.solver import STRATEGIES
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name: str, *args: str) -> list[str]:
+    """stdout lines of ``scripts/<name>`` run with ``args``; it must exit 0."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+def test_compare_strategies_prints_every_strategy():
+    lines = run_script("compare_strategies.py", "--n", "8")
+    # Scenario line, blank, header, one row per strategy, blank, the
+    # proposed pairs' heading and one line per pair.
+    assert len(lines) == 3 + len(STRATEGIES) + 2 + 4
+    rows = [line.split()[0] for line in lines[3 : 3 + len(STRATEGIES)]]
+    assert rows == list(STRATEGIES)
+
+
+def test_mwpm_scale_prints_one_answer_line_per_size():
+    lines = run_script("mwpm_scale.py", "--no-time")
+    assert [json.loads(line)["n"] for line in lines] == [16, 32, 64, 128]
