@@ -5,11 +5,13 @@ two MWPMs: on its distortion cost matrix (a solve's candidate 1) and on
 its pair-bound matrix (the b_min certificate).  Prints one JSON line
 per N: each matching's total cost and pairs, the median CPU
 milliseconds of three solves, and how many of the N(N-1)/2 edges
-networkx was handed; the bound entry also times the bound matrix
-itself, so bound ``matrix_ms`` + ``ms`` is the whole certificate,
-``generate_ms`` is the median CPU milliseconds of ``generate_scenario``,
-and ``kkt_ms`` that of ``kkt_allocate`` on candidate 1 (the cost
-matrix's MWPM) with its pairs' bounds.
+networkx was handed (0 when the assignment bound proves the matching
+read off its cycles optimal, so networkx is not called); the bound
+entry also times the bound matrix itself, so bound ``matrix_ms`` +
+``ms`` is the whole certificate, ``generate_ms`` is the median CPU
+milliseconds of ``generate_scenario``, and ``kkt_ms`` that of
+``kkt_allocate`` on candidate 1 (the cost matrix's MWPM) with its
+pairs' bounds.
 With ``--no-time`` the lines hold answers only, and each total is
 rounded to 9 significant digits, the 1e-9 relative tolerance the
 benchmark references are checked at: a change in a total's last bits
@@ -44,7 +46,9 @@ def cpu_ms(fn, *args):
 
 
 def edges_handed(costs: PairCostMatrix) -> int | None:
-    """Edges in the graph the MWPM hands networkx; None if it never calls it."""
+    """Edges in the graph the MWPM hands networkx: 0 when the assignment
+    bound closes the gap and networkx is not called, None when no
+    perfect matching exists."""
     blossom = pairing.nx.max_weight_matching
     seen = []
 
@@ -54,10 +58,12 @@ def edges_handed(costs: PairCostMatrix) -> int | None:
 
     pairing.nx.max_weight_matching = counted
     try:
-        mwpm(costs)
+        best = mwpm(costs)
     finally:
         pairing.nx.max_weight_matching = blossom
-    return seen[0] if seen else None
+    if best is None:
+        return None
+    return seen[0] if seen else 0
 
 
 def entry(costs: PairCostMatrix, timed: bool) -> dict:

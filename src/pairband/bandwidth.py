@@ -56,6 +56,7 @@ The b_min certificate is its theta -> inf limit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,6 +83,10 @@ __all__ = [
 _BAND_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_STEPS = 400
+# The multiplier's bracket steps log theta down by ln 2 this many times,
+# then doubles the step, so any finite B_max is bracketed within
+# _MAX_STEPS.
+_LN2_STEPS = 60
 
 # phi rises from phi(t) ~ t at 0 to its limit 1/(2 ln 2); three Newton
 # steps from phi_inverse's start leave |phi(t) - s| within about 2 ulps
@@ -346,25 +351,38 @@ def _multiplier(
     """(theta*, b(theta*)) with b(theta) = max(L, x*psi^-1(theta*x^2/pq)),
     by Illinois regula falsi (Dowell & Jarratt 1971) on log theta.
 
-    The bracket starts at theta_max and steps down by ln 2 until
+    The bracket starts at theta_max (the largest float if it overflows)
+    and steps down by ln 2, doubling the step after the first 60, until
     sum b > B_max, each step short of it becoming the hi side; from then
     on sum b(theta_hi) <= B_max < sum b(theta_lo).  The search stops
     once B_max - sum b(theta_hi) <= 1e-9*B_max and returns that side,
-    so the bandwidths never overfill the band.  RuntimeError when either
+    so the bandwidths never overfill the band.  A lo side whose psi^-1
+    underflowed (sum b = +inf) is bisected towards; when no float lies
+    between it and the hi side, no float theta fills the band any
+    further and the hi side is returned.  RuntimeError when either
     phase takes more than 400 steps.
     """
     bound, x = np.array(lower), np.array(links)
     scale = x * x / pq
 
     def excess(y: float) -> tuple[float, np.ndarray]:
-        b = np.maximum(bound, x * psi_inverse(math.exp(y) * scale))
-        return float(b.sum()) - b_max, b
+        s = math.exp(y) * scale
+        b = np.maximum(bound, x * psi_inverse(s))
+        total = float(b.sum())
+        if math.isnan(total):
+            # psi^-1 is nan where s leaves the float range: above it a
+            # group sits at its bound, below it its band is unbounded.
+            b = np.where(np.isnan(b), np.where(s > 1.0, bound, np.inf), b)
+            total = float(b.sum())
+        return total - b_max, b
 
-    hi = math.log(theta_max)
+    hi = math.log(min(theta_max, sys.float_info.max))
     f_hi, b_hi = excess(hi)
-    lo = hi
-    for _ in range(_MAX_STEPS):
-        lo -= _LN2
+    lo, step = hi, _LN2
+    for k in range(_MAX_STEPS):
+        if k >= _LN2_STEPS:
+            step *= 2.0
+        lo -= step
         f_lo, b_lo = excess(lo)
         if f_lo > 0.0:
             break
@@ -379,7 +397,12 @@ def _multiplier(
     for _ in range(_MAX_STEPS):
         if -f_hi <= _BAND_TOL * b_max:
             return math.exp(hi), b_hi.tolist()
-        y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
+        if math.isinf(w_lo):  # an underflowed end has no secant: bisect
+            y = 0.5 * (lo + hi)
+            if not lo < y < hi:
+                return math.exp(hi), b_hi.tolist()
+        else:
+            y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
         f_y, b_y = excess(y)
         if f_y > 0.0:
             if kept > 0:
@@ -429,15 +452,17 @@ def kkt_allocate(
         return _report(users, links, cfg, lower, lower)
 
     # Theta_max: the largest gradient value any group attains at its
-    # lower bound; above it every group sits at L_k.
-    theta_max = float(np.max(g_value(np.array(lower), np.array(links), pq)))
-
-    if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:
-        # Degenerate corner: the lower bounds already exhaust the band.
-        b_star = lower
-        theta_star = theta_max
-    else:
-        theta_star, b_star = _multiplier(lower, links, pq, cfg.b_max, theta_max)
+    # lower bound; above it every group sits at L_k.  A bound far below
+    # 1 Hz puts it past the float range, and the multiplier search meets
+    # psi^-1's float limits in very wide bands (see _multiplier).
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        theta_max = float(np.max(g_value(np.array(lower), np.array(links), pq)))
+        if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:
+            # Degenerate corner: the lower bounds already exhaust the band.
+            b_star = lower
+            theta_star = theta_max
+        else:
+            theta_star, b_star = _multiplier(lower, links, pq, cfg.b_max, theta_max)
 
     return _report(users, links, cfg, lower, b_star, theta_star)
 

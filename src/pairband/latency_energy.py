@@ -101,10 +101,13 @@ class SystemConfig:
         for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd", "payload_bits"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
+        for name in ("bs_cpu_hz", "bs_cycles_per_bit", "bs_energy_coeff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if len(self.group_powers) != self.n_users // 2:
             raise ValueError("group_powers must have one entry per group (N/2)")
-        if any(p <= 0 for p in self.group_powers):
-            raise ValueError("group powers must be positive")
+        if not all(0 < p < math.inf for p in self.group_powers):
+            raise ValueError("group powers must be positive and finite")
         if len(set(self.group_powers)) != 1:
             raise ValueError("group_powers must be equal: every group transmits at one power")
 

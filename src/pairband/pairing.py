@@ -8,12 +8,15 @@ run on max-transformed weights so that a max-cardinality/max-weight
 matching of the finite-edge subgraph is exactly the min-cost perfect
 matching.
 
-networkx sees only the edges that can still be optimal.  The
-assignment relaxation, solved in numpy by shortest augmenting paths,
-gives duals w with sum(w) <= the optimum; a perfect matching read off
-its cycles (left-over users joined along alternating paths, then
-2-opt) gives a cost UB >= the optimum; an edge whose reduced cost
-C_ij - w_i - w_j exceeds the gap UB - sum(w) lies in no matching that
+The assignment relaxation, solved by shortest augmenting paths, gives
+duals w with LB = sum(w) - (N/2) rho <= the optimum (rho covers float
+rounding of dual feasibility); a perfect matching read off its cycles
+(left-over users joined along alternating paths, then 2-opt) gives a
+cost UB >= the optimum.  When UB <= LB that matching is optimal and
+networkx is not called; on the default generator at N = 16-32 this
+holds for about three MWPMs in four.  On an open gap networkx sees
+only the edges that can still be optimal: an edge whose reduced cost
+C_ij - w_i - w_j exceeds the gap UB - LB lies in no matching that
 cheap, so it is dropped (Cook & Rohe 1999, INFORMS J. Comput. 11(2)).
 On the default generator typically one or two edges per user remain.
 
@@ -144,51 +147,64 @@ def _assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     of cost 2 c(M), so w = (u + v) / 2 has w_i + w_j <= c_ij and
     sum(w) <= every matching's cost.  None when no finite assignment,
     and so no finite perfect matching, exists.
+
+    The paths run on Python lists: at the sizes solved here a numpy call
+    per Dijkstra step costs more than the arithmetic.
     """
     n = c.shape[0]
     v = c.min(axis=0)
     if not np.all(np.isfinite(v)):
         return None
-    u = np.zeros(n)
-    col_of = np.full(n, -1)
-    row_of = np.full(n, -1)
-    rows, cols = np.unique(c.argmin(axis=0), return_index=True)
-    col_of[rows], row_of[cols] = cols, rows
-    for root in np.flatnonzero(col_of < 0):
-        # Dijkstra over columns on reduced costs; a scanned column's
-        # distance is final, and +inf in ``scanned`` keeps it out.
-        reduced = c - v
-        dist = np.full(n, np.inf)
-        pred = np.zeros(n, dtype=int)
-        scanned = np.zeros(n)
+    v = v.tolist()
+    u = [0.0] * n
+    col_of = [-1] * n
+    row_of = [-1] * n
+    # Each column's first cheapest row takes it unless an earlier column
+    # already did.
+    for j, i in enumerate(c.argmin(axis=0).tolist()):
+        if col_of[i] < 0:
+            col_of[i], row_of[j] = j, i
+    rows = c.tolist()
+    for root in [i for i in range(n) if col_of[i] < 0]:
+        # Dijkstra over columns on reduced costs c_ij - v_j; a scanned
+        # column's distance is final.  Ties go to the lowest column.
+        dist = [math.inf] * n
+        pred = [0] * n
+        unscanned = list(range(n))
+        scanned = []
         i, d_i = root, 0.0
         while True:
-            reach = reduced[i] + scanned + (d_i - u[i])
-            closer = reach < dist
-            dist[closer], pred[closer] = reach[closer], i
-            open_dist = dist + scanned
-            j = int(np.argmin(open_dist))
-            d_i = open_dist[j]
+            c_i, head = rows[i], d_i - u[i]
+            d_i, j = math.inf, -1
+            for k in unscanned:
+                reach = c_i[k] - v[k] + head
+                d_k = dist[k]
+                if reach < d_k:
+                    dist[k] = d_k = reach
+                    pred[k] = i
+                if d_k < d_i:
+                    d_i, j = d_k, k
             if not math.isfinite(d_i):
                 return None
-            scanned[j] = np.inf
+            unscanned.remove(j)
+            scanned.append(j)
             if row_of[j] < 0:
                 break
             i = row_of[j]
         # Shift the duals so every scanned edge stays tight, then flip
         # the path from root to the free column j.
-        done = scanned > 0
-        tree = row_of[done & (row_of >= 0)]
-        u[tree] += d_i - dist[col_of[tree]]
+        for k in scanned:
+            if row_of[k] >= 0:
+                u[row_of[k]] += d_i - dist[k]
+            v[k] -= d_i - dist[k]
         u[root] += d_i
-        v[done] -= d_i - dist[done]
         while True:
             i = pred[j]
             row_of[j] = i
             col_of[i], j = j, col_of[i]
             if i == root:
                 break
-    return 0.5 * (u + v), col_of
+    return 0.5 * (np.array(u) + np.array(v)), np.array(col_of)
 
 
 def _two_opt(c: np.ndarray, pairs: list[Pair]) -> list[Pair]:
@@ -285,10 +301,17 @@ def _cycle_matching(c: np.ndarray, w: np.ndarray, col_of: np.ndarray) -> list[Pa
     return _two_opt(c, [(k, int(m)) for k, m in enumerate(mate) if k < m])
 
 
-def _priced_edges(c: np.ndarray, w: np.ndarray, ub: float) -> np.ndarray:
+def _reduced(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reduced costs r_ij = c_ij - w_i - w_j on the upper triangle (+inf
+    off the finite edges) and rho = max(0, -min r)."""
+    r = np.where(np.triu(np.isfinite(c), 1), c - w[:, None] - w, np.inf)
+    return r, max(0.0, -float(r.min()))
+
+
+def _priced_edges(r: np.ndarray, rho: float, w: np.ndarray, ub: float) -> np.ndarray:
     """Upper-triangle mask of the edges that can lie in a matching of
-    cost at most ``ub``: those with reduced cost r_ij = c_ij - w_i - w_j
-    at most ub - sum(w) + (N/2) rho, rho = max(0, -min r).
+    cost at most ``ub``: those with reduced cost r_ij (:func:`_reduced`)
+    at most ub - sum(w) + (N/2) rho.
 
     Any matching M has sum_M r = c(M) - sum(w) and N/2 edges, each with
     r >= -rho, so an edge of M has r <= c(M) - sum(w) + (N/2 - 1) rho.
@@ -296,21 +319,21 @@ def _priced_edges(c: np.ndarray, w: np.ndarray, ub: float) -> np.ndarray:
     rounding breaks dual feasibility; a tolerance covers the rounding
     of r itself.  An infinite ``ub`` keeps every finite edge.
     """
-    n = c.shape[0]
-    finite = np.triu(np.isfinite(c), 1)
-    r = np.where(finite, c - w[:, None] - w, np.inf)
-    rho = max(0.0, -float(r.min()))
     tol = 1e-9 * (abs(ub) + float(np.abs(w).sum()))
-    return finite & (r <= ub - math.fsum(w) + 0.5 * n * rho + tol)
+    return np.isfinite(r) & (r <= ub - math.fsum(w) + 0.5 * r.shape[0] * rho + tol)
 
 
 def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     """Min-cost perfect matching over finite edges, or None if none exists.
 
-    The assignment relaxation prices out every edge that no matching as
-    cheap as a heuristic one can use, and networkx's blossom solves the
-    rest exactly (one networkx call per solve).  Without a finite
-    heuristic matching it gets every finite edge.
+    The assignment relaxation bounds the optimum below by LB = sum(w) -
+    (N/2) rho and the matching read off its cycles bounds it above by
+    its cost UB.  When UB <= LB, compared exactly, that matching is
+    optimal and is returned as it is.  Otherwise the relaxation prices
+    out every edge that no matching as cheap as UB can use, and
+    networkx's blossom solves the rest exactly; without a finite
+    heuristic matching it gets every finite edge.  So networkx runs
+    only on an open gap.
     """
     n = costs.shape[0]
     if n == 0:
@@ -319,8 +342,13 @@ def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     if solved is None:
         return None
     w, col_of = solved
-    ub = _total(costs, _cycle_matching(costs, w, col_of))
-    i, j = np.nonzero(_priced_edges(costs, w, ub))
+    heuristic = _cycle_matching(costs, w, col_of)
+    ub = _total(costs, heuristic)
+    r, rho = _reduced(costs, w)
+    # LB is finite, so an infinite UB never closes the gap.
+    if ub <= math.fsum(w) - 0.5 * n * rho:
+        return _canonical(heuristic)
+    i, j = np.nonzero(_priced_edges(r, rho, w, ub))
     cost = costs[i, j]
     graph = nx.Graph()
     graph.add_nodes_from(range(n))

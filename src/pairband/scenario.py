@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +86,11 @@ class ScenarioTemplate:
     def __post_init__(self) -> None:
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
+        # nan passes every sign check, and the draws fail on nan or inf.
+        for name, value in vars(self).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(isinstance(v, Real) and math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be a finite number")
         if self.area_m <= 0:
             raise ValueError("area_m must be positive")
 

@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairband.channel import ChannelGain, f_limit, f_value, g_value
+from pairband.channel import ChannelGain
 from pairband.distortion import DistortionTable, SimilarityModel, similarity_gate
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
 from pairband.pairing import Matching, PairCostMatrix
@@ -138,8 +138,9 @@ def random_cost_matrix(rng: np.random.Generator, n: int, scale: float = 10.0):
 
 
 # ---------------------------------------------------------------------------
-# Matching oracles: exhaustive enumeration for small N, and networkx's
-# blossom on every finite edge (the kernel before edge pricing).
+# Matching oracles: exhaustive enumeration for small N, networkx's blossom
+# on every finite edge (the kernel before edge pricing), and the assignment
+# relaxation as the kernel solved it in numpy.
 
 
 def all_matchings(n: int):
@@ -199,6 +200,99 @@ def unpruned_mwpm(costs: PairCostMatrix) -> Matching | None:
     return Matching(pairs=pairs, total_cost=matching_cost(c, pairs))
 
 
+def numpy_assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The assignment relaxation as the pairing kernel solved it in numpy,
+    one array pass per Dijkstra step: (duals w, row-to-column map), or
+    None when no finite assignment exists.
+
+    Same algorithm as ``pairing._assignment`` (column reduction, then
+    one shortest augmenting path per free row, first strict minimum on
+    ties) and the same float operation order, so the two agree bit for
+    bit.
+    """
+    n = c.shape[0]
+    v = c.min(axis=0)
+    if not np.all(np.isfinite(v)):
+        return None
+    u = np.zeros(n)
+    col_of = np.full(n, -1)
+    row_of = np.full(n, -1)
+    rows, cols = np.unique(c.argmin(axis=0), return_index=True)
+    col_of[rows], row_of[cols] = cols, rows
+    for root in np.flatnonzero(col_of < 0):
+        # +inf in ``scanned`` keeps a column whose distance is final out.
+        reduced = c - v
+        dist = np.full(n, np.inf)
+        pred = np.zeros(n, dtype=int)
+        scanned = np.zeros(n)
+        i, d_i = root, 0.0
+        while True:
+            reach = reduced[i] + scanned + (d_i - u[i])
+            closer = reach < dist
+            dist[closer], pred[closer] = reach[closer], i
+            open_dist = dist + scanned
+            j = int(np.argmin(open_dist))
+            d_i = open_dist[j]
+            if not math.isfinite(d_i):
+                return None
+            scanned[j] = np.inf
+            if row_of[j] < 0:
+                break
+            i = row_of[j]
+        done = scanned > 0
+        tree = row_of[done & (row_of >= 0)]
+        u[tree] += d_i - dist[col_of[tree]]
+        u[root] += d_i
+        v[done] -= d_i - dist[done]
+        while True:
+            i = pred[j]
+            row_of[j] = i
+            col_of[i], j = j, col_of[i]
+            if i == root:
+                break
+    return 0.5 * (u + v), col_of
+
+
+# ---------------------------------------------------------------------------
+# The oracles' own scalar rate law, in b and x with math.log1p, so that they
+# share no code with the array forms in pairband.channel that they check
+# (tests/test_channel.py checks it against mpmath).
+
+_LN2 = math.log(2.0)
+# log1p(u) - u = sum over k >= 2 of (-1)^(k+1) u^k / k; for u < 1e-2 the
+# terms up to k = 11 leave a tail far below one ulp of the sum.
+_SERIES_BELOW = 1e-2
+_SERIES = tuple((-1.0) ** (k + 1) / k for k in range(11, 1, -1))
+
+
+def _rate(b: float, x: float) -> float:
+    """F(b) = b*log2(1 + x/(2b + x)) at link x, F(0) = 0."""
+    if b == 0.0:
+        return 0.0
+    return b * math.log1p(x / (2.0 * b + x)) / _LN2
+
+
+def _rate_prime(b: float, x: float) -> float:
+    """F'(b) as ((log1p(u) - u) + u*x/(b + x))/ln2 with u = x/(2b + x),
+    taking log1p(u) - u from its series in the wide band, where the
+    two nearly cancel."""
+    u = x / (2.0 * b + x)
+    if u < _SERIES_BELOW:
+        series = 0.0
+        for c in _SERIES:
+            series = c + u * series
+        head = u * u * series
+    else:
+        head = math.log1p(u) - u
+    return (head + u * x / (b + x)) / _LN2
+
+
+def _gradient(b: float, x: float, pq: float) -> float:
+    """G(b) = pq*F'(b)/F(b)^2."""
+    rate = _rate(b, x)
+    return pq * _rate_prime(b, x) / (rate * rate)
+
+
 # ---------------------------------------------------------------------------
 # Root oracle: the scalar bisection the minimum-bandwidth roots used before
 # they became one array expression.
@@ -206,7 +300,7 @@ def unpruned_mwpm(costs: PairCostMatrix) -> Matching | None:
 
 def bisection_b_min(delta: float, x: float, payload_bits: float, b_hint: float = 1.0e6) -> float:
     """Root of F(b, x) = Q/delta by bracketed bisection, or +inf when none
-    exists (delta <= 0 or Q/delta >= f_limit(x)).
+    exists (delta <= 0 or Q/delta >= x/(2 ln 2), the saturation rate).
 
     Halves ``min(1, Q/delta)`` until F is below the target and doubles
     ``max(2, b_hint)`` until it is not, 60 times at most each (RuntimeError
@@ -216,24 +310,24 @@ def bisection_b_min(delta: float, x: float, payload_bits: float, b_hint: float =
     if delta <= 0.0:
         return math.inf
     target = payload_bits / delta
-    if target >= f_limit(x):
+    if target >= x / (2.0 * _LN2):
         return math.inf
     lo, hi = min(1.0, target), max(2.0, b_hint)
     for _ in range(60):
-        if f_value(lo, x) < target:
+        if _rate(lo, x) < target:
             break
         lo *= 0.5
     else:
         raise RuntimeError(f"bisection_b_min: root below {lo!r}")
     for _ in range(60):
-        if f_value(hi, x) >= target:
+        if _rate(hi, x) >= target:
             break
         hi *= 2.0
     else:
         raise RuntimeError(f"bisection_b_min: root above {hi!r}")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        if f_value(mid, x) < target:
+        if _rate(mid, x) < target:
             lo = mid
         else:
             hi = mid
@@ -259,20 +353,20 @@ def bisection_g_inverse(theta: float, x: float, pq: float, b_hint: float = 1.0e6
         raise ValueError(f"theta must be positive, got {theta}")
     lo, hi = 1.0, max(2.0, b_hint)
     for _ in range(60):
-        if g_value(lo, x, pq) >= theta:
+        if _gradient(lo, x, pq) >= theta:
             break
         lo *= 0.5
     else:
         raise RuntimeError(f"bisection_g_inverse: root below {lo!r}")
     for _ in range(60):
-        if g_value(hi, x, pq) < theta:
+        if _gradient(hi, x, pq) < theta:
             break
         hi *= 2.0
     else:
         raise RuntimeError(f"bisection_g_inverse: root above {hi!r}")
     for _ in range(400):
         mid = 0.5 * (lo + hi)
-        if g_value(mid, x, pq) >= theta:
+        if _gradient(mid, x, pq) >= theta:
             lo = mid
         else:
             hi = mid
@@ -297,7 +391,7 @@ def bisection_kkt(
     sum_lower = math.fsum(lower)
     if sum_lower > b_max * (1.0 + 1e-9):
         return math.nan, list(lower)
-    theta_max = max(g_value(lb, x, pq) for lb, x in zip(lower, links))
+    theta_max = max(_gradient(lb, x, pq) for lb, x in zip(lower, links))
     if b_max - sum_lower <= 1e-9 * b_max:
         return theta_max, list(lower)
 
@@ -420,15 +514,15 @@ def random_instance(rng, k=2, b_max=None, t_max=2.0):
 def active_gradient(pair, b, power, cfg):
     """Gradient of the binding (slower) user of the pair at bandwidth b."""
     xi, xj = cfg.link(pair[0], power), cfg.link(pair[1], power)
-    x = xi if f_value(b, xi) <= f_value(b, xj) else xj
-    return g_value(b, x, power * cfg.payload_bits)
+    x = xi if _rate(b, xi) <= _rate(b, xj) else xj
+    return _gradient(b, x, power * cfg.payload_bits)
 
 
 def group_airtime(pair, b, power, cfg):
     i, j = pair
     return max(
-        cfg.payload_bits / f_value(b, cfg.link(i, power)),
-        cfg.payload_bits / f_value(b, cfg.link(j, power)),
+        cfg.payload_bits / _rate(b, cfg.link(i, power)),
+        cfg.payload_bits / _rate(b, cfg.link(j, power)),
     )
 
 

@@ -22,6 +22,7 @@ from pairband.channel import (
     phi,
     psi,
 )
+import support
 from support import NOISE, make_cfg, make_link, make_user
 
 # Frozen oracle constants (plain formula evaluations).
@@ -68,6 +69,21 @@ def assert_matches_reference(fn, reference, rel: float) -> None:
                 assert value == alone
                 ref = reference(mpmath, mpmath.mpf(b), mpmath.mpf(x))
                 assert abs(alone - ref) <= rel * ref
+
+
+def test_oracle_scalar_law_matches_a_50_digit_reference():
+    # The test oracles' own scalar F, F' and G (tests/support.py), at the
+    # tolerances the array forms meet, over the same grid.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in (1.0, make_link(), 2.5e10):
+            for b in (np.logspace(-6.0, 14.0, 121) * x).tolist():
+                mb, mx = mpmath.mpf(b), mpmath.mpf(x)
+                rate, slope = rate_reference(mpmath, mb, mx), slope_reference(mpmath, mb, mx)
+                assert abs(support._rate(b, x) - rate) <= 1e-14 * rate
+                assert abs(support._rate_prime(b, x) - slope) <= 1e-13 * slope
+                gradient = 1.3e6 * slope / rate**2
+                assert abs(support._gradient(b, x, 1.3e6) - gradient) <= 1e-13 * gradient
 
 
 # ---------------------------------------------------------------------------

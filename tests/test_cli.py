@@ -2,6 +2,7 @@
 and byte-level determinism of every artifact."""
 
 import json
+import math
 import time
 
 import numpy as np
@@ -90,6 +91,16 @@ class TestGenScenario:
             "--tmax", "-1",
         )
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_nonfinite_area_is_invalid_input(self, tmp_path, capsys, value):
+        # A NaN area passed the sign check and died in the position draw
+        # with an OverflowError traceback.
+        code = run("gen-scenario", "--area-m", value, "--output", str(tmp_path / "x.json"))
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: invalid input: area_m must be a finite number\n"
+        assert not (tmp_path / "x.json").exists()
 
     def test_external_distortion_table(self, tmp_path):
         table = synthesize_distortions(
@@ -286,6 +297,25 @@ class TestSolve:
         capsys.readouterr()
         assert run("solve", str(path), "--bmax", "1e20") == EXIT_OK
         assert "strategy=proposed [feasible]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "b_max, extra",
+        [("1e100", ()), ("1e308", ()), ("1e8", ("--tmax", "1e300"))],
+        ids=["bmax-1e100", "bmax-1e308", "tmax-1e300"],
+    )
+    def test_any_finite_band_is_split(self, tmp_path, capsys, b_max, extra):
+        # The multiplier's bracket stepped down by ln 2 at most 400 times,
+        # too few for these bands, and at T_max = 1e300 it started from an
+        # infinite theta_max (both exit 1).  At 1e308 no float multiplier
+        # fills the band, and the split stops where psi^-1 underflows.
+        path, doc = tmp_path / "scn.json", tmp_path / "out.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "1", "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        assert run("solve", str(path), "--bmax", b_max, *extra, "--output", str(doc)) == EXIT_OK
+        assert "strategy=proposed [feasible]" in capsys.readouterr().out
+        used = math.fsum(g["bandwidth_hz"] for g in json.loads(doc.read_text())["allocation"]["groups"])
+        assert math.isfinite(used)
+        assert used <= float(b_max) * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
         "n, seed, budget",

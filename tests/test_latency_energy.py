@@ -318,6 +318,17 @@ class TestValidation:
                 with pytest.raises(ValueError, match="must be positive and finite"):
                     make_cfg(**{field: bad})
 
+    @pytest.mark.parametrize("field", ["bs_cpu_hz", "bs_cycles_per_bit", "bs_energy_coeff"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_nonfinite_base_station_constants(self, field, bad):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            replace(make_cfg(), **{field: bad})
+
+    @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
+    def test_rejects_nonpositive_or_nonfinite_power(self, bad):
+        with pytest.raises(ValueError, match="group powers must be positive and finite"):
+            make_cfg(power=bad)
+
     def test_rejects_wrong_power_count(self):
         with pytest.raises(ValueError):
             replace(make_cfg(n=4), group_powers=(1.0,))

@@ -26,6 +26,7 @@ from support import (
     all_matchings,
     brute_force_mwpm,
     matching_cost,
+    numpy_assignment,
     random_cost_matrix,
     unpruned_mwpm,
 )
@@ -359,14 +360,65 @@ def test_prop_pricing_keeps_every_optimal_edge_for_any_duals(n, seed, noise):
     solved = pairing._assignment(c)
     assume(best is not None)
     w = solved[0] + rng.normal(0.0, noise, size=n)
-    keep = pairing._priced_edges(c, w, best.total_cost)
+    keep = pairing._priced_edges(*pairing._reduced(c, w), w, best.total_cost)
     assert all(keep[i, j] for i, j in best.pairs)
 
 
 def test_infinite_heuristic_bound_keeps_every_finite_edge():
     c = tenth_costs(np.random.default_rng(3), 8, 0.5)
-    keep = pairing._priced_edges(c, np.zeros(8), math.inf)
+    keep = pairing._priced_edges(*pairing._reduced(c, np.zeros(8)), np.zeros(8), math.inf)
     assert np.array_equal(keep, np.triu(np.isfinite(c), 1))
+
+
+def bound_like_costs(rng, n: int, spread: float, hole_rate: float) -> np.ndarray:
+    """A nearly flat matrix shaped like the pair bounds: each pair costs
+    its weaker user's value, so every row repeats exact ties."""
+    user = 4.0e5 * (1.0 + spread * rng.uniform(size=n))
+    c = np.maximum(user[:, None], user)
+    holes = np.triu(rng.uniform(size=(n, n)) < hole_rate, 1)
+    c[holes | holes.T] = INFEASIBLE
+    np.fill_diagonal(c, INFEASIBLE)
+    return c
+
+
+@st.composite
+def assignment_inputs(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+        return tenth_costs(rng, n, draw(_holes))
+    n = draw(st.sampled_from([2, 8, 16, 32, 48, 64]))
+    spread = draw(st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]))
+    return bound_like_costs(rng, n, spread, draw(st.sampled_from([0.0, 0.3, 0.9])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(c=assignment_inputs())
+def test_prop_list_assignment_is_bitwise_the_numpy_one(c):
+    # The list kernel keeps the numpy kernel's steps and float order, so
+    # the duals and the map, and with them the priced edges and networkx's
+    # tie choices, do not move.
+    fast, slow = pairing._assignment(c), numpy_assignment(c)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert np.array_equal(fast[0], slow[0])
+        assert np.array_equal(fast[1], slow[1])
+
+
+def test_a_closed_gap_returns_the_cycle_matching_without_networkx(monkeypatch):
+    # A planted cheap perfect matching: the cycle matching finds it, its
+    # cost equals the assignment bound, and networkx is never called.
+    rng = np.random.default_rng(7)
+    c = random_cost_matrix(rng, 12)
+    perm = rng.permutation(12)
+    for i, j in zip(perm[::2], perm[1::2]):
+        c[i, j] = c[j, i] = 0.05
+    calls = []
+    monkeypatch.setattr(pairing.nx, "max_weight_matching", lambda *a, **k: calls.append(1))
+    for cm in (four_user_fixture(), matrix(c)):
+        best = mwpm(cm)
+        assert best.total_cost == brute_force_mwpm(cm).total_cost
+    assert calls == []
 
 
 def test_odd_cycles_are_joined_along_an_alternating_path():

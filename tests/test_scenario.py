@@ -3,7 +3,7 @@ seed determinism, and exact roundtrips."""
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,6 +82,18 @@ class TestGeneration:
     def test_rejects_odd_population(self):
         with pytest.raises(ValueError):
             ScenarioTemplate(n_users=5)
+
+
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in fields(ScenarioTemplate) if f.name not in ("n_users", "feature_dim")],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_nonfinite_fields(self, field, bad):
+        value = getattr(ScenarioTemplate(), field)
+        bad_value = (value[0], bad) if isinstance(value, tuple) else bad
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            ScenarioTemplate(**{field: bad_value})
 
 
 class TestJsonRoundtrip:

@@ -154,8 +154,10 @@ class TestProposed:
 
     def test_candidate_one_ranks_one_matching(self, monkeypatch):
         # Feasible at candidate 1: the solver asks for one matching, and
-        # the blossom runs exactly three times: once for the certificate,
-        # once for the best matching, and once to prove nothing ties it.
+        # the kernel solves exactly three MWPMs: one for the certificate,
+        # one for the best matching, and one to prove nothing ties it.
+        # networkx runs only inside a solve whose assignment bound leaves
+        # a gap, at most once each; here two of the three do.
         scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
         windows = []
 
@@ -164,12 +166,24 @@ class TestProposed:
             return k_best_matchings(costs, window)
 
         blossom_calls = _count_calls(monkeypatch, pairing.nx, "max_weight_matching")
+        kernel_solve = pairing._solve_min_cost
+        blossoms_per_solve = []
+
+        def spy_solve(costs):
+            before = len(blossom_calls)
+            solved = kernel_solve(costs)
+            blossoms_per_solve.append(len(blossom_calls) - before)
+            return solved
+
         monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
+        monkeypatch.setattr(pairing, "_solve_min_cost", spy_solve)
         res = solve_proposed(scn)
         assert res.feasible
         assert res.candidates_tried == 1
         assert windows == [1]
-        assert len(blossom_calls) == 3
+        assert len(blossoms_per_solve) == 3
+        assert set(blossoms_per_solve) <= {0, 1}
+        assert len(blossom_calls) == 2
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
         # One bound matrix serves the certificate and every candidate: a
