@@ -19,6 +19,9 @@ only the edges that can still be optimal: an edge whose reduced cost
 C_ij - w_i - w_j exceeds the gap UB - LB lies in no matching that
 cheap, so it is dropped (Cook & Rohe 1999, INFORMS J. Comput. 11(2)).
 On the default generator typically one or two edges per user remain.
+Those edges are weighted by their reduced costs, which rank perfect
+matchings as the costs do and vanish (up to rounding) on the
+assignment's edges.
 
 Candidate lists for the feasibility search come from a lazy Lawler
 ranking: pop the cheapest cell, split it into subcells that each
@@ -333,7 +336,10 @@ def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     out every edge that no matching as cheap as UB can use, and
     networkx's blossom solves the rest exactly; without a finite
     heuristic matching it gets every finite edge.  So networkx runs
-    only on an open gap.
+    only on an open gap.  It is handed reduced costs r_ij: a perfect
+    matching's sum of r is its cost minus sum(w), so both rank perfect
+    matchings alike, and the assignment's edges, tight under w, leave
+    the blossom few dual updates to make.
     """
     n = costs.shape[0]
     if n == 0:
@@ -349,10 +355,10 @@ def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     if ub <= math.fsum(w) - 0.5 * n * rho:
         return _canonical(heuristic)
     i, j = np.nonzero(_priced_edges(r, rho, w, ub))
-    cost = costs[i, j]
+    reduced = r[i, j]
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
-    graph.add_weighted_edges_from(zip(i.tolist(), j.tolist(), (cost.max() - cost).tolist()))
+    graph.add_weighted_edges_from(zip(i.tolist(), j.tolist(), (reduced.max() - reduced).tolist()))
     mate = nx.max_weight_matching(graph, maxcardinality=True)
     if 2 * len(mate) != n:
         return None
