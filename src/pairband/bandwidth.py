@@ -6,9 +6,8 @@ minimized, where xi_k(b) = max{Q/F_i(b), Q/F_j(b)} is the airtime of the
 group's slower user.  The rate depends on a user only through its link
 x = g*p/N0 and grows with it, so the slower user is the one with the
 smaller link at every bandwidth, and every pair-level quantity below is
-computed at the pair's link
-(:func:`~pairband.latency_energy.pair_link`), with F, G meaning the rate
-and gradient there.  Three structural facts make this easy:
+computed at the pair's link (:func:`_pair_links`), with F, G meaning the
+rate and gradient there.  Three structural facts make this easy:
 
 * The latency budget turns into a per-group lower bound L_k: the unique
   root of F(b) = Q/Delta (F is strictly increasing with a finite
@@ -23,9 +22,9 @@ and gradient there.  Three structural facts make this easy:
 
 * sum_k b_k(Theta) is non-increasing in Theta, hence Theta* is one root
   on (0, Theta_max], Theta_max = max_k G_k(L_k): at or above it every
-  group sits at L_k.  Since G(b) = (p*Q/x^2)*psi(b/x), one Theta gives
-  every b_k = max{L_k, x_k*psi^-1(Theta*x_k^2/(p*Q))} in one array
-  expression.
+  group sits at L_k.  Since G(b) = (p*Q/x^2)*psi(b/x), each group's best
+  response to the bandwidth price Theta (:func:`_pricing`) is b_k =
+  max{L_k, x_k*psi^-1(Theta*x_k^2/(p*Q))}, one array expression.
 
 The bounds' phi^-1 takes three guarded Newton steps from a closed-form
 start, and each finite root is then raised to its hi side: walking up
@@ -44,13 +43,13 @@ theta makes transmit energy pair-additive, so by weak duality (Fisher
     q(theta) = MWPM(w(theta)) - theta * B_max,
     w_ij(theta) = min_{b >= L_ij} p*Q/F_ij(b) + theta*b,
 
-whose inner minimiser is b* = max{L_ij, G_ij^-1(theta)}.  q is concave
-in theta with supergradient sum_M b*_ij - B_max over the minimising
-matching M.  The search probes the rejected candidate's own KKT
-multiplier first, then bisects log theta by the sign of that
-supergradient, and stops a silent search once two tangents meet at or
-below the budget.
-The b_min certificate is its theta -> inf limit.
+whose inner minimiser is the split's best response b* = max{L_ij,
+G_ij^-1(theta)}, with the same theta_max.  q is concave in theta with
+supergradient sum_M b*_ij - B_max over the minimising matching M.  The
+search probes the rejected candidate's own KKT multiplier first, then
+bisects log theta by the sign of that supergradient, and stops a silent
+search once two tangents meet at or below the budget.  The b_min
+certificate is its theta -> inf limit.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import f_limit, f_value, g_value, phi, psi
-from .latency_energy import SystemConfig, UserProfile, e_const, pair_link, tau_bs, tau_rx
+from .channel import f_limit, f_value, g_value, psi
+from .latency_energy import SystemConfig, UserProfile, e_const, tau_bs, tau_rx
 from .pairing import INFEASIBLE, PairCostMatrix, mwpm
 
 __all__ = [
@@ -130,6 +129,11 @@ class AllocationReport:
 def _exceeds(value: float, limit: float) -> bool:
     """True when ``value`` is above ``limit`` beyond floating-point slop."""
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
+
+
+def _overfills(total: float, b_max: float) -> bool:
+    """True when a bandwidth sum passes B_max by more than 1e-9 relative."""
+    return total > b_max * (1.0 + _BAND_TOL)
 
 
 def b_min_user(delta, x, payload_bits: float):
@@ -219,9 +223,32 @@ def psi_inverse(s: np.ndarray) -> np.ndarray:
     return t
 
 
+def _pricing(lower: np.ndarray, x: np.ndarray, pq: float):
+    """(respond, theta_max = max G(L)) of pairs with bounds ``lower``,
+    links ``x`` and pq = p*Q.  ``respond(theta)``, run under np.errstate,
+    is (b, sum b, over) with b = max(L, x*psi^-1(theta*x^2/pq)), the
+    argmin of p*Q/F(b) + theta*b over b >= L.  Where theta*x^2/pq leaves
+    the float range, a pair sits at its bound above it (``over``) and
+    gets +inf below it."""
+    scale = x * x / pq
+
+    def respond(theta: float) -> tuple[np.ndarray, float, bool]:
+        s = theta * scale
+        b = np.maximum(lower, x * psi_inverse(s))
+        total = float(b.sum())
+        if not math.isnan(total):
+            return b, total, False
+        lost, over = np.isnan(b), s > 1.0
+        b = np.where(lost, np.where(over, lower, np.inf), b)
+        return b, float(b.sum()), bool(np.any(lost & over))
+
+    with np.errstate(all="ignore"):
+        return respond, float(np.max(g_value(lower, x, pq)))
+
+
 def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
     """(q, theta_max): the Lagrangian lower bound on the transmit energy
-    of every pairing, and the largest finite G_ij(L_ij).
+    of every pairing, and the largest G_ij(L_ij) (:func:`_pricing`).
 
     ``q(theta)`` returns the bound q(theta) and its supergradient
     s(theta) = sum of b*_ij(theta) over the minimising matching, minus
@@ -233,21 +260,23 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
     n = len(users)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
     x = _pair_links(users, cfg, i, j)
-    t_low = bounds[i, j] / x
     pq = cfg.power * cfg.payload_bits
-    scale = pq / (x * x)
+    respond, theta_max = _pricing(bounds[i, j], x, pq)
 
     def q(theta: float) -> tuple[float, float]:
-        t = np.maximum(t_low, psi_inverse(theta / scale))
-        w = np.full((n, n), INFEASIBLE)
-        w[i, j] = w[j, i] = pq / (x * phi(t)) + theta * x * t
+        with np.errstate(all="ignore"):
+            b = respond(theta)[0]
+            w = np.full((n, n), INFEASIBLE)
+            w[i, j] = w[j, i] = pq / f_value(b, x) + theta * b
         best = mwpm(PairCostMatrix(n=n, costs=w))
-        b = np.zeros((n, n))
-        b[i, j] = b[j, i] = x * t
-        used = math.fsum(b[u, v] for u, v in best.pairs)
+        if best is None:  # every matching's price overflows: no energy fits
+            return math.inf, 0.0
+        bands = np.zeros((n, n))
+        bands[i, j] = bands[j, i] = b
+        used = math.fsum(bands[u, v] for u, v in best.pairs)
         return best.total_cost - theta * cfg.b_max, used - cfg.b_max
 
-    return q, float(np.max(scale * psi(t_low)))
+    return q, theta_max
 
 
 def energy_infeasible(
@@ -276,10 +305,10 @@ def energy_infeasible(
     budget = cfg.e_max - e_const(users, cfg)
     margin = 1e-9 * max(abs(budget), 1.0)
     q, theta_max = energy_dual(users, cfg, bounds)
-    links = [pair_link(users[u], users[v], cfg) for u, v in pairs]
-    pq = cfg.power * cfg.payload_bits
-    theta = float(np.max(g_value(np.array(bandwidths), np.array(links), pq)))
-    hi = math.log(theta_max)
+    links = _pair_links(users, cfg, *np.transpose(pairs))
+    with np.errstate(all="ignore"):
+        theta = float(np.max(g_value(np.array(bandwidths), links, cfg.power * cfg.payload_bits)))
+    hi = math.log(min(theta_max, sys.float_info.max))
     lo = hi - _LOG_THETA_SPAN
     # The nearest probes left and right of the maximiser, as (theta, q,
     # s).  Every probe after theta_1 lies inside the bracket, so it is
@@ -320,16 +349,18 @@ def _report(
     is violated.
     """
     # p times each group's airtime xi(b) = Q/F(b), inf at zero rate.
-    rates = f_value(np.array(bandwidths, dtype=float), np.array(links)).tolist()
-    obj = math.fsum(
-        cfg.power * (cfg.payload_bits / r) if r > 0.0 else math.inf for r in rates
-    )
+    rates = f_value(np.array(bandwidths, dtype=float), links).tolist()
+    energies = [cfg.power * (cfg.payload_bits / r) if r > 0.0 else math.inf for r in rates]
+    try:
+        obj = math.fsum(energies)
+    except OverflowError:  # finite energies whose sum leaves the float range
+        obj = math.inf
     used = math.fsum(bandwidths)
     fixed = e_const(users, cfg)
     reason = None
     if any(b < lb * (1.0 - 1e-12) for b, lb in zip(bandwidths, lower)):
         reason = "latency"  # covers infeasible pairs too (b_min = inf)
-    elif used > cfg.b_max * (1.0 + _BAND_TOL):
+    elif _overfills(used, cfg.b_max):
         reason = "bandwidth_sum"
     elif _exceeds(obj, cfg.e_max - fixed):
         reason = "energy"
@@ -345,73 +376,58 @@ def _report(
     )
 
 
-def _multiplier(
-    lower: list[float], links: list[float], pq: float, b_max: float, theta_max: float
-) -> tuple[float, list[float]]:
-    """(theta*, b(theta*)) with b(theta) = max(L, x*psi^-1(theta*x^2/pq)),
-    by Illinois regula falsi (Dowell & Jarratt 1971) on log theta.
+def _multiplier(respond, b_max: float, theta_max: float) -> tuple[float, list[float]]:
+    """(theta*, b(theta*)) for a :func:`_pricing` response, by Illinois
+    regula falsi (Dowell & Jarratt 1971) on log theta.
 
     The bracket starts at theta_max (the largest float if it overflows)
     and steps down by ln 2, doubling the step after the first 60, until
     sum b > B_max, each step short of it becoming the hi side; from then
     on sum b(theta_hi) <= B_max < sum b(theta_lo).  The search stops
     once B_max - sum b(theta_hi) <= 1e-9*B_max and returns that side,
-    so the bandwidths never overfill the band.  A lo side whose psi^-1
-    underflowed (sum b = +inf) is bisected towards; when no float lies
-    between it and the hi side, no float theta fills the band any
-    further and the hi side is returned.  RuntimeError when either
-    phase takes more than 400 steps.
+    so the bandwidths never overfill the band.  An end past the float
+    range (sum b = +inf, or ``over``) has no secant and is bisected
+    towards; when no float lies between the ends, no float theta fills
+    the band any further and the hi side is returned.  RuntimeError when
+    either phase takes more than 400 steps.
     """
-    bound, x = np.array(lower), np.array(links)
-    scale = x * x / pq
+    with np.errstate(all="ignore"):
+        hi = math.log(min(theta_max, sys.float_info.max))
+        b_hi, t_hi, over = respond(math.exp(hi))
+        lo, step = hi, _LN2
+        for k in range(_MAX_STEPS):
+            if k >= _LN2_STEPS:
+                step *= 2.0
+            lo -= step
+            b_lo, t_lo, over_lo = respond(math.exp(lo))
+            if t_lo > b_max:
+                break
+            hi, b_hi, t_hi, over = lo, b_lo, t_lo, over_lo
+        else:
+            raise RuntimeError("could not bracket the bandwidth multiplier from below")
 
-    def excess(y: float) -> tuple[float, np.ndarray]:
-        s = math.exp(y) * scale
-        b = np.maximum(bound, x * psi_inverse(s))
-        total = float(b.sum())
-        if math.isnan(total):
-            # psi^-1 is nan where s leaves the float range: above it a
-            # group sits at its bound, below it its band is unbounded.
-            b = np.where(np.isnan(b), np.where(s > 1.0, bound, np.inf), b)
-            total = float(b.sum())
-        return total - b_max, b
-
-    hi = math.log(min(theta_max, sys.float_info.max))
-    f_hi, b_hi = excess(hi)
-    lo, step = hi, _LN2
-    for k in range(_MAX_STEPS):
-        if k >= _LN2_STEPS:
-            step *= 2.0
-        lo -= step
-        f_lo, b_lo = excess(lo)
-        if f_lo > 0.0:
-            break
-        hi, f_hi, b_hi = lo, f_lo, b_lo
-    else:
-        raise RuntimeError("could not bracket the bandwidth multiplier from below")
-
-    # The secant runs through (lo, w_lo) and (hi, w_hi), the ends'
-    # excesses, except that an end kept twice in a row has its w halved
-    # (the Illinois rule), so neither end stalls.
-    w_lo, w_hi, kept = f_lo, f_hi, 0
-    for _ in range(_MAX_STEPS):
-        if -f_hi <= _BAND_TOL * b_max:
-            return math.exp(hi), b_hi.tolist()
-        if math.isinf(w_lo):  # an underflowed end has no secant: bisect
-            y = 0.5 * (lo + hi)
-            if not lo < y < hi:
+        # The secant runs through (lo, w_lo) and (hi, w_hi), the ends'
+        # excesses sum b - B_max, except that an end kept twice in a row
+        # has its w halved (the Illinois rule), so neither end stalls.
+        w_lo, w_hi, kept = t_lo - b_max, t_hi - b_max, 0
+        for _ in range(_MAX_STEPS):
+            if b_max - t_hi <= _BAND_TOL * b_max:
                 return math.exp(hi), b_hi.tolist()
-        else:
-            y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
-        f_y, b_y = excess(y)
-        if f_y > 0.0:
-            if kept > 0:
-                w_hi *= 0.5
-            lo, w_lo, kept = y, f_y, 1
-        else:
-            if kept < 0:
-                w_lo *= 0.5
-            hi, f_hi, b_hi, w_hi, kept = y, f_y, b_y, f_y, -1
+            if over or math.isinf(w_lo):
+                y = 0.5 * (lo + hi)
+                if not lo < y < hi:
+                    return math.exp(hi), b_hi.tolist()
+            else:
+                y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
+            b_y, t_y, over_y = respond(math.exp(y))
+            if t_y > b_max:
+                if kept > 0:
+                    w_hi *= 0.5
+                lo, w_lo, kept = y, t_y - b_max, 1
+            else:
+                if kept < 0:
+                    w_lo *= 0.5
+                hi, b_hi, t_hi, w_hi, kept, over = y, b_y, t_y, t_y - b_max, -1, over_y
     raise RuntimeError("bandwidth multiplier search did not converge")
 
 
@@ -444,26 +460,15 @@ def kkt_allocate(
             infeasibility_reason="latency",
         )
 
-    links = [pair_link(users[a], users[b], cfg) for a, b in matching.pairs]
-    pq = cfg.power * cfg.payload_bits
+    links = _pair_links(users, cfg, *np.transpose(matching.pairs))
     sum_lower = math.fsum(lower)
-
-    if sum_lower > cfg.b_max * (1.0 + _BAND_TOL):
+    if _overfills(sum_lower, cfg.b_max):
         return _report(users, links, cfg, lower, lower)
 
-    # Theta_max: the largest gradient value any group attains at its
-    # lower bound; above it every group sits at L_k.  A bound far below
-    # 1 Hz puts it past the float range, and the multiplier search meets
-    # psi^-1's float limits in very wide bands (see _multiplier).
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        theta_max = float(np.max(g_value(np.array(lower), np.array(links), pq)))
-        if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:
-            # Degenerate corner: the lower bounds already exhaust the band.
-            b_star = lower
-            theta_star = theta_max
-        else:
-            theta_star, b_star = _multiplier(lower, links, pq, cfg.b_max, theta_max)
-
+    respond, theta_max = _pricing(np.array(lower), links, cfg.power * cfg.payload_bits)
+    theta_star, b_star = theta_max, lower  # the corner where the bounds fill the band
+    if cfg.b_max - sum_lower > _BAND_TOL * cfg.b_max:
+        theta_star, b_star = _multiplier(respond, cfg.b_max, theta_max)
     return _report(users, links, cfg, lower, b_star, theta_star)
 
 
@@ -497,5 +502,5 @@ def evaluate_fixed_allocation(
     """
     if not len(bounds) == len(bandwidths) == len(matching.pairs):
         raise ValueError("bounds and bandwidths must have one entry per group")
-    links = [pair_link(users[a], users[b], cfg) for a, b in matching.pairs]
+    links = _pair_links(users, cfg, *np.transpose(matching.pairs))
     return _report(users, links, cfg, bounds, bandwidths)

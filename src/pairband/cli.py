@@ -8,8 +8,9 @@ Commands
 All structured outputs are deterministic: JSON with sorted keys, CSV
 with a fixed column order and repr-formatted floats, no timestamps.
 Exit codes: 0 success, 1 numerical failure (a root or multiplier
-bracket that could not be closed), 2 usage error, 3 invalid input,
-4 globally infeasible instance.
+bracket that could not be closed), 2 usage error, 3 invalid input
+(also a file that cannot be read or written, and a scenario document
+that is not a JSON object), 4 globally infeasible instance.
 """
 
 from __future__ import annotations
@@ -231,8 +232,6 @@ def _print_solve_summary(res: SolveResult) -> None:
 
 def cmd_solve(args) -> int:
     path = Path(args.scenario)
-    if not path.exists():
-        raise InputError(f"scenario file not found: {path}")
     scn = load_scenario(path)
     overrides = _overrides(args)
     scn = _apply_overrides(scn, overrides)
@@ -284,8 +283,6 @@ def write_metrics_csv(rows: list[dict], path, preamble: dict) -> None:
 
 def cmd_sweep(args) -> int:
     path = Path(args.scenario)
-    if not path.exists():
-        raise InputError(f"scenario file not found: {path}")
     if args.jobs < 1:
         raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     scn = load_scenario(path)
@@ -326,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ValueError as exc:

@@ -246,6 +246,8 @@ def scenario_to_json(scn: Scenario, tool_version: str) -> str:
 
 def scenario_from_json(text: str) -> Scenario:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("a scenario document must be a JSON object")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema version: {version}")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .bandwidth import (
     AllocationReport,
+    _overfills,
     b_min_pair,
     energy_infeasible,
     evaluate_fixed_allocation,
@@ -156,7 +157,7 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
     # If even that one overflows B_max, or none exists, no matching meets
     # latency and the bandwidth sum.
     best = mwpm(PairCostMatrix(n=costs.n, costs=bounds))
-    if best is None or best.total_cost > scenario.cfg.b_max * (1.0 + 1e-9):
+    if best is None or _overfills(best.total_cost, scenario.cfg.b_max):
         return _no_pairing(0)
 
     rows = bounds.tolist()

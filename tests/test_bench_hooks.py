@@ -1,9 +1,14 @@
-"""The benchmark's trace contract, checked on a few recorded instances.
+"""The benchmark's answer gate and trace contract.
+
+Every pool instance of every workload is solved and checked against its
+recorded reference with the benchmark's own gate,
+``workloads.check_answer``, so an answer the benchmark would reject
+fails tier-1 first.
 
 ``perfbench/tracing.py`` wraps named entry points of the solver from
 outside the package.  Renaming a hooked name, changing how the solver
 reaches it, or turning ``k_best_matchings`` into a generator breaks the
-traced benchmark run; this test makes that a tier-1 failure.  It solves
+traced benchmark run; the trace test makes that a tier-1 failure.  It solves
 a handful of decided instances of each workload with the tracer
 installed, checks each answer against its recorded reference, and
 checks that every span or counter the workload requires fired.
@@ -61,3 +66,15 @@ def test_traced_solves_match_reference_and_fire_every_hook(name):
         tracer.check_exercised(workload.required, name)
     finally:
         tracer.uninstall()
+
+
+@pytest.mark.parametrize("name", list(wl.WORKLOADS))
+def test_every_pool_answer_matches_its_reference(name):
+    workload = wl.WORKLOADS[name]
+    reference = wl.load_reference(workload)
+    instances = wl.pool_instances(workload)
+    scenarios = wl.generate(instances, scenario)
+    for inst in instances:
+        scn = scenarios[(inst.scenario_seed, inst.overrides)]
+        result = solver.solve(scn, inst.strategy)
+        assert wl.check_answer(scn, result, reference[inst.key], latency_energy) == [], inst.key

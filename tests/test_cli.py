@@ -4,6 +4,7 @@ and byte-level determinism of every artifact."""
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -318,6 +319,34 @@ class TestSolve:
         assert used <= float(b_max) * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
+        "n, seed, strategy, budgets",
+        [
+            # Subnormal bands: the objective's finite terms sum past the
+            # float range (OverflowError in fsum).
+            ("4", "19", "random_kkt", ("--bmax", "5e-324", "--tmax", "1e308")),
+            # No float theta fills a 1e-300 Hz band: theta*x^2/(p*Q)
+            # overflows above the split's jump, and the regula falsi ran
+            # into its step cap (exit 1).
+            ("2", "18", "proposed", ("--bmax", "1e-300", "--tmax", "1e308", "--emax", "2.5")),
+            ("6", "13", "proposed", ("--bmax", "1e-300", "--tmax", "1e308")),
+            # An infinite theta_max: psi divided by zero on stderr.
+            ("8", "1", "proposed", ("--bmax", "1e3", "--tmax", "1e300")),
+        ],
+        ids=["objective-overflow", "stall-n2", "stall-n6", "theta-max-overflow"],
+    )
+    def test_float_range_budgets_get_an_answer(
+        self, tmp_path, capsys, n, seed, strategy, budgets
+    ):
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", n, "--seed", seed, "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("solve", str(path), "--strategy", strategy, *budgets)
+        assert code in (EXIT_OK, EXIT_INFEASIBLE)
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
         "n, seed, budget",
         [("32", "0", ("--bmax", "20e6")), ("16", "1", ("--emax", "95"))],
         ids=["hang-A", "hang-B"],
@@ -353,6 +382,26 @@ class TestSolve:
         path = tmp_path / "bad.json"
         path.write_text("{")
         assert run("solve", str(path)) == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen-scenario", "--distortion-file", "{missing}", "--output", "{tmp}/x.json"),
+            ("gen-scenario", "--output", "{missing}/x.json"),
+            ("solve", "{scenario}", "--output", "{missing}/r.json"),
+            ("sweep", "{scenario}", "--bmax", "5e6", "--seeds", "2", "--output", "{missing}/r.csv"),
+            ("solve", "{tmp}"),
+            ("solve", "{tmp}/list.json"),
+        ],
+        ids=["distortion-file", "gen-output", "solve-output", "sweep-output", "directory", "list"],
+    )
+    def test_unusable_files_are_invalid_input(self, small_scenario, tmp_path, capsys, argv):
+        # Each of these died with a traceback (exit 1).
+        (tmp_path / "list.json").write_text("[1, 2]")
+        fields = {"missing": tmp_path / "nope", "tmp": tmp_path, "scenario": small_scenario}
+        capsys.readouterr()
+        assert run(*(arg.format(**fields) for arg in argv)) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_strategy_is_a_usage_error(self, small_scenario):
         with pytest.raises(SystemExit) as exc:

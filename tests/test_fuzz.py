@@ -1,0 +1,126 @@
+"""Every input ends in one of the three outcomes.
+
+Two properties draw user counts, deployment areas and budget overrides
+that mix ordinary values with the edges of the float range: 0,
+negatives, +-inf, nan, 1e+-300, 1e308 and the smallest subnormal.  The
+command line must answer every draw with exit 0, 3 or 4, and the
+library must return a result for every strategy or reject the draw as
+invalid input.  Neither may let an exception escape or emit a
+RuntimeWarning.  Both run derandomized, so tier-1 stays deterministic,
+and both start from the draws that once escaped.
+"""
+
+import contextlib
+import io
+import math
+import warnings
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from pairband.cli import EXIT_INFEASIBLE, EXIT_INVALID_INPUT, EXIT_OK, main
+from pairband.scenario import ScenarioTemplate, generate_scenario
+from pairband.solver import STRATEGIES, solve
+
+EDGES = (0.0, -1.0, -1e6, math.inf, -math.inf, math.nan, 1e300, 1e-300, 1e308, 5e-324)
+
+
+def _value(low, high):
+    """An edge of the float range, or an ordinary value in [low, high]."""
+    return st.one_of(st.sampled_from(EDGES), st.floats(min_value=low, max_value=high))
+
+
+def _override(low, high):
+    return st.one_of(st.none(), _value(low, high))
+
+
+DRAW = st.fixed_dictionaries(
+    {
+        "n": st.sampled_from([2, 4, 6, 8]),
+        "seed": st.integers(min_value=0, max_value=20),
+        "area_m": _override(50.0, 5000.0),
+        "b_max": _override(1e3, 1e8),
+        "t_max": _override(0.5, 20.0),
+        "e_max": _override(1.0, 1e4),
+        "d_max": _override(0.3, 2.0),
+    }
+)
+FLAGS = {"b_max": "--bmax", "t_max": "--tmax", "e_max": "--emax", "d_max": "--dmax"}
+FUZZ = settings(
+    max_examples=400,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _draw(n, seed, **budgets):
+    return {"n": n, "seed": seed, "area_m": None, **dict.fromkeys(FLAGS), **budgets}
+
+
+# Draws that once escaped: an objective whose finite terms overflowed
+# fsum (OverflowError, under random_kkt), a multiplier search that ran
+# into its step cap (RuntimeError), and an infinite theta_max that psi
+# divided by zero on.
+OVERFLOW = _draw(4, 19, b_max=5e-324, t_max=1e308)
+STALL = _draw(2, 18, b_max=1e-300, t_max=1e308, e_max=2.5)
+THETA_MAX = _draw(8, 1, b_max=1e3, t_max=1e300)
+
+
+@contextlib.contextmanager
+def _no_runtime_warning():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert runtime == []
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@example(draw=OVERFLOW, strategy="random_kkt")
+@example(draw=STALL, strategy="proposed")
+@example(draw=THETA_MAX, strategy="proposed")
+@given(draw=DRAW, strategy=st.sampled_from(STRATEGIES))
+def test_prop_cli_ends_in_one_of_three_outcomes(workdir, draw, strategy):
+    path, doc = workdir / "scn.json", workdir / "result.json"
+    path.unlink(missing_ok=True)
+    # "--flag=value", since argparse reads a bare "-inf" as a flag.
+    gen = ["gen-scenario", f"--n={draw['n']}", f"--seed={draw['seed']}", f"--output={path}"]
+    if draw["area_m"] is not None:
+        gen.append(f"--area-m={draw['area_m']!r}")
+    overrides = [f"{FLAGS[k]}={draw[k]!r}" for k in FLAGS if draw[k] is not None]
+    with _no_runtime_warning(), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main(gen)
+            assert code in (EXIT_OK, EXIT_INVALID_INPUT)
+            if code == EXIT_OK:
+                solve_args = ["solve", str(path), f"--strategy={strategy}", f"--output={doc}"]
+                code = main([*solve_args, *overrides])
+    assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_INFEASIBLE)
+
+
+@FUZZ
+@example(draw=OVERFLOW)
+@example(draw=STALL)
+@example(draw=THETA_MAX)
+@given(draw=DRAW)
+def test_prop_every_strategy_answers_or_rejects_the_input(draw):
+    """Invalid input is a ValueError from the template, the generator or
+    the config; a valid scenario gets a result from every strategy."""
+    overrides = {k: draw[k] for k in FLAGS if draw[k] is not None}
+    area = {} if draw["area_m"] is None else {"area_m": draw["area_m"]}
+    with _no_runtime_warning():
+        try:
+            scn = generate_scenario(ScenarioTemplate(n_users=draw["n"], **area), draw["seed"])
+            scn = replace(scn, cfg=replace(scn.cfg, **overrides))
+        except ValueError:
+            return
+        for strategy in STRATEGIES:
+            assert solve(scn, strategy).strategy == strategy
