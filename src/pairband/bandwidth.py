@@ -29,11 +29,16 @@ rate and gradient there.  Three structural facts make this easy:
 The bounds' phi^-1 takes three guarded Newton steps from a closed-form
 start, and each finite root is then raised to its hi side: walking up
 from it, the first b with F(b) >= Q/Delta in floating point, so a group
-at its bound always meets the deadline.  psi^-1 is six steps of a
-fixed point, to about 4e-15 relative, and Theta* is found by regula
-falsi on log Theta until the bandwidths fill B_max to 1e-9 relative,
-from below.  The energy budget is checked after the allocation rather
-than dualized.
+at its bound always meets the deadline.  psi^-1 is six fused steps of
+the fixed point t <- sqrt(a(t)/s), a(t) = psi(t)*t^2, to about 4e-15
+relative.  A free group's response is b = sqrt(a*p*Q/Theta), and a
+rises from 1 to 3 ln2/2 with t = b/x, so the split is a water-filling
+up to a factor of at most 1.04 in Theta: with the level c at which
+sum max(L_k, c) = B_max, Theta* lies between p*Q/c^2 and max_k
+G_k(max(L_k, c)) (:func:`_bracket`).  Regula falsi on log Theta from
+that bracket fills B_max to 1e-9 relative, from below, in about three
+psi^-1 evaluations.  The energy budget is checked after the allocation
+rather than dualized.
 
 Across pairings the energy budget is dualized once, to prove that no
 pairing meets it (:func:`energy_infeasible`).  Pricing bandwidth at
@@ -60,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import f_limit, f_value, g_value, psi
+from .channel import _log_terms, f_limit, f_value, g_value
 from .latency_energy import SystemConfig, UserProfile, e_const, tau_bs, tau_rx
 from .pairing import INFEASIBLE, PairCostMatrix, mwpm
 
@@ -82,9 +87,9 @@ __all__ = [
 _BAND_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_STEPS = 400
-# The multiplier's bracket steps log theta down by ln 2 this many times,
-# then doubles the step, so any finite B_max is bracketed within
-# _MAX_STEPS.
+# Where the water-level bracket leaves the float range, the multiplier's
+# bracket steps log theta down by ln 2 this many times, then doubles the
+# step, so any finite B_max is bracketed within _MAX_STEPS.
 _LN2_STEPS = 60
 
 # phi rises from phi(t) ~ t at 0 to its limit 1/(2 ln 2); three Newton
@@ -94,11 +99,16 @@ _LN2 = math.log(2.0)
 _PHI_LIMIT = f_limit(1.0)
 _PHI_NEWTON_STEPS = 3
 
-# psi(t)*t^2 lies in [1, 3*ln2/2] for every t > 0 and changes by under
-# 1.2 % per unit of ln t, so t <- sqrt(psi(t)*t^2/s) contracts the error
-# of its start 1/sqrt(s) (at most 2 %) by 0.006 a step: six steps reach
-# 4e-15 relative.
+# a(t) = psi(t)*t^2 rises from 1 at t -> 0 to 3*ln2/2 at t -> inf and
+# changes by under 1.2 % per unit of ln t, so t <- sqrt(a(t)/s)
+# contracts the error of its start 1/sqrt(s) (at most 2 %) by 0.006 a
+# step: six steps reach 4e-15 relative.
+_A_MAX = 1.5 * _LN2
 _PSI_STEPS = 6
+# The multiplier's bracket ends are widened until sum b moves by this
+# share of B_max, well past its rounding and psi_inverse's.
+_BRACKET_MARGIN = 1e-12
+_LOG_MAX = math.log(sys.float_info.max)  # theta is capped at the largest float
 
 # The energy bound's search: log theta over [log theta_max - 30,
 # log theta_max], bisected down to 1e-3 wide (15 halvings).
@@ -214,22 +224,36 @@ def phi_inverse(s: np.ndarray) -> np.ndarray:
 
 
 def psi_inverse(s: np.ndarray) -> np.ndarray:
-    """Elementwise t > 0 with psi(t) = s (:func:`~pairband.channel.psi`),
-    by the fixed point t <- sqrt(psi(t)*t^2/s) from t = 1/sqrt(s):
-    G^-1(theta) at link x and pq = p*Q is x * psi_inverse(theta * x^2 / pq)."""
-    t = 1.0 / np.sqrt(s)
+    """Elementwise t > 0 with psi(t) = s (:func:`~pairband.channel.psi`):
+    G^-1(theta) at link x and pq = p*Q is x * psi_inverse(theta * x^2 / pq).
+
+    With a(t) = psi(t)*t^2 = ln2*(log1p(u) - u + u/(t + 1))/log1p(u)^2
+    and u = 1/(2t + 1), the root is the fixed point t <- sqrt(a(t)/s),
+    taken in one fused step, sqrt(ln2/s)*sqrt(log1p(u) - u + u/(t +
+    1))/log1p(u), six times from t = 1/sqrt(s).  The start is
+    sqrt(s)/s, so t is nan where s is 0 or +inf.
+    """
+    t, scale = np.sqrt(s) / s, _LN2 / s
     for _ in range(_PSI_STEPS):
-        t = np.sqrt(psi(t) * t * t / s)
+        log_term, slope = _log_terms(t)
+        t = np.sqrt(scale * slope) / log_term
     return t
 
 
+def _theta_max(lower: np.ndarray, x: np.ndarray, pq: float) -> float:
+    """max G(L) of pairs with bounds ``lower``, links ``x`` and pq = p*Q:
+    at or above it every pair's :func:`_pricing` response is its bound."""
+    with np.errstate(all="ignore"):
+        return float(np.max(g_value(lower, x, pq)))
+
+
 def _pricing(lower: np.ndarray, x: np.ndarray, pq: float):
-    """(respond, theta_max = max G(L)) of pairs with bounds ``lower``,
-    links ``x`` and pq = p*Q.  ``respond(theta)``, run under np.errstate,
-    is (b, sum b, over) with b = max(L, x*psi^-1(theta*x^2/pq)), the
-    argmin of p*Q/F(b) + theta*b over b >= L.  Where theta*x^2/pq leaves
-    the float range, a pair sits at its bound above it (``over``) and
-    gets +inf below it."""
+    """The best response of pairs with bounds ``lower``, links ``x`` and
+    pq = p*Q.  ``respond(theta)``, run under np.errstate, is (b, sum b,
+    over) with b = max(L, x*psi^-1(theta*x^2/pq)), the argmin of
+    p*Q/F(b) + theta*b over b >= L.  Where theta*x^2/pq leaves the float
+    range, a pair sits at its bound above it (``over``) and gets +inf
+    below it."""
     scale = x * x / pq
 
     def respond(theta: float) -> tuple[np.ndarray, float, bool]:
@@ -242,13 +266,12 @@ def _pricing(lower: np.ndarray, x: np.ndarray, pq: float):
         b = np.where(lost, np.where(over, lower, np.inf), b)
         return b, float(b.sum()), bool(np.any(lost & over))
 
-    with np.errstate(all="ignore"):
-        return respond, float(np.max(g_value(lower, x, pq)))
+    return respond
 
 
 def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
     """(q, theta_max): the Lagrangian lower bound on the transmit energy
-    of every pairing, and the largest G_ij(L_ij) (:func:`_pricing`).
+    of every pairing, and the largest G_ij(L_ij) (:func:`_theta_max`).
 
     ``q(theta)`` returns the bound q(theta) and its supergradient
     s(theta) = sum of b*_ij(theta) over the minimising matching, minus
@@ -261,7 +284,7 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
     x = _pair_links(users, cfg, i, j)
     pq = cfg.power * cfg.payload_bits
-    respond, theta_max = _pricing(bounds[i, j], x, pq)
+    respond = _pricing(bounds[i, j], x, pq)
 
     def q(theta: float) -> tuple[float, float]:
         with np.errstate(all="ignore"):
@@ -276,7 +299,7 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
         used = math.fsum(bands[u, v] for u, v in best.pairs)
         return best.total_cost - theta * cfg.b_max, used - cfg.b_max
 
-    return q, theta_max
+    return q, _theta_max(bounds[i, j], x, pq)
 
 
 def energy_infeasible(
@@ -376,33 +399,84 @@ def _report(
     )
 
 
-def _multiplier(respond, b_max: float, theta_max: float) -> tuple[float, list[float]]:
-    """(theta*, b(theta*)) for a :func:`_pricing` response, by Illinois
-    regula falsi (Dowell & Jarratt 1971) on log theta.
+def _water_level(lower: list[float], b_max: float) -> tuple[float, float]:
+    """(c, j*c): the level c with sum max(L_k, c) = B_max, for B_max >
+    sum L, and the share of B_max the j groups below it take.
 
-    The bracket starts at theta_max (the largest float if it overflows)
-    and steps down by ln 2, doubling the step after the first 60, until
-    sum b > B_max, each step short of it becoming the hi side; from then
-    on sum b(theta_hi) <= B_max < sum b(theta_lo).  The search stops
-    once B_max - sum b(theta_hi) <= 1e-9*B_max and returns that side,
-    so the bandwidths never overfill the band.  An end past the float
-    range (sum b = +inf, or ``over``) has no secant and is bisected
-    towards; when no float lies between the ends, no float theta fills
-    the band any further and the hi side is returned.  RuntimeError when
-    either phase takes more than 400 steps.
+    With the bounds sorted, j*c plus the bounds above the j smallest is
+    at most sum max(L_k, c) for every j, with equality at the j bounds
+    below c, so c is the least of (B_max - those bounds)/j over j.
+    """
+    rest, level, free = math.fsum(lower), math.inf, 0.0
+    for j, bound in enumerate(sorted(lower), start=1):
+        rest -= bound
+        if (b_max - rest) / j < level:
+            level, free = (b_max - rest) / j, b_max - rest
+    return level, free
+
+
+def _bracket(lower: np.ndarray, x: np.ndarray, pq: float, b_max: float) -> tuple[float, float]:
+    """(lo, hi) in log theta with sum b(theta_lo) > B_max >= sum b(theta_hi)
+    for the :func:`_pricing` response, from the water level c
+    (:func:`_water_level`) and m_k = max(L_k, c), which sums to B_max.
+
+    A group's free response to theta is b = sqrt(a(b/x)*pq/theta), with
+    a = psi(t)*t^2 in [1, 3 ln2/2] and increasing in t.  At theta_lo =
+    pq/c^2 every free response is c*sqrt(a) >= c, so every group takes
+    at least m_k.  At theta_hi = max_k G_k(m_k) = theta_lo * max_k
+    a(m_k/x_k)*(c/m_k)^2 every group takes at most m_k.  Both are
+    formed in log space, where a(m/x) lost to the float range is taken
+    at its bound 3 ln2/2.  Each is widened so that the free groups'
+    share of B_max moves by _BRACKET_MARGIN of B_max, past the rounding
+    of sum b.
+    """
+    level, free = _water_level(lower.tolist(), b_max)
+    m = np.maximum(lower, level)
+    with np.errstate(all="ignore"):
+        log_term, slope = _log_terms(m / x)
+        # G_k(m_k)/theta_lo = a(m_k/x_k)*(c/m_k)^2, nan where a is lost.
+        ratios = _LN2 * slope / np.square(log_term * (m / level))
+        rise = float(np.fmin(np.max(ratios), _A_MAX))
+    lo = math.log(pq) - 2.0 * math.log(level)
+    hi = lo + math.log(rise)
+    margin = 2.0 * _BRACKET_MARGIN * b_max / free
+    return lo - margin, hi + margin
+
+
+def _multiplier(respond, b_max: float, lo: float, hi: float) -> tuple[float, list[float]]:
+    """(theta*, b(theta*)) for a :func:`_pricing` response, by Illinois
+    regula falsi (Dowell & Jarratt 1971) on log theta from the bracket
+    [lo, hi] (:func:`_bracket`).
+
+    Both ends are evaluated, capped at the largest float.  The bracket
+    holds unless an end leaves the float range.  A hi end that overfills
+    the band is replaced by the largest float, which is at or above
+    theta_max (:func:`_theta_max`), where every group sits at its bound.
+    A lo end that falls short becomes the hi side, and the bracket steps
+    down from it by ln 2, doubling the step after the first 60, until
+    sum b > B_max.  From then on sum b(theta_hi) <= B_max < sum
+    b(theta_lo).  The search stops once B_max - sum b(theta_hi) <=
+    1e-9*B_max and returns that side, so the bandwidths never overfill
+    the band.  An end past the float range (sum b = +inf, or ``over``)
+    has no secant and is bisected towards; when no float lies between
+    the ends, no float theta fills the band any further and the hi side
+    is returned.  RuntimeError when either phase takes more than 400
+    steps.
     """
     with np.errstate(all="ignore"):
-        hi = math.log(min(theta_max, sys.float_info.max))
-        b_hi, t_hi, over = respond(math.exp(hi))
-        lo, step = hi, _LN2
+        for hi in (min(hi, _LOG_MAX), _LOG_MAX):
+            b_hi, t_hi, over = respond(math.exp(hi))
+            if t_hi <= b_max:
+                break
+        lo, step = min(lo, hi), _LN2
         for k in range(_MAX_STEPS):
-            if k >= _LN2_STEPS:
-                step *= 2.0
-            lo -= step
             b_lo, t_lo, over_lo = respond(math.exp(lo))
             if t_lo > b_max:
                 break
             hi, b_hi, t_hi, over = lo, b_lo, t_lo, over_lo
+            if k >= _LN2_STEPS:
+                step *= 2.0
+            lo -= step
         else:
             raise RuntimeError("could not bracket the bandwidth multiplier from below")
 
@@ -465,10 +539,11 @@ def kkt_allocate(
     if _overfills(sum_lower, cfg.b_max):
         return _report(users, links, cfg, lower, lower)
 
-    respond, theta_max = _pricing(np.array(lower), links, cfg.power * cfg.payload_bits)
-    theta_star, b_star = theta_max, lower  # the corner where the bounds fill the band
-    if cfg.b_max - sum_lower > _BAND_TOL * cfg.b_max:
-        theta_star, b_star = _multiplier(respond, cfg.b_max, theta_max)
+    pq, lows = cfg.power * cfg.payload_bits, np.array(lower)
+    if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:  # the bounds fill the band
+        return _report(users, links, cfg, lower, lower, _theta_max(lows, links, pq))
+    bracket = _bracket(lows, links, pq, cfg.b_max)
+    theta_star, b_star = _multiplier(_pricing(lows, links, pq), cfg.b_max, *bracket)
     return _report(users, links, cfg, lower, b_star, theta_star)
 
 

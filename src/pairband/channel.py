@@ -29,6 +29,7 @@ pair's rates are one call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +52,8 @@ _LN2 = math.log(2.0)
 # terms k = 2..10 leave a tail under 1e-18 of the sum.
 _SERIES_BELOW = 1e-2
 _SERIES = tuple((-1.0) ** (k + 1) / k for k in range(10, 1, -1))
+# Above this t, 2t overflows.
+_WIDE = 0.5 * sys.float_info.max
 
 
 def path_loss_db(distance_km: float) -> float:
@@ -96,7 +99,9 @@ def f_value(b, x):
     # the rest of the call.
     if np.count_nonzero(b < 0):
         raise ValueError("bandwidth must be non-negative")
-    return x * phi(b / x)
+    with np.errstate(over="ignore"):  # b/x past the float range is +inf
+        t = b / x
+    return x * phi(t)
 
 
 def f_prime(b, x):
@@ -135,24 +140,36 @@ def _log1p_minus_series(u):
     return u * u * series
 
 
-def _phi_prime(t):
-    """phi'(t) = (log1p(u) - u + u/(t + 1))/ln2 with u = 1/(2t + 1).
+def _log_terms(t):
+    """(log1p(u), log1p(u) - u + u/(t + 1)) with u = 1/(2t + 1), which
+    are ln2*phi(t)/t and ln2*phi'(t).
 
     In the wide band log1p(u) and u nearly cancel, so their difference
     comes from its series wherever u is below _SERIES_BELOW; the series
     is evaluated only when some u is.
     """
     u = 1.0 / (2.0 * t + 1.0)
-    head = np.log1p(u) - u
+    log_term = np.log1p(u)
+    head = log_term - u
     small = u < _SERIES_BELOW
     if np.count_nonzero(small):
         head = np.where(small, _log1p_minus_series(u), head)
-    return (head + u / (t + 1.0)) / _LN2
+    return log_term, head + u / (t + 1.0)
+
+
+def _phi_prime(t):
+    """phi'(t) = (log1p(u) - u + u/(t + 1))/ln2 with u = 1/(2t + 1)."""
+    return _log_terms(t)[1] / _LN2
 
 
 def phi(t):
     """phi(t) = t*log2(1 + 1/(2t + 1)), the rate at link 1 and bandwidth
-    t, elementwise: F(b, x) = x*phi(b/x)."""
+    t, elementwise: F(b, x) = x*phi(b/x).  Where 2t overflows (t = +inf
+    included) phi is its limit 1/(2 ln 2); that case is handled only
+    when some t is there."""
+    wide = t > _WIDE
+    if np.count_nonzero(wide):
+        return np.where(wide, f_limit(1.0), phi(np.where(wide, 1.0, t)))
     return t * np.log1p(1.0 / (2.0 * t + 1.0)) / _LN2
 
 

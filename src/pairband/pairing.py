@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 from itertools import islice
 
-import networkx as nx
 import numpy as np
 
 __all__ = [
@@ -54,6 +53,18 @@ __all__ = [
     "mwpm",
     "k_best_matchings",
 ]
+
+
+def __getattr__(name: str):
+    """``pairing.nx`` is networkx, imported on first use (PEP 562):
+    ``pairing.nx.max_weight_matching`` is the blossom that
+    :func:`_solve_min_cost` calls, before or after its first call."""
+    if name == "nx":
+        import networkx
+
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Sentinel for pairs that may never be matched.  +inf (not a big finite
 # number) so "no finite perfect matching" is detected exactly.
@@ -354,6 +365,8 @@ def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     # LB is finite, so an infinite UB never closes the gap.
     if ub <= math.fsum(w) - 0.5 * n * rho:
         return _canonical(heuristic)
+    import networkx as nx  # loaded on the first open gap only
+
     i, j = np.nonzero(_priced_edges(r, rho, w, ub))
     reduced = r[i, j]
     graph = nx.Graph()

@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairband.channel import ChannelGain
+from pairband.channel import ChannelGain, psi
 from pairband.distortion import DistortionTable, SimilarityModel, similarity_gate
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
 from pairband.pairing import Matching, PairCostMatrix
@@ -373,6 +373,16 @@ def bisection_g_inverse(theta: float, x: float, pq: float, b_hint: float = 1.0e6
         if hi - lo <= 1e-12 * hi:
             break
     return 0.5 * (lo + hi)
+
+
+def ratio_psi_inverse(s: np.ndarray) -> np.ndarray:
+    """psi^-1 as six steps of t <- sqrt(psi(t)*t*t/s) from t =
+    1/sqrt(s), the form bandwidth.psi_inverse took before its step was
+    fused; nan where s is 0 or +inf."""
+    t = 1.0 / np.sqrt(s)
+    for _ in range(6):
+        t = np.sqrt(psi(t) * t * t / s)
+    return t
 
 
 def bisection_kkt(

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from pairband import bandwidth, solver
@@ -54,6 +54,7 @@ from support import (
     make_user,
     paired_users,
     random_instance,
+    ratio_psi_inverse,
     user_pair,
 )
 
@@ -325,6 +326,21 @@ class TestPsiInverse:
     def test_roundtrip_through_t(self):
         t = np.logspace(-8.0, 12.0, 401)
         assert psi_inverse(psi(t)) == pytest.approx(t, rel=1e-14, abs=0.0)
+
+    def test_fused_step_matches_the_ratio_form(self):
+        s = psi(np.logspace(-8.0, 12.0, 401))
+        assert psi_inverse(s) == pytest.approx(ratio_psi_inverse(s), rel=1e-14, abs=0.0)
+
+    def test_float_range_edges_match_the_ratio_form(self):
+        # nan at s = 0 and +inf marks a pair the multiplier's response
+        # has lost to the float range (over, where s > 1); subnormal s
+        # is lost too.
+        s = np.array([0.0, math.inf, 5e-324, 1e-310, 1e308, 1.0])
+        with np.errstate(all="ignore"):
+            fused, ratio = psi_inverse(s), ratio_psi_inverse(s)
+        assert np.array_equal(np.isnan(fused), np.isnan(ratio))
+        assert np.array_equal(np.isinf(fused), np.isinf(ratio))
+        assert np.isnan(fused).tolist() == [True, True, True, True, False, False]
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -721,13 +737,14 @@ def _kkt_draw(draw):
     """(users, cfg, matching, bounds) of K = 1-8 groups with random links,
     p*Q, bounds and B_max.  B_max is drawn by case: with room to spare;
     within a few 1e-9 of sum(L), the degenerate corner; with one group's
-    bound 1e3 times the rest, so that it sits at its bound; 1e20 Hz, the
-    wide band; or short of sum(L)."""
+    bound 1e3 times the rest, so that it sits at its bound; 10 to 1e8
+    times sum(L), where free groups sit at b/x far above 49.5 and psi's
+    series branch runs; 1e20 Hz, the wide band; or short of sum(L)."""
     k = draw(st.integers(min_value=1, max_value=8))
     users = [u for g in range(k) for u in draw(user_pair(2 * g))]
     power = draw(st.floats(min_value=0.25, max_value=4.0))
     payload = draw(st.floats(min_value=1e5, max_value=1e7))
-    case = draw(st.sampled_from(["room", "corner", "pinned", "wide", "short"]))
+    case = draw(st.sampled_from(["room", "corner", "pinned", "series", "wide", "short"]))
     cfg = make_cfg(2 * k, power=power, payload=payload)
     matching = consecutive_matching(2 * k)
     # Bounds as multiples of each pair's link: from deep in the rate's
@@ -741,6 +758,7 @@ def _kkt_draw(draw):
         "room": total * (1.0 + draw(st.floats(min_value=1e-6, max_value=100.0))),
         "corner": total * (1.0 + draw(st.floats(min_value=-5e-9, max_value=5e-9))),
         "pinned": total * (1.0 + draw(st.floats(min_value=1e-3, max_value=0.5))),
+        "series": total * 10.0 ** draw(st.floats(min_value=1.0, max_value=8.0)),
         "wide": 1e20,
         "short": total * draw(st.floats(min_value=0.5, max_value=1.0 - 2e-9)),
     }[case]
@@ -770,6 +788,47 @@ def test_prop_kkt_allocate_matches_the_bisection_oracle(draw):
     gaps = [abs(b - expect) for b, expect in zip(report.bandwidths, oracle, strict=True)]
     assert math.fsum(gaps) <= 2e-9 * cfg.b_max
     event(f"groups at their bound: {sum(b == lb for b, lb in zip(report.bandwidths, bounds))}")
+
+
+@st.composite
+def _bracket_draw(draw):
+    """(bounds, links, pq, B_max) of K = 1-16 groups: links from 1 kHz
+    to 1 THz, bounds 1e-4 to 10 times their links, and B_max above the
+    bounds' sum by 1e-8 to 1e8 times it.  The widest bands put free
+    groups at b/x far above 49.5, where psi's series branch runs and
+    a = psi(t)*t^2 nears 3 ln2/2.  Some draws repeat one group, so that
+    every free group meets the water level at once."""
+    k = draw(st.integers(min_value=1, max_value=16))
+    links = np.array([10.0 ** draw(st.floats(min_value=3.0, max_value=12.0)) for _ in range(k)])
+    bounds = links * [draw(st.floats(min_value=1e-4, max_value=10.0)) for _ in range(k)]
+    if draw(st.booleans()):
+        links, bounds = np.full(k, links[0]), np.full(k, bounds[0])
+    pq = draw(st.floats(min_value=1e5, max_value=4e7))
+    b_max = math.fsum(bounds) * (1.0 + 10.0 ** draw(st.floats(min_value=-8.0, max_value=8.0)))
+    return bounds, links, pq, b_max
+
+
+# The level is 1 MHz.  The second group's bound sits 1 % above it at
+# t = 1010, where a is near 3 ln2/2, while the free group's a is 1 + 1e-12:
+# that bound group, not the free one, sets theta_hi.
+BOUND_ABOVE_THE_LEVEL = (np.array([1e3, 1.01e6]), np.array([1e12, 1e3]), 1e6, 2.01e6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(draw=BOUND_ABOVE_THE_LEVEL)
+@given(draw=_bracket_draw())
+def test_prop_water_level_ends_straddle_the_band(draw):
+    bounds, links, pq, b_max = draw
+    respond = bandwidth._pricing(bounds, links, pq)
+    with np.errstate(all="ignore"):
+        lo, hi = bandwidth._bracket(bounds, links, pq, b_max)
+        assert respond(math.exp(lo))[1] > b_max >= respond(math.exp(hi))[1]
+    # theta_hi / theta_lo is a = psi(t)*t^2 at most, before the margins
+    # (and the rounding of log theta).
+    level, free = bandwidth._water_level(bounds.tolist(), b_max)
+    margin = 4.0 * bandwidth._BRACKET_MARGIN * b_max / free
+    assert 0.0 < hi - lo <= math.log(1.5 * math.log(2.0)) + margin + 1e-12
+    event(f"series branch at the level: {bool(np.any(level / links[bounds < level] > 49.5))}")
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ DRAW = st.fixed_dictionaries(
     {
         "n": st.sampled_from([2, 4, 6, 8]),
         "seed": st.integers(min_value=0, max_value=20),
-        "area_m": _override(50.0, 5000.0),
+        "area_m": _override(50.0, 1e6),
         "b_max": _override(1e3, 1e8),
         "t_max": _override(0.5, 20.0),
         "e_max": _override(1.0, 1e4),
@@ -62,11 +62,13 @@ def _draw(n, seed, **budgets):
 
 # Draws that once escaped: an objective whose finite terms overflowed
 # fsum (OverflowError, under random_kkt), a multiplier search that ran
-# into its step cap (RuntimeError), and an infinite theta_max that psi
-# divided by zero on.
+# into its step cap (RuntimeError), an infinite theta_max that psi
+# divided by zero on, and an equal split whose b/x overflowed on a
+# 590 km area (RuntimeWarnings from f_value and phi, under random_equal).
 OVERFLOW = _draw(4, 19, b_max=5e-324, t_max=1e308)
 STALL = _draw(2, 18, b_max=1e-300, t_max=1e308, e_max=2.5)
 THETA_MAX = _draw(8, 1, b_max=1e3, t_max=1e300)
+WIDE_AREA = {**_draw(2, 2, b_max=1e308), "area_m": 590000.0}
 
 
 @contextlib.contextmanager
@@ -87,6 +89,7 @@ def workdir(tmp_path_factory):
 @example(draw=OVERFLOW, strategy="random_kkt")
 @example(draw=STALL, strategy="proposed")
 @example(draw=THETA_MAX, strategy="proposed")
+@example(draw=WIDE_AREA, strategy="random_equal")
 @given(draw=DRAW, strategy=st.sampled_from(STRATEGIES))
 def test_prop_cli_ends_in_one_of_three_outcomes(workdir, draw, strategy):
     path, doc = workdir / "scn.json", workdir / "result.json"
@@ -110,6 +113,7 @@ def test_prop_cli_ends_in_one_of_three_outcomes(workdir, draw, strategy):
 @example(draw=OVERFLOW)
 @example(draw=STALL)
 @example(draw=THETA_MAX)
+@example(draw=WIDE_AREA)
 @given(draw=DRAW)
 def test_prop_every_strategy_answers_or_rejects_the_input(draw):
     """Invalid input is a ValueError from the template, the generator or

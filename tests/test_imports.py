@@ -5,9 +5,10 @@ the file's ``__all__``.  ``from __future__`` imports and the package's
 ``__init__`` re-exports are exempt.  Parsed with the standard ``ast``
 module, so no linter needs to be installed.
 
-Importing the package pulls in no third-party package beyond numpy and
-networkx, and no process pool: ``multiprocessing`` loads only when a
-sweep runs with more than one job.
+Importing the package pulls in no third-party package beyond numpy,
+and no process pool: ``multiprocessing`` loads only when a sweep runs
+with more than one job, and networkx only when an MWPM leaves a gap
+for its blossom.
 """
 
 import ast
@@ -88,25 +89,49 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
-def test_package_imports_only_numpy_and_networkx():
-    # Import time is the benchmark's setup_s: a third-party import
-    # (scipy alone takes about 0.7 s) must not slip in unnoticed, nor
-    # concurrent.futures.process, whose multiprocessing takes about 12 ms.
-    probe = (
+def _loaded_by(probe: str) -> set[str]:
+    """Top-level modules that running ``probe`` loads in a fresh interpreter."""
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    code = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import pairband\n"
+        f"{probe}"
         "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
     )
-    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    loaded = set(json.loads(out.stdout))
+    return set(json.loads(out.stdout))
+
+
+def test_package_imports_only_numpy():
+    # Import time is the benchmark's setup_s: a third-party import
+    # (scipy alone takes about 0.7 s, networkx about 0.15 s) must not
+    # slip in unnoticed, nor concurrent.futures.process, whose
+    # multiprocessing takes about 12 ms.
+    loaded = _loaded_by("import pairband\nimport pairband.solver\n")
     assert "multiprocessing" not in loaded
-    assert loaded - set(sys.stdlib_module_names) - {"pairband"} == {"networkx", "numpy"}
+    assert loaded - set(sys.stdlib_module_names) - {"pairband"} == {"numpy"}
+
+
+def test_networkx_loads_on_the_first_open_gap():
+    # Two triangles with no edge between them: the assignment's cycles
+    # give no finite perfect matching, so the gap stays open and the
+    # blossom must run.  A planted matching on four users closes it.
+    probe = (
+        "import numpy as np\n"
+        "from pairband.pairing import INFEASIBLE, PairCostMatrix, mwpm\n"
+        "closed = np.array([[np.inf, 1, 5, 5], [1, np.inf, 5, 5], [5, 5, np.inf, 1], [5, 5, 1, np.inf]])\n"
+        "assert mwpm(PairCostMatrix(n=4, costs=closed)).pairs == ((0, 1), (2, 3))\n"
+        "assert 'networkx' not in sys.modules\n"
+        "c = np.full((6, 6), INFEASIBLE)\n"
+        "for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:\n"
+        "    c[i, j] = c[j, i] = 1.0\n"
+        "assert mwpm(PairCostMatrix(n=6, costs=c)) is None\n"
+    )
+    assert "networkx" in _loaded_by(probe)

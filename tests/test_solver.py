@@ -435,6 +435,31 @@ def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
     assert silent == {f"n{n}-s{s}-under-c1" for n, s in walks.SCENARIOS} - loud_under
 
 
+def test_candidate_one_split_takes_a_pinned_number_of_psi_inverses(monkeypatch):
+    # Candidate 1's KKT split on three solve-n16 benchmark instances
+    # (N=16, default template): the water-level bracket's two ends plus
+    # one or three regula falsi steps.  Stepping log theta down by ln 2
+    # from theta_max took 9, 10 and 9 here.
+    inverse, kkt = bandwidth.psi_inverse, solver.kkt_allocate
+    counts = []
+
+    def spy_kkt(*args):
+        counts.append(0)
+        return kkt(*args)
+
+    def spy_inverse(s):
+        counts[-1] += 1
+        return inverse(s)
+
+    monkeypatch.setattr(bandwidth, "psi_inverse", spy_inverse)
+    monkeypatch.setattr(solver, "kkt_allocate", spy_kkt)
+    for seed, b_max, expected in ((0, 5.0e6, 3), (2, 5.0e6, 5), (5, 10.0e6, 5)):
+        counts.clear()
+        res = solve_proposed(generate_scenario(ScenarioTemplate(b_max=b_max), seed))
+        assert res.candidates_tried == 1
+        assert counts == [expected]
+
+
 def _costs(scn):
     from pairband.solver import _cost_matrix
 
