@@ -11,7 +11,9 @@ entry also times the bound matrix itself, so bound ``matrix_ms`` +
 ``ms`` is the whole certificate, ``generate_ms`` is the median CPU
 milliseconds of ``generate_scenario``, and ``kkt_ms`` that of
 ``kkt_allocate`` on candidate 1 (the cost matrix's MWPM) with its
-pairs' bounds.
+pairs' bounds.  The cost entry's ``rank1_mwpms`` counts the MWPMs that
+ranking candidate 1 solves: 1 when its own solve proves that nothing
+ties it, 2 when the tie check re-solves it on raised costs.
 With ``--no-time`` the lines hold answers only, and each total is
 rounded to 9 significant digits, the 1e-9 relative tolerance the
 benchmark references are checked at: a change in a total's last bits
@@ -30,7 +32,7 @@ import time
 
 from pairband import pairing
 from pairband.bandwidth import kkt_allocate
-from pairband.pairing import PairCostMatrix, mwpm
+from pairband.pairing import PairCostMatrix, k_best_matchings, mwpm
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from pairband.solver import _cost_matrix, _pair_bounds
 
@@ -64,6 +66,23 @@ def edges_handed(costs: PairCostMatrix) -> int | None:
     if best is None:
         return None
     return seen[0] if seen else 0
+
+
+def rank1_mwpms(costs: PairCostMatrix) -> int:
+    """MWPM kernel solves made by ``k_best_matchings(costs, 1)``."""
+    kernel = pairing._solve_min_cost
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    pairing._solve_min_cost = counted
+    try:
+        k_best_matchings(costs, 1)
+    finally:
+        pairing._solve_min_cost = kernel
+    return len(calls)
 
 
 def entry(costs: PairCostMatrix, timed: bool) -> dict:
@@ -108,6 +127,7 @@ def main(argv: list[str] | None = None) -> None:
             "cost": entry(costs, not args.no_time),
             "bound": entry(PairCostMatrix(n=n, costs=bounds), not args.no_time),
         }
+        line["cost"]["rank1_mwpms"] = rank1_mwpms(costs)
         if not args.no_time:
             line["bound"]["matrix_ms"] = round(bounds_ms, 2)
             times = [cpu_ms(generate_scenario, template, args.seed)[1] for _ in range(REPEATS)]

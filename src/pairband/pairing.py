@@ -29,11 +29,14 @@ include a prefix of its matching's edges and exclude the next one,
 re-solve each subcell, and keep them in a priority queue.  Cells
 partition the matching space, so the ranking is exact and
 duplicate-free.  A popped matching that is cheaper than everything
-else by more than a float tie tolerance, and unique in its cell (one
-MWPM with its own edges raised by that tolerance still returns it), is
+else by more than a float tie tolerance, and unique in its cell, is
 yielded before its cell is split; a cell is split only when the next
-matching is asked for.  So the first matching costs two MWPMs unless
-something ties it.
+matching is asked for.  Uniqueness comes free with a closed gap whose
+matching is the assignment itself: the reduced costs then show every
+rival dearer by more than the tolerance allows.  Otherwise one more
+MWPM, with the matching's own edges raised by the tolerance, must
+still return it.  So the first matching costs one MWPM when its own
+duals prove it untied, and two unless something ties it.
 """
 
 from __future__ import annotations
@@ -288,37 +291,42 @@ def _join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
             mate[path[k]], mate[path[k + 1]] = path[k + 1], path[k]
 
 
-def _cycle_matching(c: np.ndarray, w: np.ndarray, col_of: np.ndarray) -> list[Pair]:
+def _cycle_matching(c: np.ndarray, d: np.ndarray, col_of: np.ndarray) -> list[Pair]:
     """A perfect matching read off an assignment's cycles.
 
-    An even cycle splits into its cheaper set of alternate edges and an
-    odd cycle into the cheapest such set over all but one user; the
-    left-over users are joined along alternating paths, and 2-opt
-    polishes the result.  Its edges may be infinite.
+    A 2-cycle is its own pair.  A longer even cycle splits into its
+    cheaper set of alternate edges and an odd cycle into the cheapest
+    such set over all but one user; the left-over users are joined
+    along alternating paths of the reduced costs ``d`` (c_ij - w_i -
+    w_j over the whole matrix), and 2-opt polishes the result.  Its
+    edges may be infinite.
     """
-    mate = np.full(c.shape[0], -1)
-    seen = np.zeros(c.shape[0], dtype=bool)
-    for start in range(c.shape[0]):
+    n = c.shape[0]
+    mate = np.full(n, -1)
+    seen = [False] * n
+    succ = col_of.tolist()
+    for start in range(n):
         cycle = []
         k = start
         while not seen[k]:
             seen[k] = True
             cycle.append(k)
-            k = int(col_of[k])
-        if not cycle:
-            continue
-        odd = len(cycle) % 2
-        turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
-        turn = min(turns, key=lambda t: _total(c, zip(t[odd::2], t[odd + 1 :: 2])))
-        mate[turn[odd::2]], mate[turn[odd + 1 :: 2]] = turn[odd + 1 :: 2], turn[odd::2]
-    _join_exposed(c - w[:, None] - w, mate)
+            k = succ[k]
+        if len(cycle) == 2:
+            mate[cycle] = cycle[::-1]
+        elif cycle:
+            odd = len(cycle) % 2
+            turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
+            turn = min(turns, key=lambda t: _total(c, zip(t[odd::2], t[odd + 1 :: 2])))
+            mate[turn[odd::2]], mate[turn[odd + 1 :: 2]] = turn[odd + 1 :: 2], turn[odd::2]
+    _join_exposed(d, mate)
     return _two_opt(c, [(k, int(m)) for k, m in enumerate(mate) if k < m])
 
 
-def _reduced(c: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Reduced costs r_ij = c_ij - w_i - w_j on the upper triangle (+inf
-    off the finite edges) and rho = max(0, -min r)."""
-    r = np.where(np.triu(np.isfinite(c), 1), c - w[:, None] - w, np.inf)
+def _reduced(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
+    """Reduced costs r_ij = d_ij = c_ij - w_i - w_j on the upper triangle
+    (+inf off the finite edges) and rho = max(0, -min r)."""
+    r = np.where(np.triu(np.isfinite(c), 1), d, np.inf)
     return r, max(0.0, -float(r.min()))
 
 
@@ -337,8 +345,44 @@ def _priced_edges(r: np.ndarray, rho: float, w: np.ndarray, ub: float) -> np.nda
     return np.isfinite(r) & (r <= ub - math.fsum(w) + 0.5 * r.shape[0] * rho + tol)
 
 
-def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
-    """Min-cost perfect matching over finite edges, or None if none exists.
+def _no_rival(keep: np.ndarray, mate: list[int], pairs: list[Pair]) -> bool:
+    """True when ``pairs`` is the assignment ``mate`` and no other perfect
+    matching uses only the edges of the upper-triangle mask ``keep``.
+
+    A rival M' differs from M = ``pairs`` on alternating cycles v0 v1
+    v2 ... with (v0, v1), (v2, v3), ... in M' and v2 = mate(v1), v4 =
+    mate(v3), ...: so v0 -> v2 -> v4 -> ... -> v0 is a cycle of the
+    arcs i -> mate(j), one each way along every edge (i, j) of M'
+    outside M.  If the arcs of the kept edges outside M form no cycle,
+    no rival uses only kept edges.  Users that no arc enters are peeled
+    off until none is left.
+    """
+    if any(mate[i] != j or mate[j] != i for i, j in pairs):
+        return False
+    heads: list[list[int]] = [[] for _ in mate]
+    entering = [0] * len(mate)
+    rows, cols = np.nonzero(keep)
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if mate[i] != j:
+            heads[i].append(mate[j])
+            heads[j].append(mate[i])
+            entering[mate[j]] += 1
+            entering[mate[i]] += 1
+    peeled = [v for v, k in enumerate(entering) if k == 0]
+    for v in peeled:
+        for h in heads[v]:
+            entering[h] -= 1
+            if entering[h] == 0:
+                peeled.append(h)
+    return len(peeled) == len(mate)
+
+
+def _solve_min_cost(
+    costs: np.ndarray, tau: float | None
+) -> tuple[tuple[Pair, ...], bool] | None:
+    """Min-cost perfect matching over finite edges, or None if none exists,
+    with a proof flag: True when a tie tolerance ``tau`` is given and
+    every other perfect matching costs more than N ``tau`` above it.
 
     The assignment relaxation bounds the optimum below by LB = sum(w) -
     (N/2) rho and the matching read off its cycles bounds it above by
@@ -351,20 +395,30 @@ def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     matching's sum of r is its cost minus sum(w), so both rank perfect
     matchings alike, and the assignment's edges, tight under w, leave
     the blossom few dual updates to make.
+
+    The flag needs a closed gap whose matching M is the assignment
+    itself (every cycle a 2-cycle, left as it is by 2-opt).  The same
+    pricing then keeps the edges of every matching that costs at most
+    c(M) + N tau, and :func:`_no_rival` shows M to be the only one.
+    On an open gap the flag is False.
     """
     n = costs.shape[0]
     if n == 0:
-        return ()
+        return (), True
     solved = _assignment(costs)
     if solved is None:
         return None
     w, col_of = solved
-    heuristic = _cycle_matching(costs, w, col_of)
+    d = costs - w[:, None] - w
+    heuristic = _cycle_matching(costs, d, col_of)
     ub = _total(costs, heuristic)
-    r, rho = _reduced(costs, w)
+    r, rho = _reduced(costs, d)
     # LB is finite, so an infinite UB never closes the gap.
     if ub <= math.fsum(w) - 0.5 * n * rho:
-        return _canonical(heuristic)
+        proved = tau is not None and _no_rival(
+            _priced_edges(r, rho, w, ub + n * tau), col_of.tolist(), heuristic
+        )
+        return _canonical(heuristic), proved
     import networkx as nx  # loaded on the first open gap only
 
     i, j = np.nonzero(_priced_edges(r, rho, w, ub))
@@ -375,7 +429,7 @@ def _solve_min_cost(costs: np.ndarray) -> tuple[Pair, ...] | None:
     mate = nx.max_weight_matching(graph, maxcardinality=True)
     if 2 * len(mate) != n:
         return None
-    return _canonical(mate)
+    return _canonical(mate), False
 
 
 def mwpm(costs: PairCostMatrix) -> Matching | None:
@@ -383,9 +437,10 @@ def mwpm(costs: PairCostMatrix) -> Matching | None:
     matching would use an INFEASIBLE edge."""
     if costs.n % 2 != 0:
         raise ValueError("perfect matching needs an even number of users")
-    pairs = _solve_min_cost(costs.costs)
-    if pairs is None:
+    solved = _solve_min_cost(costs.costs, None)
+    if solved is None:
         return None
+    pairs = solved[0]
     return Matching(pairs=pairs, total_cost=_total(costs.costs, pairs))
 
 
@@ -393,8 +448,10 @@ def _solve_cell(
     costs: np.ndarray,
     forced_in: frozenset[Pair],
     forced_out: frozenset[Pair],
-) -> tuple[Pair, ...] | None:
-    """Best matching containing all forced_in edges and no forced_out edge."""
+    tau: float | None,
+) -> tuple[tuple[Pair, ...], bool] | None:
+    """Best matching containing all forced_in edges and no forced_out
+    edge, with :func:`_solve_min_cost`'s proof flag for the free users."""
     n = costs.shape[0]
     fixed = set(i for p in forced_in for i in p)
     free = sorted(set(range(n)) - fixed)
@@ -404,11 +461,11 @@ def _solve_cell(
         if i in fwd and j in fwd:
             sub[fwd[i], fwd[j]] = INFEASIBLE
             sub[fwd[j], fwd[i]] = INFEASIBLE
-    solved = _solve_min_cost(sub)
+    solved = _solve_min_cost(sub, tau)
     if solved is None:
         return None
-    pairs = list(forced_in) + [(free[i], free[j]) for i, j in solved]
-    return _canonical(pairs)
+    pairs = list(forced_in) + [(free[i], free[j]) for i, j in solved[0]]
+    return _canonical(pairs), solved[1]
 
 
 def _unique_in_cell(
@@ -422,12 +479,15 @@ def _unique_in_cell(
     """True when no other matching of the cell costs within ``tau`` of
     ``pairs``: raising each of its free edges by ``tau`` puts any rival
     (which misses at least two of them) 2*tau closer, so the cell's
-    minimum stays ``pairs`` only if every rival is 2*tau dearer."""
+    minimum stays ``pairs`` only if every rival is 2*tau dearer.  One
+    more MWPM; :func:`_ranked` runs it only on a cell whose own solve
+    gave no proof."""
     raised = c.copy()
     for i, j in free_edges:
         raised[i, j] += tau
         raised[j, i] += tau
-    return _solve_cell(raised, forced_in, forced_out) == pairs
+    solved = _solve_cell(raised, forced_in, forced_out, None)
+    return solved is not None and solved[0] == pairs
 
 
 def _ranked(costs: PairCostMatrix):
@@ -442,26 +502,34 @@ def _ranked(costs: PairCostMatrix):
     settled, and the smallest settled matching is yielded once every
     unsplit cell is dearer, so nothing still unranked can tie or beat
     it.  A cell is split only when the next yield needs it.
+
+    Each cell keeps its solve's proof flag.  Where it is set, every
+    rival in the cell is dearer by more than n tau, for n free users:
+    more than the n/2 tau by which :func:`_unique_in_cell` raises the
+    matching, so its extra MWPM could only return the matching again
+    and is skipped.
     """
-    first = mwpm(costs)
-    if first is None:
-        return
+    if costs.n % 2 != 0:
+        raise ValueError("perfect matching needs an even number of users")
     c = costs.costs
     # Costs closer than tau may be float ties (finite costs are >= 0).
     tau = 1e-9 * max(float(c[np.isfinite(c)].max(initial=0.0)), 1.0)
-    cells = [(first.total_cost, first.pairs, frozenset(), frozenset())]
+    first = _solve_cell(c, frozenset(), frozenset(), tau)
+    if first is None:
+        return
+    cells = [(_total(c, first[0]), *first, frozenset(), frozenset())]
     settled: list[tuple[float, tuple[Pair, ...]]] = []
     while cells or settled:
         if settled and (not cells or cells[0][0] > settled[0][0] + tau):
             total, pairs = heapq.heappop(settled)
             yield Matching(pairs=pairs, total_cost=total)
             continue
-        total, pairs, f_in, f_out = heapq.heappop(cells)
+        total, pairs, proved, f_in, f_out = heapq.heappop(cells)
         free_edges = [p for p in pairs if p not in f_in]
         if (
             (not cells or cells[0][0] > total + tau)
             and (not settled or settled[0][0] > total + tau)
-            and _unique_in_cell(c, pairs, free_edges, f_in, f_out, tau)
+            and (proved or _unique_in_cell(c, pairs, free_edges, f_in, f_out, tau))
         ):
             yield Matching(pairs=pairs, total_cost=total)
         else:
@@ -469,9 +537,9 @@ def _ranked(costs: PairCostMatrix):
         for t, edge in enumerate(free_edges):
             child_in = f_in | frozenset(free_edges[:t])
             child_out = f_out | frozenset({edge})
-            solved = _solve_cell(c, child_in, child_out)
+            solved = _solve_cell(c, child_in, child_out, tau)
             if solved is not None:
-                heapq.heappush(cells, (_total(c, solved), solved, child_in, child_out))
+                heapq.heappush(cells, (_total(c, solved[0]), *solved, child_in, child_out))
 
 
 def k_best_matchings(costs: PairCostMatrix, w_count: int) -> list[Matching]:

@@ -337,7 +337,7 @@ def test_prop_assignment_bound_and_cycle_matching_bracket_the_optimum(
     assert sorted(col_of.tolist()) == list(range(n))
     off = ~np.eye(n, dtype=bool)
     assert np.all((w[:, None] + w)[off] <= c[off] + 1e-12)
-    pairs = pairing._cycle_matching(c, w, col_of)
+    pairs = pairing._cycle_matching(c, c - w[:, None] - w, col_of)
     assert sorted(k for p in pairs for k in p) == list(range(n))
     if best is not None:
         assert math.fsum(w) <= best.total_cost + 1e-12
@@ -360,13 +360,13 @@ def test_prop_pricing_keeps_every_optimal_edge_for_any_duals(n, seed, noise):
     solved = pairing._assignment(c)
     assume(best is not None)
     w = solved[0] + rng.normal(0.0, noise, size=n)
-    keep = pairing._priced_edges(*pairing._reduced(c, w), w, best.total_cost)
+    keep = pairing._priced_edges(*pairing._reduced(c, c - w[:, None] - w), w, best.total_cost)
     assert all(keep[i, j] for i, j in best.pairs)
 
 
 def test_infinite_heuristic_bound_keeps_every_finite_edge():
     c = tenth_costs(np.random.default_rng(3), 8, 0.5)
-    keep = pairing._priced_edges(*pairing._reduced(c, np.zeros(8)), np.zeros(8), math.inf)
+    keep = pairing._priced_edges(*pairing._reduced(c, c), np.zeros(8), math.inf)
     assert np.array_equal(keep, np.triu(np.isfinite(c), 1))
 
 
@@ -431,7 +431,7 @@ def test_odd_cycles_are_joined_along_an_alternating_path():
         c[i, j] = c[j, i] = 1.0
     c[2, 5] = c[5, 2] = 7.0
     w, _ = pairing._assignment(c)
-    pairs = pairing._cycle_matching(c, w, np.array([1, 2, 0, 4, 5, 3]))
+    pairs = pairing._cycle_matching(c, c - w[:, None] - w, np.array([1, 2, 0, 4, 5, 3]))
     assert sorted((min(p), max(p)) for p in pairs) == [(0, 1), (2, 5), (3, 4)]
     assert mwpm(matrix(c)).pairs == ((0, 1), (2, 5), (3, 4))
 
@@ -442,7 +442,7 @@ def test_a_path_that_meets_itself_is_paired_directly_and_repaired():
     # infinite edge, and 2-opt swaps partners back to the optimum (1.9).
     c = tenth_costs(np.random.default_rng(11498), 8, 0.6)
     w, col_of = pairing._assignment(c)
-    pairs = pairing._cycle_matching(c, w, col_of)
+    pairs = pairing._cycle_matching(c, c - w[:, None] - w, col_of)
     assert sorted(k for p in pairs for k in p) == list(range(8))
     assert matching_cost(c, pairs) == pytest.approx(1.9)
     assert brute_force_mwpm(matrix(c)).total_cost == pytest.approx(1.9)
@@ -456,8 +456,53 @@ def test_no_perfect_matching_behind_a_finite_assignment():
     for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
         c[i, j] = c[j, i] = 1.0
     w, col_of = pairing._assignment(c)
-    assert matching_cost(c, pairing._cycle_matching(c, w, col_of)) == math.inf
+    assert matching_cost(c, pairing._cycle_matching(c, c - w[:, None] - w, col_of)) == math.inf
     assert mwpm(matrix(c)) is None
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=_small,
+    seed=_seeds,
+    hole_rate=_holes,
+    tenths=st.booleans(),
+    forced=st.sampled_from([0.0, 0.3, 0.6]),
+)
+def test_prop_a_proved_cell_minimum_is_untied(n, seed, hole_rate, tenths, forced):
+    # Where a cell's own solve proves its matching unique, the raised
+    # re-solve agrees, and every other matching of the cell is more than
+    # 2 tau dearer.  Integer tenths tie often, so a proof that trusted a
+    # closed gap alone would fail here.
+    rng = np.random.default_rng(seed)
+    if tenths:
+        c = tenth_costs(rng, n, hole_rate)
+    else:
+        c = random_cost_matrix(rng, n)
+        holes = np.triu(rng.uniform(size=(n, n)) < hole_rate, 1)
+        c[holes | holes.T] = INFEASIBLE
+    perm = rng.permutation(n).tolist()
+    forced_in = frozenset(
+        p
+        for p in pairing._canonical(zip(perm[::2], perm[1::2]))
+        if math.isfinite(c[p]) and rng.uniform() < forced
+    )
+    forced_out = frozenset(
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (i, j) not in forced_in and rng.uniform() < forced
+    )
+    tau = 1e-9 * max(float(c[np.isfinite(c)].max(initial=0.0)), 1.0)
+    solved = pairing._solve_cell(c, forced_in, forced_out, tau)
+    if solved is None or not solved[1]:
+        return
+    pairs = solved[0]
+    free_edges = [p for p in pairs if p not in forced_in]
+    assert pairing._unique_in_cell(c, pairs, free_edges, forced_in, forced_out, tau)
+    best = matching_cost(c, pairs)
+    for other in all_matchings(n):
+        if other != pairs and forced_in <= set(other) and not forced_out & set(other):
+            assert not matching_cost(c, other) <= best + 2 * tau
 
 
 # ---------------------------------------------------------------------------

@@ -159,24 +159,7 @@ class TestProposed:
         # networkx runs only inside a solve whose assignment bound leaves
         # a gap, at most once each; here two of the three do.
         scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
-        windows = []
-
-        def spy_rank(costs, window):
-            windows.append(window)
-            return k_best_matchings(costs, window)
-
-        blossom_calls = _count_calls(monkeypatch, pairing.nx, "max_weight_matching")
-        kernel_solve = pairing._solve_min_cost
-        blossoms_per_solve = []
-
-        def spy_solve(costs):
-            before = len(blossom_calls)
-            solved = kernel_solve(costs)
-            blossoms_per_solve.append(len(blossom_calls) - before)
-            return solved
-
-        monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
-        monkeypatch.setattr(pairing, "_solve_min_cost", spy_solve)
+        windows, blossoms_per_solve, blossom_calls = _spy_ranking(monkeypatch)
         res = solve_proposed(scn)
         assert res.feasible
         assert res.candidates_tried == 1
@@ -184,6 +167,20 @@ class TestProposed:
         assert len(blossoms_per_solve) == 3
         assert set(blossoms_per_solve) <= {0, 1}
         assert len(blossom_calls) == 2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_closed_gap_proves_candidate_one_untied(self, monkeypatch, seed):
+        # Here the certificate's and candidate 1's gaps close, and candidate
+        # 1's MWPM is the assignment itself, whose own duals show that no
+        # rival comes within the tie tolerance: no third MWPM is needed.
+        scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), seed)
+        windows, blossoms_per_solve, blossom_calls = _spy_ranking(monkeypatch)
+        res = solve_proposed(scn)
+        assert res.feasible
+        assert res.candidates_tried == 1
+        assert windows == [1]
+        assert len(blossoms_per_solve) == 2
+        assert len(blossom_calls) == 0
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
         # One bound matrix serves the certificate and every candidate: a
@@ -370,6 +367,30 @@ def _silence_energy_bound(monkeypatch) -> list:
 
     monkeypatch.setattr(solver, "energy_infeasible", silent)
     return calls
+
+
+def _spy_ranking(monkeypatch) -> tuple[list, list, list]:
+    """Record the solver's ranking windows, the networkx calls made by
+    each MWPM kernel solve, and every networkx call."""
+    windows = []
+
+    def spy_rank(costs, window):
+        windows.append(window)
+        return k_best_matchings(costs, window)
+
+    blossom_calls = _count_calls(monkeypatch, pairing.nx, "max_weight_matching")
+    kernel_solve = pairing._solve_min_cost
+    blossoms_per_solve = []
+
+    def spy_solve(costs, *args):
+        before = len(blossom_calls)
+        solved = kernel_solve(costs, *args)
+        blossoms_per_solve.append(len(blossom_calls) - before)
+        return solved
+
+    monkeypatch.setattr(solver, "k_best_matchings", spy_rank)
+    monkeypatch.setattr(pairing, "_solve_min_cost", spy_solve)
+    return windows, blossoms_per_solve, blossom_calls
 
 
 def _count_calls(monkeypatch, owner, name: str) -> list:
