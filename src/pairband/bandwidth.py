@@ -87,10 +87,6 @@ __all__ = [
 _BAND_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_STEPS = 400
-# Where the water-level bracket leaves the float range, the multiplier's
-# bracket steps log theta down by ln 2 this many times, then doubles the
-# step, so any finite B_max is bracketed within _MAX_STEPS.
-_LN2_STEPS = 60
 
 # phi rises from phi(t) ~ t at 0 to its limit 1/(2 ln 2); three Newton
 # steps from phi_inverse's start leave |phi(t) - s| within about 2 ulps
@@ -109,6 +105,7 @@ _PSI_STEPS = 6
 # share of B_max, well past its rounding and psi_inverse's.
 _BRACKET_MARGIN = 1e-12
 _LOG_MAX = math.log(sys.float_info.max)  # theta is capped at the largest float
+_LOG_ZERO = math.log(math.ulp(0.0)) - 1.0  # below the smallest float: theta = 0
 
 # The energy bound's search: log theta over [log theta_max - 30,
 # log theta_max], bisected down to 1e-3 wide (15 halvings).
@@ -242,9 +239,10 @@ def psi_inverse(s: np.ndarray) -> np.ndarray:
 
 def _theta_max(lower: np.ndarray, x: np.ndarray, pq: float) -> float:
     """max G(L) of pairs with bounds ``lower``, links ``x`` and pq = p*Q:
-    at or above it every pair's :func:`_pricing` response is its bound."""
+    at or above it every pair's :func:`_pricing` response is its bound.
+    Like every multiplier, it is capped at the largest float."""
     with np.errstate(all="ignore"):
-        return float(np.max(g_value(lower, x, pq)))
+        return min(float(np.max(g_value(lower, x, pq))), sys.float_info.max)
 
 
 def _pricing(lower: np.ndarray, x: np.ndarray, pq: float):
@@ -331,7 +329,7 @@ def energy_infeasible(
     links = _pair_links(users, cfg, *np.transpose(pairs))
     with np.errstate(all="ignore"):
         theta = float(np.max(g_value(np.array(bandwidths), links, cfg.power * cfg.payload_bits)))
-    hi = math.log(min(theta_max, sys.float_info.max))
+    hi = math.log(theta_max)
     lo = hi - _LOG_THETA_SPAN
     # The nearest probes left and right of the maximiser, as (theta, q,
     # s).  Every probe after theta_1 lies inside the bracket, so it is
@@ -448,49 +446,44 @@ def _multiplier(respond, b_max: float, lo: float, hi: float) -> tuple[float, lis
     regula falsi (Dowell & Jarratt 1971) on log theta from the bracket
     [lo, hi] (:func:`_bracket`).
 
-    Both ends are evaluated, capped at the largest float.  The bracket
-    holds unless an end leaves the float range.  A hi end that overfills
-    the band is replaced by the largest float, which is at or above
-    theta_max (:func:`_theta_max`), where every group sits at its bound.
-    A lo end that falls short becomes the hi side, and the bracket steps
-    down from it by ln 2, doubling the step after the first 60, until
-    sum b > B_max.  From then on sum b(theta_hi) <= B_max < sum
-    b(theta_lo).  The search stops once B_max - sum b(theta_hi) <=
-    1e-9*B_max and returns that side, so the bandwidths never overfill
-    the band.  An end past the float range (sum b = +inf, or ``over``)
-    has no secant and is bisected towards; when no float lies between
-    the ends, no float theta fills the band any further and the hi side
-    is returned.  RuntimeError when either phase takes more than 400
-    steps.
+    Both ends are evaluated.  The bracket holds unless an end leaves the
+    float range, and such an end falls back to the range's own end.  A
+    hi end past the largest float, or one that overfills the band,
+    becomes the largest float, which stands for every theta above it:
+    every group sits at its bound (the response to theta = +inf).  A lo
+    end that falls short becomes the hi side, and theta = 0, where every
+    group gets +inf, becomes the lo end.  From then on sum b(theta_hi)
+    <= B_max < sum b(theta_lo).  The search returns the hi side, so the
+    bandwidths never overfill the band, once B_max - sum b(theta_hi) <=
+    1e-9*B_max or no float theta lies strictly between the ends.  An
+    end past the float range (sum b = +inf, or ``over``) has no secant
+    and is bisected towards, until the ends are adjacent in log theta.
+    RuntimeError after 400 steps.
     """
     with np.errstate(all="ignore"):
         for hi in (min(hi, _LOG_MAX), _LOG_MAX):
-            b_hi, t_hi, over = respond(math.exp(hi))
+            b_hi, t_hi, over = respond(math.exp(hi) if hi < _LOG_MAX else math.inf)
             if t_hi <= b_max:
                 break
-        lo, step = min(lo, hi), _LN2
-        for k in range(_MAX_STEPS):
+        for lo in (min(lo, hi), _LOG_ZERO):
             b_lo, t_lo, over_lo = respond(math.exp(lo))
             if t_lo > b_max:
                 break
             hi, b_hi, t_hi, over = lo, b_lo, t_lo, over_lo
-            if k >= _LN2_STEPS:
-                step *= 2.0
-            lo -= step
-        else:
-            raise RuntimeError("could not bracket the bandwidth multiplier from below")
 
         # The secant runs through (lo, w_lo) and (hi, w_hi), the ends'
         # excesses sum b - B_max, except that an end kept twice in a row
         # has its w halved (the Illinois rule), so neither end stalls.
         w_lo, w_hi, kept = t_lo - b_max, t_hi - b_max, 0
         for _ in range(_MAX_STEPS):
-            if b_max - t_hi <= _BAND_TOL * b_max:
-                return math.exp(hi), b_hi.tolist()
+            theta_hi = math.exp(hi)
+            filled = b_max - t_hi <= _BAND_TOL * b_max
+            if filled or math.nextafter(math.exp(lo), math.inf) >= theta_hi:
+                return theta_hi, b_hi.tolist()
             if over or math.isinf(w_lo):
                 y = 0.5 * (lo + hi)
                 if not lo < y < hi:
-                    return math.exp(hi), b_hi.tolist()
+                    return theta_hi, b_hi.tolist()
             else:
                 y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
             b_y, t_y, over_y = respond(math.exp(y))

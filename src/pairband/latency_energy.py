@@ -156,7 +156,7 @@ def transmit_time(b: float, user: UserProfile, power: float, cfg: SystemConfig) 
     """Airtime Q / F_u(b) for one user [s]; inf when the rate is zero."""
     if b <= 0:
         return math.inf
-    fv = f_value(b, cfg.link(user, power))
+    fv = float(f_value(b, cfg.link(user, power)))  # Q/fv overflows to inf silently
     if fv <= 0.0:
         return math.inf
     return cfg.payload_bits / fv

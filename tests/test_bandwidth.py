@@ -10,6 +10,7 @@ and a dense grid oracle.
 
 import math
 import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -41,6 +42,7 @@ from pairband.latency_energy import (
 from pairband.pairing import Matching
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from support import (
+    NOISE,
     active_gradient,
     all_matchings,
     assert_kkt_certificates,
@@ -829,6 +831,70 @@ def test_prop_water_level_ends_straddle_the_band(draw):
     margin = 4.0 * bandwidth._BRACKET_MARGIN * b_max / free
     assert 0.0 < hi - lo <= math.log(1.5 * math.log(2.0)) + margin + 1e-12
     event(f"series branch at the level: {bool(np.any(level / links[bounds < level] > 49.5))}")
+
+
+def test_kkt_allocate_wants_one_bound_per_group():
+    users = [make_user(u) for u in range(4)]
+    with pytest.raises(ValueError, match="one entry per group"):
+        kkt_allocate(users, consecutive_matching(4), make_cfg(4), [1e5])
+
+
+@st.composite
+def _float_range_draw(draw):
+    """(bounds, links, pq, B_max): groups as :func:`_bracket_draw` draws
+    them, with every bound scaled by 10^-300 to 1 (a deadline up to
+    T_max = 1e308), and B_max = 10^k for every k from the bounds' sum to
+    308, or just above the sum, so that the bounds nearly fill the band."""
+    bounds, links, pq, _ = draw(_bracket_draw())
+    bounds = bounds * 10.0 ** -draw(st.one_of(st.just(0), st.integers(0, 300)))
+    total = math.fsum(bounds)
+    if draw(st.booleans()):
+        b_max = total * (1.0 + 10.0 ** draw(st.floats(min_value=-12.0, max_value=-6.0)))
+    else:
+        b_max = float(f"1e{draw(st.integers(math.ceil(math.log10(total)), 308))}")
+    return bounds, links, pq, b_max
+
+
+def _fallbacks(bounds, links, pq, b_max):
+    """Which ends of the multiplier's bracket fall back to the float
+    range's own ends, as :func:`bandwidth._multiplier` decides it."""
+    if b_max - math.fsum(bounds) <= bandwidth._BAND_TOL * b_max:
+        return "none: the bounds fill the band"
+    respond = bandwidth._pricing(bounds, links, pq)
+    lo, hi = bandwidth._bracket(bounds, links, pq, b_max)
+    with np.errstate(all="ignore"):
+        if hi >= bandwidth._LOG_MAX or respond(math.exp(hi))[1] > b_max:
+            hi = bandwidth._LOG_MAX
+        lo_falls = respond(math.exp(min(lo, hi)))[1] <= b_max
+    ends = ["hi at the largest float"] * (hi == bandwidth._LOG_MAX) + ["lo at theta = 0"] * lo_falls
+    return " and ".join(ends) or "none"
+
+
+# The ends close on adjacent subnormal multipliers, 5.406e-320 and
+# 5.4066e-320, whose sums lie on either side of B_max and neither within
+# 1e-9 of it: the search once ran into its step cap there.
+ADJACENT_SUBNORMALS = (np.array([1e3, 2e3]), np.array([1e10, 2e10]), 1.3e6, 1e163)
+# G(L) passes the largest float, and so does theta*, while theta*x^2/pq
+# does not overflow there: the largest float still overfilled the band,
+# and a split the bound fits was reported short of B_max (bandwidth_sum).
+ABOVE_THE_LARGEST_FLOAT = (np.array([1e-152]), np.array([1e3]), 1e6, 1.000001e-152)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(draw=ADJACENT_SUBNORMALS)
+@example(draw=ABOVE_THE_LARGEST_FLOAT)
+@given(draw=_float_range_draw())
+def test_prop_any_finite_band_is_split(draw):
+    bounds, links, pq, b_max = draw
+    users = [make_user(u, x * NOISE) for u, x in enumerate(np.repeat(links, 2))]
+    cfg = make_cfg(len(users), b_max=b_max, e_max=1e308, payload=pq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = kkt_allocate(users, consecutive_matching(len(users)), cfg, bounds.tolist())
+    assert math.fsum(report.bandwidths) <= b_max * (1.0 + 1e-9)
+    assert all(b >= lb * (1.0 - 1e-12) for b, lb in zip(report.bandwidths, bounds))
+    assert math.isfinite(report.theta_star)
+    event(f"fallbacks: {_fallbacks(bounds, links, pq, b_max)}")
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ and byte-level determinism of every artifact."""
 
 import json
 import math
+import re
 import time
 import warnings
 
@@ -21,6 +22,7 @@ from pairband.cli import (
 )
 from pairband.distortion import (
     SimilarityModel,
+    load_distortion_table,
     save_distortion_table,
     synthesize_distortions,
 )
@@ -139,6 +141,28 @@ class TestGenScenario:
         )
         assert code == EXIT_INVALID_INPUT
 
+    @pytest.mark.parametrize(
+        "line, bad, message",
+        [
+            (1, "n 4 x", "line 2: malformed header 'n 4 x'"),
+            (3, "0 1 0.3 high", "line 4: non-numeric entry in '0 1 0.3 high'"),
+        ],
+        ids=["header", "entry"],
+    )
+    def test_unparsable_table_line_is_named(self, tmp_path, capsys, line, bad, message):
+        rows = ["version 1", "n 4", "units mse", "0 1 0.3 0.2"]
+        rows[line] = bad
+        tpath = tmp_path / "table.txt"
+        tpath.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_distortion_table(tpath)
+        code = run(
+            "gen-scenario", "--n", "4", "--output", str(tmp_path / "s.json"),
+            "--distortion-file", str(tpath),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert message in capsys.readouterr().err
+
 
 class TestSolve:
     def test_proposed_run_and_document(self, small_scenario, tmp_path):
@@ -244,6 +268,25 @@ class TestSolve:
             assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "part, message",
+        [("users", "user count must match"), ("distortion", "distortion table size must match")],
+    )
+    def test_scenario_parts_of_the_wrong_size_are_invalid_input(
+        self, tmp_path, capsys, part, message
+    ):
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "3", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        if part == "users":
+            doc["users"] = doc["users"][:6]
+        else:
+            doc["distortion"]["per_user"] = [row[:6] for row in doc["distortion"]["per_user"][:6]]
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve", str(path)) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: invalid input: {message} cfg.n_users\n"
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("noise_psd", 0.0),  # died with ZeroDivisionError
@@ -305,10 +348,10 @@ class TestSolve:
         ids=["bmax-1e100", "bmax-1e308", "tmax-1e300"],
     )
     def test_any_finite_band_is_split(self, tmp_path, capsys, b_max, extra):
-        # The multiplier's bracket stepped down by ln 2 at most 400 times,
-        # too few for these bands, and at T_max = 1e300 it started from an
-        # infinite theta_max (both exit 1).  At 1e308 no float multiplier
-        # fills the band, and the split stops where psi^-1 underflows.
+        # These bands once exited 1: the multiplier search ran out of
+        # steps, and at T_max = 1e300 theta_max was infinite.  At 1e308 no
+        # float multiplier fills the band, and the split stops where psi^-1
+        # underflows.
         path, doc = tmp_path / "scn.json", tmp_path / "out.json"
         assert run("gen-scenario", "--n", "8", "--seed", "1", "--output", str(path)) == EXIT_OK
         capsys.readouterr()
@@ -317,6 +360,18 @@ class TestSolve:
         used = math.fsum(g["bandwidth_hz"] for g in json.loads(doc.read_text())["allocation"]["groups"])
         assert math.isfinite(used)
         assert used <= float(b_max) * (1.0 + 1e-9)
+
+    def test_band_whose_multiplier_is_subnormal_is_split(self, tmp_path, capsys):
+        # theta* lies among the subnormals, where many log theta round to
+        # one float: the search's ends met on adjacent floats, neither
+        # within 1e-9 of B_max, and it ran into its step cap (exit 1).
+        path, doc = tmp_path / "scn.json", tmp_path / "d.json"
+        assert run("gen-scenario", "--n", "16", "--seed", "0", "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        assert run("solve", str(path), "--bmax", "1e163", "--output", str(doc)) == EXIT_OK
+        assert "strategy=proposed [feasible]" in capsys.readouterr().out
+        used = math.fsum(g["bandwidth_hz"] for g in json.loads(doc.read_text())["allocation"]["groups"])
+        assert used <= 1e163 * (1.0 + 1e-9)
 
     @pytest.mark.parametrize(
         "n, seed, strategy, budgets",
@@ -462,6 +517,23 @@ class TestSweep:
         first = body[1].split(",")
         assert first[0] == "6000000.0"
         assert first[1] == "proposed"
+
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--tmax", "0.5", "t_max"), ("--emax", "1.0", "e_max"), ("--dmax", "0.01", "d_max")],
+    )
+    def test_budget_overrides_reach_every_draw(self, small_scenario, tmp_path, flag, value, key):
+        out = tmp_path / "m.csv"
+        code = run(
+            "sweep", str(small_scenario), "--bmax", "9e6", "--strategy", "proposed",
+            "--seeds", "2", flag, value, "--output", str(out),
+        )
+        assert code == EXIT_OK
+        lines = out.read_text().splitlines()
+        assert f'# overrides={{"{key}": {value}}}' in lines
+        row = dict(zip(METRIC_COLUMNS, lines[-1].split(",")))
+        assert row["n_feasible"] == "0"
+        assert row["mean_bandwidth_used"] == "nan"
 
     def test_rerun_is_byte_identical(self, small_scenario, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

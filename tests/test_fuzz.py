@@ -1,8 +1,9 @@
 """Every input ends in one of the three outcomes.
 
 Two properties draw user counts, deployment areas and budget overrides
-that mix ordinary values with the edges of the float range: 0,
-negatives, +-inf, nan, 1e+-300, 1e308 and the smallest subnormal.  The
+that mix ordinary values with the edges of the float range (0,
+negatives, +-inf, nan, 1e+-300, 1e308 and the smallest subnormal) and
+with powers of ten from 1e-323 to 1e308.  The
 command line must answer every draw with exit 0, 3 or 4, and the
 library must return a result for every strategy or reject the draw as
 invalid input.  Neither may let an exception escape or emit a
@@ -28,8 +29,13 @@ EDGES = (0.0, -1.0, -1e6, math.inf, -math.inf, math.nan, 1e300, 1e-300, 1e308, 5
 
 
 def _value(low, high):
-    """An edge of the float range, or an ordinary value in [low, high]."""
-    return st.one_of(st.sampled_from(EDGES), st.floats(min_value=low, max_value=high))
+    """An edge of the float range, a power of ten anywhere in it, or an
+    ordinary value in [low, high]."""
+    return st.one_of(
+        st.sampled_from(EDGES),
+        st.integers(min_value=-323, max_value=308).map(lambda k: float(f"1e{k}")),
+        st.floats(min_value=low, max_value=high),
+    )
 
 
 def _override(low, high):
@@ -63,12 +69,15 @@ def _draw(n, seed, **budgets):
 # Draws that once escaped: an objective whose finite terms overflowed
 # fsum (OverflowError, under random_kkt), a multiplier search that ran
 # into its step cap (RuntimeError), an infinite theta_max that psi
-# divided by zero on, and an equal split whose b/x overflowed on a
-# 590 km area (RuntimeWarnings from f_value and phi, under random_equal).
+# divided by zero on, an equal split whose b/x overflowed on a 590 km
+# area (RuntimeWarnings from f_value and phi, under random_equal), and a
+# band whose multiplier's ends closed on adjacent subnormals without
+# filling it (RuntimeError).
 OVERFLOW = _draw(4, 19, b_max=5e-324, t_max=1e308)
 STALL = _draw(2, 18, b_max=1e-300, t_max=1e308, e_max=2.5)
 THETA_MAX = _draw(8, 1, b_max=1e3, t_max=1e300)
 WIDE_AREA = {**_draw(2, 2, b_max=1e308), "area_m": 590000.0}
+SUBNORMAL_THETA = _draw(16, 0, b_max=1e163)
 
 
 @contextlib.contextmanager
@@ -90,6 +99,7 @@ def workdir(tmp_path_factory):
 @example(draw=STALL, strategy="proposed")
 @example(draw=THETA_MAX, strategy="proposed")
 @example(draw=WIDE_AREA, strategy="random_equal")
+@example(draw=SUBNORMAL_THETA, strategy="proposed")
 @given(draw=DRAW, strategy=st.sampled_from(STRATEGIES))
 def test_prop_cli_ends_in_one_of_three_outcomes(workdir, draw, strategy):
     path, doc = workdir / "scn.json", workdir / "result.json"
@@ -114,6 +124,7 @@ def test_prop_cli_ends_in_one_of_three_outcomes(workdir, draw, strategy):
 @example(draw=STALL)
 @example(draw=THETA_MAX)
 @example(draw=WIDE_AREA)
+@example(draw=SUBNORMAL_THETA)
 @given(draw=DRAW)
 def test_prop_every_strategy_answers_or_rejects_the_input(draw):
     """Invalid input is a ValueError from the template, the generator or

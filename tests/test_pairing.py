@@ -519,6 +519,14 @@ def enumerate_sorted(cm: PairCostMatrix):
     return out
 
 
+def test_odd_user_count_is_rejected():
+    odd = matrix(random_cost_matrix(np.random.default_rng(0), 5))
+    with pytest.raises(ValueError, match="even number of users"):
+        mwpm(odd)
+    with pytest.raises(ValueError, match="even number of users"):
+        k_best_matchings(odd, 1)
+
+
 class TestKBest:
     def test_first_entry_is_the_optimum(self):
         rng = np.random.default_rng(70)

@@ -45,3 +45,10 @@ def test_mwpm_scale_prints_one_answer_line_per_size():
     # Ranking candidate 1 takes one MWPM, plus one tie check unless the
     # first solve proves that nothing ties it.
     assert all(line["cost"]["rank1_mwpms"] in (1, 2) for line in lines)
+
+
+def test_pool_answers_prints_one_line_per_pool_instance():
+    lines = [json.loads(line) for line in run_script("pool_answers.py", "--workload", "certify-n32")]
+    assert len(lines) == 96
+    assert {line["workload"] for line in lines} == {"certify-n32"}
+    assert len({line["key"] for line in lines}) == 96

@@ -459,8 +459,7 @@ def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
 def test_candidate_one_split_takes_a_pinned_number_of_psi_inverses(monkeypatch):
     # Candidate 1's KKT split on three solve-n16 benchmark instances
     # (N=16, default template): the water-level bracket's two ends plus
-    # one or three regula falsi steps.  Stepping log theta down by ln 2
-    # from theta_max took 9, 10 and 9 here.
+    # one or three regula falsi steps.
     inverse, kkt = bandwidth.psi_inverse, solver.kkt_allocate
     counts = []
 
@@ -766,6 +765,21 @@ class TestSweep:
                 math.fsum(r.total_distortion for r in feasible) / len(feasible),
                 rel=1e-12,
             )
+
+    def test_means_skip_draws_without_an_allocation(self):
+        # At 1.65 MHz no seed has a matching that fits; at 1.7 MHz seeds 5
+        # and 6 still have none, and seeds 7-9 are feasible.
+        template, seeds = ScenarioTemplate(n_users=6), [5, 6, 7, 8, 9]
+        none, mixed = sweep_bandwidth(template, [1.65e6, 1.7e6], ["proposed"], seeds)
+        assert none["n_feasible"] == 0
+        assert math.isnan(none["mean_bandwidth_used"])
+        results = [
+            solve(generate_scenario(replace(template, b_max=1.7e6), s), "proposed") for s in seeds
+        ]
+        assert [r.allocation is None for r in results] == [True, True, False, False, False]
+        used = [r.allocation.bandwidth_used for r in results if r.feasible]
+        assert mixed["n_feasible"] == len(used) == 3
+        assert mixed["mean_bandwidth_used"] == math.fsum(used) / 3
 
     def test_row_grid_is_complete_and_ordered(self):
         rows = sweep_bandwidth(
