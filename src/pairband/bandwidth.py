@@ -20,41 +20,42 @@ rate and gradient there.  Three structural facts make this easy:
   b_k* = max{L_k, G_k^-1(Theta*)}, with Theta* chosen so the
   bandwidths sum to B_max.
 
-* sum_k b_k(Theta) is non-increasing in Theta, hence Theta* is one root
-  on (0, Theta_max], Theta_max = max_k G_k(L_k): at or above it every
-  group sits at L_k.  Since G(b) = (p*Q/x^2)*psi(b/x), each group's best
-  response to the bandwidth price Theta (:func:`_pricing`) is b_k =
-  max{L_k, x_k*psi^-1(Theta*x_k^2/(p*Q))}, one array expression.
+* G(b) = (p*Q/x^2)*psi(b/x) = p*Q*a(b/x)/b^2, with a(t) = psi(t)*t^2
+  rising from 1 at t -> 0 to 3 ln2/2 at t -> inf.  So a group's best
+  response to the price Theta is b = max{L, sqrt(a(b/x))*v}, where v =
+  sqrt(p*Q/Theta) [Hz] is the level: b = max{L, x*h^-1(v/x)} with h(t)
+  = t/sqrt(a(t)) (:func:`_respond`), and sum_k b_k(v) rises with v.
+  The search runs on v, which the split puts between c/1.02 and c for a
+  level c of at most B_max, so it is finite whenever B_max is; Theta =
+  p*Q/v^2 leaves the float range long before v does.
 
 The bounds' phi^-1 takes three guarded Newton steps from a closed-form
 start, and each finite root is then raised to its hi side: walking up
 from it, the first b with F(b) >= Q/Delta in floating point, so a group
-at its bound always meets the deadline.  psi^-1 is six fused steps of
-the fixed point t <- sqrt(a(t)/s), a(t) = psi(t)*t^2, to about 4e-15
-relative.  A free group's response is b = sqrt(a*p*Q/Theta), and a
-rises from 1 to 3 ln2/2 with t = b/x, so the split is a water-filling
-up to a factor of at most 1.04 in Theta: with the level c at which
-sum max(L_k, c) = B_max, Theta* lies between p*Q/c^2 and max_k
-G_k(max(L_k, c)) (:func:`_bracket`).  Regula falsi on log Theta from
-that bracket fills B_max to 1e-9 relative, from below, in about three
-psi^-1 evaluations.  The energy budget is checked after the allocation
-rather than dualized.
+at its bound always meets the deadline.  h^-1 is six steps of the fixed
+point t <- r*sqrt(a(t)) from t = r, to about 4e-15 relative.  A free
+group takes between v and 1.02 v, so the split is a water-filling up to
+that factor: with the level c at which sum max(L_k, c) = B_max, v*
+lies between c / max_k sqrt(a(max(L_k, c)/x_k)) and c
+(:func:`_bracket`).  Regula falsi on v from that bracket fills B_max to
+1e-9 relative, from below, in about three level evaluations, and
+Theta* = (p*Q/v*)/v* is reported, capped at the largest float.  The energy budget is checked after
+the allocation rather than dualized.
 
 Across pairings the energy budget is dualized once, to prove that no
 pairing meets it (:func:`energy_infeasible`).  Pricing bandwidth at
-theta makes transmit energy pair-additive, so by weak duality (Fisher
-1981) every pairing's minimum transmit energy is at least
+Theta = p*Q/v^2 makes transmit energy pair-additive, so by weak duality
+(Fisher 1981) every pairing's minimum transmit energy is at least
 
-    q(theta) = MWPM(w(theta)) - theta * B_max,
-    w_ij(theta) = min_{b >= L_ij} p*Q/F_ij(b) + theta*b,
+    q(v) = MWPM(w(v)) - (p*Q/v)*(B_max/v),
+    w_ij(v) = min_{b >= L_ij} p*Q/F_ij(b) + (p*Q/v)*(b/v),
 
-whose inner minimiser is the split's best response b* = max{L_ij,
-G_ij^-1(theta)}, with the same theta_max.  q is concave in theta with
-supergradient sum_M b*_ij - B_max over the minimising matching M.  The
-search probes the rejected candidate's own KKT multiplier first, then
-bisects log theta by the sign of that supergradient, and stops a silent
-search once two tangents meet at or below the budget.  The b_min
-certificate is its theta -> inf limit.
+whose inner minimiser is the split's best response b*(v).  q is concave
+in Theta with supergradient sum_M b*_ij - B_max over the minimising
+matching M.  The search probes the rejected candidate's own level
+first, then bisects log v by the sign of that supergradient, and stops
+a silent search once two tangents meet at or below the budget.  The
+b_min certificate is its v -> 0 limit.
 """
 
 from __future__ import annotations
@@ -80,10 +81,13 @@ __all__ = [
     "kkt_allocate",
     "check_feasibility",
     "evaluate_fixed_allocation",
+    # Not called here since the split searches the level, but kept as a
+    # name of this module, where tracing tools count rate evaluations.
+    "g_value",
 ]
 
-# The multiplier search stops once the hi side's bandwidths use B_max up
-# to 1e-9 relative; the bandwidth-sum verdict allows the same slack.
+# The level search stops once its low side's bandwidths use B_max up to
+# 1e-9 relative; the bandwidth-sum verdict allows the same slack.
 _BAND_TOL = 1e-9
 _MAX_DOUBLINGS = 60
 _MAX_STEPS = 400
@@ -96,21 +100,21 @@ _PHI_LIMIT = f_limit(1.0)
 _PHI_NEWTON_STEPS = 3
 
 # a(t) = psi(t)*t^2 rises from 1 at t -> 0 to 3*ln2/2 at t -> inf and
-# changes by under 1.2 % per unit of ln t, so t <- sqrt(a(t)/s)
-# contracts the error of its start 1/sqrt(s) (at most 2 %) by 0.006 a
-# step: six steps reach 4e-15 relative.
-_A_MAX = 1.5 * _LN2
-_PSI_STEPS = 6
-# The multiplier's bracket ends are widened until sum b moves by this
-# share of B_max, well past its rounding and psi_inverse's.
+# changes by under 1.2 % per unit of ln t, so t <- r*sqrt(a(t))
+# contracts the error of its start r (at most 2 %) by 0.006 a step: six
+# steps reach 4e-15 relative.  Past t = 1e16, a is its limit to 1e-16;
+# further out its terms underflow.
+_ROOT_A_MAX = math.sqrt(1.5 * _LN2)
+_ROOT_A_LIMIT_FROM = 1e16
+_LEVEL_STEPS = 6
+# The level's bracket ends are widened until sum b moves by this share
+# of B_max, well past its rounding and h^-1's.
 _BRACKET_MARGIN = 1e-12
-_LOG_MAX = math.log(sys.float_info.max)  # theta is capped at the largest float
-_LOG_ZERO = math.log(math.ulp(0.0)) - 1.0  # below the smallest float: theta = 0
 
-# The energy bound's search: log theta over [log theta_max - 30,
-# log theta_max], bisected down to 1e-3 wide (15 halvings).
-_LOG_THETA_SPAN = 30.0
-_LOG_THETA_TOL = 1e-3
+# The energy bound's search: log v over [log v_min, log v_min + 15],
+# bisected down to 5e-4 wide (15 halvings).
+_LOG_LEVEL_SPAN = 15.0
+_LOG_LEVEL_TOL = 5e-4
 
 
 @dataclass(frozen=True)
@@ -220,84 +224,93 @@ def phi_inverse(s: np.ndarray) -> np.ndarray:
     return t
 
 
+def _root_a(t):
+    """sqrt(a(t)) = sqrt(ln2*(log1p(u) - u + u/(t + 1)))/log1p(u), with u
+    = 1/(2t + 1) and a = psi(t)*t^2, elementwise on t >= 0.  Past t =
+    1e16 it is its limit sqrt(3 ln2/2); that case is handled only when
+    some t is there."""
+    wide = t > _ROOT_A_LIMIT_FROM
+    if np.count_nonzero(wide):
+        return np.where(wide, _ROOT_A_MAX, _root_a(np.where(wide, 1.0, t)))
+    log_term, slope = _log_terms(t)
+    return np.sqrt(_LN2 * slope) / log_term
+
+
+def _h_inverse(r):
+    """Elementwise t >= 0 with t/sqrt(a(t)) = r: six steps of the fixed
+    point t <- r*sqrt(a(t)) (:func:`_root_a`) from t = r.  Every step
+    keeps t >= r, so where r is past 1e16 the root is r*sqrt(3 ln2/2);
+    every other t stays below 1.1e16, far from where a's terms underflow."""
+    wide = r > _ROOT_A_LIMIT_FROM
+    if np.count_nonzero(wide):
+        return np.where(wide, _ROOT_A_MAX * r, _h_inverse(np.where(wide, 1.0, r)))
+    t, scale = r, r * math.sqrt(_LN2)
+    for _ in range(_LEVEL_STEPS):
+        log_term, slope = _log_terms(t)
+        t = scale * np.sqrt(slope) / log_term
+    return t
+
+
 def psi_inverse(s: np.ndarray) -> np.ndarray:
     """Elementwise t > 0 with psi(t) = s (:func:`~pairband.channel.psi`):
     G^-1(theta) at link x and pq = p*Q is x * psi_inverse(theta * x^2 / pq).
 
-    With a(t) = psi(t)*t^2 = ln2*(log1p(u) - u + u/(t + 1))/log1p(u)^2
-    and u = 1/(2t + 1), the root is the fixed point t <- sqrt(a(t)/s),
-    taken in one fused step, sqrt(ln2/s)*sqrt(log1p(u) - u + u/(t +
-    1))/log1p(u), six times from t = 1/sqrt(s).  The start is
-    sqrt(s)/s, so t is nan where s is 0 or +inf.
+    psi(t) = a(t)/t^2, so the root is h^-1(1/sqrt(s)) (:func:`_h_inverse`).
     """
-    t, scale = np.sqrt(s) / s, _LN2 / s
-    for _ in range(_PSI_STEPS):
-        log_term, slope = _log_terms(t)
-        t = np.sqrt(scale * slope) / log_term
-    return t
+    return _h_inverse(1.0 / np.sqrt(s))
 
 
-def _theta_max(lower: np.ndarray, x: np.ndarray, pq: float) -> float:
-    """max G(L) of pairs with bounds ``lower``, links ``x`` and pq = p*Q:
-    at or above it every pair's :func:`_pricing` response is its bound.
-    Like every multiplier, it is capped at the largest float."""
+def _respond(lower: np.ndarray, x: np.ndarray, v: float) -> np.ndarray:
+    """The best response of pairs with bounds ``lower`` and links ``x``
+    to the level v = sqrt(pq/theta) [Hz]: b = max(L, x*h^-1(v/x)), the
+    argmin of p*Q/F(b) + theta*b over b >= L."""
+    return np.maximum(lower, x * _h_inverse(v / x))
+
+
+def _lowest_level(b: np.ndarray, x: np.ndarray) -> float:
+    """min b/sqrt(a(b/x)) over groups with bandwidths ``b`` and links
+    ``x``: the level sqrt(pq/theta) of the multiplier theta = max G(b).
+    At or below the lowest level of the bounds every group's
+    :func:`_respond` is its bound."""
     with np.errstate(all="ignore"):
-        return min(float(np.max(g_value(lower, x, pq))), sys.float_info.max)
-
-
-def _pricing(lower: np.ndarray, x: np.ndarray, pq: float):
-    """The best response of pairs with bounds ``lower``, links ``x`` and
-    pq = p*Q.  ``respond(theta)``, run under np.errstate, is (b, sum b,
-    over) with b = max(L, x*psi^-1(theta*x^2/pq)), the argmin of
-    p*Q/F(b) + theta*b over b >= L.  Where theta*x^2/pq leaves the float
-    range, a pair sits at its bound above it (``over``) and gets +inf
-    below it."""
-    scale = x * x / pq
-
-    def respond(theta: float) -> tuple[np.ndarray, float, bool]:
-        s = theta * scale
-        b = np.maximum(lower, x * psi_inverse(s))
-        total = float(b.sum())
-        if not math.isnan(total):
-            return b, total, False
-        lost, over = np.isnan(b), s > 1.0
-        b = np.where(lost, np.where(over, lower, np.inf), b)
-        return b, float(b.sum()), bool(np.any(lost & over))
-
-    return respond
+        return float(np.min(b / _root_a(b / x)))
 
 
 def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
-    """(q, theta_max): the Lagrangian lower bound on the transmit energy
-    of every pairing, and the largest G_ij(L_ij) (:func:`_theta_max`).
+    """(q, v_min): the Lagrangian lower bound on the transmit energy of
+    every pairing, and the lowest level of the pair bounds
+    (:func:`_lowest_level`).
 
-    ``q(theta)`` returns the bound q(theta) and its supergradient
-    s(theta) = sum of b*_ij(theta) over the minimising matching, minus
-    B_max.  ``bounds`` is the N x N matrix of pair minimum bandwidths
-    L_ij, +inf for pairs that may not be matched.  Every q(theta) with
-    theta > 0 is a valid bound (see the module docstring); at theta >=
-    theta_max each pair's price sits at its L_ij.
+    ``q(v)`` returns the bound at the multiplier theta = pq/v^2 and its
+    supergradient in theta, s = sum of b*_ij(v) over the minimising
+    matching, minus B_max.  ``bounds`` is the N x N matrix of pair
+    minimum bandwidths L_ij, +inf for pairs that may not be matched.
+    Every q(v) with v > 0 is a valid bound (see the module docstring);
+    at v <= v_min each pair's price sits at its L_ij.
     """
     n = len(users)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
-    x = _pair_links(users, cfg, i, j)
+    lower, x = bounds[i, j], _pair_links(users, cfg, i, j)
     pq = cfg.power * cfg.payload_bits
-    respond = _pricing(bounds[i, j], x, pq)
+    # The MWPM sees the prices times 2^-k <= 1/n, an exact scaling, so
+    # that no sum of n/2 finite prices leaves the float range; q is
+    # scaled back, to +inf only where it passes the largest float.
+    scale = 2.0 ** -(n - 1).bit_length()
 
-    def q(theta: float) -> tuple[float, float]:
+    def q(v: float) -> tuple[float, float]:
         with np.errstate(all="ignore"):
-            b = respond(theta)[0]
+            b = _respond(lower, x, v)
             w = np.full((n, n), INFEASIBLE)
-            w[i, j] = w[j, i] = pq / f_value(b, x) + theta * b
+            w[i, j] = w[j, i] = scale * (pq / f_value(b, x) + (pq / v) * (b / v))
         best = mwpm(PairCostMatrix(n=n, costs=w))
         if best is None:  # every matching's price overflows: no energy fits
             return math.inf, 0.0
         bands = np.zeros((n, n))
         bands[i, j] = bands[j, i] = b
-        used = math.fsum(bands[u, v] for u, v in best.pairs)
-        return best.total_cost - theta * cfg.b_max, used - cfg.b_max
+        used = math.fsum(bands[k, m] for k, m in best.pairs)
+        return (best.total_cost - scale * (pq / v) * (cfg.b_max / v)) / scale, used - cfg.b_max
 
-    return q, _theta_max(bounds[i, j], x, pq)
+    return q, _lowest_level(lower, x)
 
 
 def energy_infeasible(
@@ -310,48 +323,50 @@ def energy_infeasible(
     """True when the Lagrangian bound proves that no pairing meets E_max.
 
     ``pairs`` and ``bandwidths`` are a candidate rejected for energy and
-    its KKT allocation.  Its multiplier theta_1 = max_k G_k(b_k) prices
-    bandwidth as that allocation does, so q(theta_1) is probed first.
-    Then q (:func:`energy_dual`) is bisected on log theta over [theta_max
-    * e^-30, theta_max] by the sign of its supergradient, keeping the
-    nearest probes left (s > 0) and right (s < 0) of the maximiser.  The
-    search returns True at the first theta whose bound exceeds the
-    transmit budget E_max - e_const by more than 1e-9 relative.  It
-    returns False at a zero supergradient (that probe maximises q), once
-    the tangents of the two nearest probes meet at or below the budget
-    (q is concave, so no theta can beat that meeting point), or once the
-    bracket is under 1e-3 wide: at most 16 probes.  ``bounds`` must
-    admit a perfect matching (the b_min certificate passed).
+    its KKT allocation.  Its level v_1 (:func:`_lowest_level`) prices
+    bandwidth as that allocation does, so q(v_1) is probed first.  Then
+    q (:func:`energy_dual`) is bisected on log v over [v_min, v_min *
+    e^15] by the sign of its supergradient, keeping the nearest probes
+    on either side of the maximiser: in theta = pq/v^2, left (s > 0) and
+    right (s < 0) of it.  The search returns True at the first v
+    whose bound exceeds the transmit budget E_max - e_const by more than
+    1e-9 relative.  It returns False at a zero supergradient (that probe
+    maximises q), once the tangents in theta of the two nearest probes
+    meet at or below the budget (q is concave in theta, so no theta can
+    beat that meeting point; where a probe's theta leaves the float
+    range the meeting point is not finite and the search goes on), or
+    once the bracket is under 5e-4 wide: at most 16 probes.  ``bounds``
+    must admit a perfect matching (the b_min certificate passed).
     """
     budget = cfg.e_max - e_const(users, cfg)
     margin = 1e-9 * max(abs(budget), 1.0)
-    q, theta_max = energy_dual(users, cfg, bounds)
+    pq = cfg.power * cfg.payload_bits
+    q, v_min = energy_dual(users, cfg, bounds)
     links = _pair_links(users, cfg, *np.transpose(pairs))
-    with np.errstate(all="ignore"):
-        theta = float(np.max(g_value(np.array(bandwidths), links, cfg.power * cfg.payload_bits)))
-    hi = math.log(theta_max)
-    lo = hi - _LOG_THETA_SPAN
-    # The nearest probes left and right of the maximiser, as (theta, q,
-    # s).  Every probe after theta_1 lies inside the bracket, so it is
-    # the nearest on its side.
+    v = _lowest_level(np.array(bandwidths), links)
+    lo = math.log(v_min)
+    hi = lo + _LOG_LEVEL_SPAN
+    # The nearest probes left and right of the maximiser in theta, as
+    # (theta, q, s).  Every probe after v_1 lies inside the bracket, so
+    # it is the nearest on its side.
     rising, falling = (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0)
     while True:
-        value, slope = q(theta)
+        value, slope = q(v)
         if value - budget > margin:
             return True
-        if slope == 0.0:  # a zero supergradient: theta maximises q
+        if slope == 0.0:  # a zero supergradient: v maximises q
             return False
         if slope > 0.0:
-            rising, lo = (theta, value, slope), max(lo, math.log(theta))
+            rising, hi = (pq / v / v, value, slope), min(hi, math.log(v))
         else:
-            falling, hi = (theta, value, slope), min(hi, math.log(theta))
+            falling, lo = (pq / v / v, value, slope), max(lo, math.log(v))
         (ta, qa, sa), (tb, qb, sb) = rising, falling
         # Both tangents lie above q, so where they meet caps max q.
         if sa > 0.0 > sb and qa + sa * (qb - qa + sb * (ta - tb)) / (sa - sb) - budget <= margin:
             return False
-        if hi - lo < _LOG_THETA_TOL:  # also when theta_1 empties the bracket
+        if hi - lo < _LOG_LEVEL_TOL:  # also when v_1 empties the bracket
             return False
-        theta = math.exp(0.5 * (lo + hi))
+        v = math.exp(0.5 * (lo + hi))
 
 
 def _report(
@@ -413,88 +428,56 @@ def _water_level(lower: list[float], b_max: float) -> tuple[float, float]:
     return level, free
 
 
-def _bracket(lower: np.ndarray, x: np.ndarray, pq: float, b_max: float) -> tuple[float, float]:
-    """(lo, hi) in log theta with sum b(theta_lo) > B_max >= sum b(theta_hi)
-    for the :func:`_pricing` response, from the water level c
+def _bracket(lower: np.ndarray, x: np.ndarray, b_max: float) -> tuple[float, float]:
+    """(lo, hi) levels with sum b(lo) <= B_max < sum b(hi) for the
+    :func:`_respond` response, from the water level c
     (:func:`_water_level`) and m_k = max(L_k, c), which sums to B_max.
 
-    A group's free response to theta is b = sqrt(a(b/x)*pq/theta), with
-    a = psi(t)*t^2 in [1, 3 ln2/2] and increasing in t.  At theta_lo =
-    pq/c^2 every free response is c*sqrt(a) >= c, so every group takes
-    at least m_k.  At theta_hi = max_k G_k(m_k) = theta_lo * max_k
-    a(m_k/x_k)*(c/m_k)^2 every group takes at most m_k.  Both are
-    formed in log space, where a(m/x) lost to the float range is taken
-    at its bound 3 ln2/2.  Each is widened so that the free groups'
-    share of B_max moves by _BRACKET_MARGIN of B_max, past the rounding
-    of sum b.
+    A free group's response to the level v is b = v*sqrt(a(b/x)), with
+    a = psi(t)*t^2 in [1, 3 ln2/2] and increasing in t.  At v = c every
+    free response is at least c, so every group takes at least m_k.  At
+    v = c / max_k sqrt(a(m_k/x_k)) every group takes at most m_k, since
+    h(t) = t/sqrt(a(t)) rises and m_k/sqrt(a(m_k/x_k)) >= v.  Each end
+    is widened so that the free groups' share of B_max moves by
+    _BRACKET_MARGIN of B_max, past the rounding of sum b.
     """
     level, free = _water_level(lower.tolist(), b_max)
-    m = np.maximum(lower, level)
+    margin = _BRACKET_MARGIN * b_max / free
     with np.errstate(all="ignore"):
-        log_term, slope = _log_terms(m / x)
-        # G_k(m_k)/theta_lo = a(m_k/x_k)*(c/m_k)^2, nan where a is lost.
-        ratios = _LN2 * slope / np.square(log_term * (m / level))
-        rise = float(np.fmin(np.max(ratios), _A_MAX))
-    lo = math.log(pq) - 2.0 * math.log(level)
-    hi = lo + math.log(rise)
-    margin = 2.0 * _BRACKET_MARGIN * b_max / free
-    return lo - margin, hi + margin
+        rise = float(np.max(_root_a(np.maximum(lower, level) / x)))
+    return level / rise * (1.0 - margin), level * (1.0 + margin)
 
 
-def _multiplier(respond, b_max: float, lo: float, hi: float) -> tuple[float, list[float]]:
-    """(theta*, b(theta*)) for a :func:`_pricing` response, by Illinois
-    regula falsi (Dowell & Jarratt 1971) on log theta from the bracket
-    [lo, hi] (:func:`_bracket`).
+def _level(lower: np.ndarray, x: np.ndarray, b_max: float) -> tuple[float, list[float]]:
+    """(v*, b(v*)) for the :func:`_respond` response, by Illinois regula
+    falsi (Dowell & Jarratt 1971) on v from the bracket (:func:`_bracket`).
 
-    Both ends are evaluated.  The bracket holds unless an end leaves the
-    float range, and such an end falls back to the range's own end.  A
-    hi end past the largest float, or one that overfills the band,
-    becomes the largest float, which stands for every theta above it:
-    every group sits at its bound (the response to theta = +inf).  A lo
-    end that falls short becomes the hi side, and theta = 0, where every
-    group gets +inf, becomes the lo end.  From then on sum b(theta_hi)
-    <= B_max < sum b(theta_lo).  The search returns the hi side, so the
-    bandwidths never overfill the band, once B_max - sum b(theta_hi) <=
-    1e-9*B_max or no float theta lies strictly between the ends.  An
-    end past the float range (sum b = +inf, or ``over``) has no secant
-    and is bisected towards, until the ends are adjacent in log theta.
-    RuntimeError after 400 steps.
+    The search keeps the sides sum b(lo) <= B_max < sum b(hi) and
+    returns lo, so the bandwidths never overfill the band, once B_max -
+    sum b(lo) <= 1e-9*B_max.  RuntimeError after 400 steps.
     """
+    lo, hi = _bracket(lower, x, b_max)
     with np.errstate(all="ignore"):
-        for hi in (min(hi, _LOG_MAX), _LOG_MAX):
-            b_hi, t_hi, over = respond(math.exp(hi) if hi < _LOG_MAX else math.inf)
-            if t_hi <= b_max:
-                break
-        for lo in (min(lo, hi), _LOG_ZERO):
-            b_lo, t_lo, over_lo = respond(math.exp(lo))
-            if t_lo > b_max:
-                break
-            hi, b_hi, t_hi, over = lo, b_lo, t_lo, over_lo
-
+        b_lo = _respond(lower, x, lo)
+        t_lo = float(b_lo.sum())
         # The secant runs through (lo, w_lo) and (hi, w_hi), the ends'
         # excesses sum b - B_max, except that an end kept twice in a row
         # has its w halved (the Illinois rule), so neither end stalls.
-        w_lo, w_hi, kept = t_lo - b_max, t_hi - b_max, 0
+        w_lo, w_hi, kept = t_lo - b_max, float(_respond(lower, x, hi).sum()) - b_max, 0
         for _ in range(_MAX_STEPS):
-            theta_hi = math.exp(hi)
-            filled = b_max - t_hi <= _BAND_TOL * b_max
-            if filled or math.nextafter(math.exp(lo), math.inf) >= theta_hi:
-                return theta_hi, b_hi.tolist()
-            if over or math.isinf(w_lo):
-                y = 0.5 * (lo + hi)
-                if not lo < y < hi:
-                    return theta_hi, b_hi.tolist()
-            else:
-                y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
-            b_y, t_y, over_y = respond(math.exp(y))
+            if b_max - t_lo <= _BAND_TOL * b_max:
+                return lo, b_lo.tolist()
+            y = lo + (hi - lo) * w_lo / (w_lo - w_hi)
+            b_y = _respond(lower, x, y)
+            t_y = float(b_y.sum())
             if t_y > b_max:
                 if kept > 0:
-                    w_hi *= 0.5
-                lo, w_lo, kept = y, t_y - b_max, 1
+                    w_lo *= 0.5
+                hi, w_hi, kept = y, t_y - b_max, 1
             else:
                 if kept < 0:
-                    w_lo *= 0.5
-                hi, b_hi, t_hi, w_hi, kept, over = y, b_y, t_y, t_y - b_max, -1, over_y
+                    w_hi *= 0.5
+                lo, b_lo, t_lo, w_lo, kept = y, b_y, t_y, t_y - b_max, -1
     raise RuntimeError("bandwidth multiplier search did not converge")
 
 
@@ -504,8 +487,9 @@ def kkt_allocate(
     cfg: SystemConfig,
     bounds: list[float],
 ) -> AllocationReport:
-    """Optimal bandwidth split for one matching: the KKT multiplier
-    theta* at which the groups' bandwidths fill B_max (:func:`_multiplier`).
+    """Optimal bandwidth split for one matching: the level v* at which
+    the groups' bandwidths fill B_max (:func:`_level`), reported as its
+    multiplier theta* = pq/v*^2, capped at the largest float.
 
     ``matching.pairs`` index ``users``; ``bounds`` are the pairs'
     minimum bandwidths (:func:`b_min_pair`).  When any is +inf no
@@ -532,11 +516,13 @@ def kkt_allocate(
     if _overfills(sum_lower, cfg.b_max):
         return _report(users, links, cfg, lower, lower)
 
-    pq, lows = cfg.power * cfg.payload_bits, np.array(lower)
+    lows = np.array(lower)
     if cfg.b_max - sum_lower <= _BAND_TOL * cfg.b_max:  # the bounds fill the band
-        return _report(users, links, cfg, lower, lower, _theta_max(lows, links, pq))
-    bracket = _bracket(lows, links, pq, cfg.b_max)
-    theta_star, b_star = _multiplier(_pricing(lows, links, pq), cfg.b_max, *bracket)
+        level, b_star = _lowest_level(lows, links), lower
+    else:
+        level, b_star = _level(lows, links, cfg.b_max)
+    # theta* = pq/v*^2, which passes the largest float where v* is tiny.
+    theta_star = min(cfg.power * cfg.payload_bits / level / level, sys.float_info.max)
     return _report(users, links, cfg, lower, b_star, theta_star)
 
 

@@ -333,16 +333,18 @@ class TestPsiInverse:
         s = psi(np.logspace(-8.0, 12.0, 401))
         assert psi_inverse(s) == pytest.approx(ratio_psi_inverse(s), rel=1e-14, abs=0.0)
 
-    def test_float_range_edges_match_the_ratio_form(self):
-        # nan at s = 0 and +inf marks a pair the multiplier's response
-        # has lost to the float range (over, where s > 1); subnormal s
-        # is lost too.
-        s = np.array([0.0, math.inf, 5e-324, 1e-310, 1e308, 1.0])
-        with np.errstate(all="ignore"):
-            fused, ratio = psi_inverse(s), ratio_psi_inverse(s)
-        assert np.array_equal(np.isnan(fused), np.isnan(ratio))
-        assert np.array_equal(np.isinf(fused), np.isinf(ratio))
-        assert np.isnan(fused).tolist() == [True, True, True, True, False, False]
+    def test_float_range_edges_have_their_limit_roots(self):
+        # Below s = ln2/(largest float), about 3.9e-309, the root t ~
+        # sqrt(3 ln2/(2s)) is finite, though a's terms underflow there
+        # and 2t overflows at s = 5e-324.  s = 0 and +inf are the limits.
+        s = np.array([5e-324, 1e-320, 1e-310, 0.0, math.inf])
+        with np.errstate(divide="ignore"):
+            t = psi_inverse(s)
+        limit = math.sqrt(1.5 * math.log(2.0))
+        assert t[:3] * np.sqrt(s[:3]) == pytest.approx(limit, rel=1e-14, abs=0.0)
+        assert t[3:].tolist() == [math.inf, 0.0]
+        wide = np.array([1e308, 1.0])
+        assert psi_inverse(wide) == pytest.approx(ratio_psi_inverse(wide), rel=1e-14, abs=0.0)
 
 
 def _two_group_report(pair0, pair1, cfg):
@@ -820,16 +822,16 @@ BOUND_ABOVE_THE_LEVEL = (np.array([1e3, 1.01e6]), np.array([1e12, 1e3]), 1e6, 2.
 @example(draw=BOUND_ABOVE_THE_LEVEL)
 @given(draw=_bracket_draw())
 def test_prop_water_level_ends_straddle_the_band(draw):
-    bounds, links, pq, b_max = draw
-    respond = bandwidth._pricing(bounds, links, pq)
-    with np.errstate(all="ignore"):
-        lo, hi = bandwidth._bracket(bounds, links, pq, b_max)
-        assert respond(math.exp(lo))[1] > b_max >= respond(math.exp(hi))[1]
-    # theta_hi / theta_lo is a = psi(t)*t^2 at most, before the margins
-    # (and the rounding of log theta).
+    bounds, links, _, b_max = draw
+    lo, hi = bandwidth._bracket(bounds, links, b_max)
+    used = [float(bandwidth._respond(bounds, links, v).sum()) for v in (lo, hi)]
+    assert used[0] <= b_max < used[1]
+    # v_hi / v_lo is sqrt(a) = sqrt(psi(t)*t^2) at most, before the
+    # margins (and their rounding).
     level, free = bandwidth._water_level(bounds.tolist(), b_max)
-    margin = 4.0 * bandwidth._BRACKET_MARGIN * b_max / free
-    assert 0.0 < hi - lo <= math.log(1.5 * math.log(2.0)) + margin + 1e-12
+    margin = bandwidth._BRACKET_MARGIN * b_max / free
+    widest = math.sqrt(1.5 * math.log(2.0)) * (1.0 + margin) / (1.0 - margin)
+    assert 1.0 < hi / lo <= widest * (1.0 + 1e-15)
     event(f"series branch at the level: {bool(np.any(level / links[bounds < level] > 49.5))}")
 
 
@@ -855,21 +857,6 @@ def _float_range_draw(draw):
     return bounds, links, pq, b_max
 
 
-def _fallbacks(bounds, links, pq, b_max):
-    """Which ends of the multiplier's bracket fall back to the float
-    range's own ends, as :func:`bandwidth._multiplier` decides it."""
-    if b_max - math.fsum(bounds) <= bandwidth._BAND_TOL * b_max:
-        return "none: the bounds fill the band"
-    respond = bandwidth._pricing(bounds, links, pq)
-    lo, hi = bandwidth._bracket(bounds, links, pq, b_max)
-    with np.errstate(all="ignore"):
-        if hi >= bandwidth._LOG_MAX or respond(math.exp(hi))[1] > b_max:
-            hi = bandwidth._LOG_MAX
-        lo_falls = respond(math.exp(min(lo, hi)))[1] <= b_max
-    ends = ["hi at the largest float"] * (hi == bandwidth._LOG_MAX) + ["lo at theta = 0"] * lo_falls
-    return " and ".join(ends) or "none"
-
-
 # The ends close on adjacent subnormal multipliers, 5.406e-320 and
 # 5.4066e-320, whose sums lie on either side of B_max and neither within
 # 1e-9 of it: the search once ran into its step cap there.
@@ -891,10 +878,35 @@ def test_prop_any_finite_band_is_split(draw):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         report = kkt_allocate(users, consecutive_matching(len(users)), cfg, bounds.tolist())
-    assert math.fsum(report.bandwidths) <= b_max * (1.0 + 1e-9)
+    assert b_max * (1.0 - 1e-9) <= math.fsum(report.bandwidths) <= b_max * (1.0 + 1e-9)
     assert all(b >= lb * (1.0 - 1e-12) for b, lb in zip(report.bandwidths, bounds))
     assert math.isfinite(report.theta_star)
-    event(f"fallbacks: {_fallbacks(bounds, links, pq, b_max)}")
+
+
+# gen-scenario --n 2 --seed 0, then solve --tmax 1e165 --bmax 5e-159:
+# one group with a 1.3e-159 Hz bound.  Its multiplier is past the
+# largest float, and a search on theta held the group at its bound, for
+# 1e165 J against the equal split's 2.6e164 J.
+HELD_AT_ITS_BOUND = (
+    np.array([1.3000000000000002e-159]), np.array([1243621260.0689585]), 1.3e6, 5e-159
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(draw=HELD_AT_ITS_BOUND)
+@given(draw=_float_range_draw())
+def test_prop_kkt_split_costs_no_more_than_the_equal_split(draw):
+    bounds, links, pq, b_max = draw
+    users = [make_user(u, x * NOISE) for u, x in enumerate(np.repeat(links, 2))]
+    cfg = make_cfg(len(users), b_max=b_max, e_max=1e308, payload=pq)
+    matching, lower = consecutive_matching(len(users)), bounds.tolist()
+    equal = evaluate_fixed_allocation(users, matching, cfg, lower, [b_max / len(lower)] * len(lower))
+    assume(equal.infeasibility_reason != "latency")
+    report = kkt_allocate(users, matching, cfg, lower)
+    # The split may leave 1e-9 of the band unused, and p*Q/F(b) rises by
+    # at most that share when b shrinks by it (F'(b)*b <= F(b)), so
+    # where the equal split is itself optimal it may cost up to 1e-9 more.
+    assert report.objective <= equal.objective * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -951,52 +963,56 @@ def test_prop_energy_bound_is_sound(
     least, argmin, _ = min(eligible, key=lambda e: e[0])
     users = list(scn.users)
 
-    # Weak duality: every q(theta) is at most the least transmit energy.
-    # Concavity: every tangent q(a) + s(a)*(theta - a) lies above q.
-    q, theta_max = energy_dual(users, scn.cfg, bounds)
-    thetas = [theta_max * math.exp(k) for k in log_thetas]
-    probes = [q(theta) for theta in thetas]
+    # Weak duality: every q(v) is at most the least transmit energy.
+    # Concavity in theta = pq/v^2: every tangent q(a) + s(a)*(theta - a)
+    # lies above q.  The levels run from theta_max * e^-35 to theta_max *
+    # e^5, with theta_max = pq/v_min^2.
+    q, v_min = energy_dual(users, scn.cfg, bounds)
+    pq = scn.cfg.power * scn.cfg.payload_bits
+    levels = [v_min * math.exp(-0.5 * k) for k in log_thetas]
+    thetas = [pq / v / v for v in levels]
+    probes = [q(v) for v in levels]
     for a, (qa, sa) in zip(thetas, probes):
         assert qa <= least * (1.0 + 1e-12)
         for theta, (value, _) in zip(thetas, probes):
             rise = sa * (theta - a)
             assert value <= qa + rise + 1e-12 * (abs(qa) + abs(rise) + least)
 
-    # The search starts at theta_1 = max_k G_k(b_k) of some matching:
-    # its KKT multiplier, or (stretched bandwidths) a theta off it.
+    # The search starts at v_1 = min_k b_k/sqrt(a(b_k/x_k)) of some
+    # matching: the level of its KKT multiplier, or (stretched
+    # bandwidths) a level off it.
     _, rejected, report = eligible[start % len(eligible)]
     start_bandwidths = [b * math.exp(stretch) for b in report.bandwidths]
-    grid_max = max(q(theta_max * math.exp(k))[0] for k in np.linspace(-30.0, 0.0, 200))
+    grid_max = max(q(v_min * math.exp(k))[0] for k in np.linspace(0.0, 15.0, 200))
 
     def check(label, transmit_budget):
         """Run the bound at this transmit budget, check its verdict, and
-        return the first theta it probed."""
+        return the first level it probed."""
         cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + transmit_budget)
-        probed = []  # (theta, q, s)
+        probed = []  # (v, q, s)
 
         def counted_dual(*args):
-            q, theta_max = energy_dual(*args)
+            q, v_min = energy_dual(*args)
 
-            def counted(theta):
-                probed.append((theta, *q(theta)))
+            def counted(v):
+                probed.append((v, *q(v)))
                 return probed[-1][1:]
 
-            return counted, theta_max
+            return counted, v_min
 
         with mock.patch.object(bandwidth, "energy_dual", counted_dual):
             fired = energy_infeasible(users, cfg, bounds, rejected.pairs, start_bandwidths)
         # The bracket the probes leave: the search range, cut at the
-        # largest rising and the smallest falling probe.  A silent search
-        # that stops while it is still 1e-3 wide or more stopped at a
-        # tangent cut (or a zero supergradient, a maximum of q).
+        # largest falling and the smallest rising probe (in theta, s > 0
+        # rises).  A silent search that stops while it is still 5e-4
+        # wide or more stopped at a tangent cut (or a zero supergradient,
+        # a maximum of q).
+        lo = max([math.log(v_min)] + [math.log(v) for v, _, s in probed if s < 0.0])
         hi = min(
-            [math.log(theta_max)] + [math.log(t) for t, _, s in probed if s < 0.0]
+            [math.log(v_min) + bandwidth._LOG_LEVEL_SPAN]
+            + [math.log(v) for v, _, s in probed if s > 0.0]
         )
-        lo = max(
-            [math.log(theta_max) - bandwidth._LOG_THETA_SPAN]
-            + [math.log(t) for t, _, s in probed if s > 0.0]
-        )
-        cut = not fired and hi - lo >= bandwidth._LOG_THETA_TOL
+        cut = not fired and hi - lo >= bandwidth._LOG_LEVEL_TOL
         event(f"budget {label}, stretch {stretch}, bound fired: {fired}, cut short: {cut}")
         if fired:
             # Brute force must agree: the least-energy matching, and with
@@ -1011,24 +1027,23 @@ def test_prop_energy_bound_is_sound(
         return probed[0][0]
 
     # Two budgets: a share of the least energy (below 1, no matching
-    # fits), and, when some theta on a 200-point log grid over the
-    # search's range beats theta_1, one between q(theta_1) (or 0, as a
-    # budget must be positive) and the best grid value: the first probe
-    # is silent there, the grid proves infeasibility, and a cut that
-    # ends the search too early shows.
-    theta_1 = check(
-        f"share {'below' if budget_share < 1.0 else 'above'} 1", budget_share * least
-    )
-    low = max(q(theta_1)[0], 0.0)
+    # fits), and, when some level on a 200-point log grid over the
+    # search's range beats v_1, one between q(v_1) (or 0, as a budget
+    # must be positive) and the best grid value: the first probe is
+    # silent there, the grid proves infeasibility, and a cut that ends
+    # the search too early shows.
+    v_1 = check(f"share {'below' if budget_share < 1.0 else 'above'} 1", budget_share * least)
+    low = max(q(v_1)[0], 0.0)
     if grid_max > low:
         check("between q(theta_1) and the grid", low + between * (grid_max - low))
 
 
 class TestEnergyBoundSearch:
-    """energy_infeasible's search on hand-made concave bounds q, patched
-    in for energy_dual.  The search starts at theta_1, the rejected
-    candidate's multiplier, and bisects log theta over [theta_max *
-    e^-30, theta_max]."""
+    """energy_infeasible's search on hand-made bounds q, concave in
+    theta, patched in for energy_dual as functions of the level v =
+    sqrt(pq/theta).  The search starts at v_1, the level of the rejected
+    candidate's multiplier theta_1, and bisects log v over [v_min, v_min
+    * e^15], which is log theta over [theta_max * e^-30, theta_max]."""
 
     PAIRS, BANDWIDTHS = [(0, 1), (2, 3)], [2.0e6, 3.0e6]
 
@@ -1044,14 +1059,14 @@ class TestEnergyBoundSearch:
         return users, cfg, theta_1, cfg.e_max - e_const(users, cfg)
 
     def _search(self, users, cfg, q, theta_max):
-        """The verdict, and every theta probed, in order."""
-        probed = []
+        """The verdict, and every theta = pq/v^2 probed, in order."""
+        pq, probed = cfg.power * cfg.payload_bits, []
 
-        def counted(theta):
-            probed.append(theta)
-            return q(theta)
+        def counted(v):
+            probed.append(pq / v / v)
+            return q(probed[-1])
 
-        dual = lambda *args: (counted, theta_max)
+        dual = lambda *args: (counted, math.sqrt(pq / theta_max))
         with mock.patch.object(bandwidth, "energy_dual", dual):
             verdict = energy_infeasible(
                 users, cfg, np.zeros((4, 4)), self.PAIRS, self.BANDWIDTHS
@@ -1071,7 +1086,7 @@ class TestEnergyBoundSearch:
 
         verdict, probed = self._search(users, cfg, q, theta_1 * math.exp(10.0))
         assert verdict is True
-        assert probed[0] == theta_1
+        assert probed[0] == pytest.approx(theta_1, rel=1e-12)
         assert q(probed[-1])[0] > budget
         assert len(probed) <= 16
 
@@ -1098,4 +1113,4 @@ class TestEnergyBoundSearch:
         q = lambda theta: (budget - 1.0 + (theta - theta_1) / theta_1, 1.0 / theta_1)
         verdict, probed = self._search(users, cfg, q, theta_1 * math.exp(-1.0))
         assert verdict is False
-        assert probed == [theta_1]
+        assert probed == [pytest.approx(theta_1, rel=1e-12)]

@@ -343,23 +343,31 @@ class TestSolve:
         assert "strategy=proposed [feasible]" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "b_max, extra",
-        [("1e100", ()), ("1e308", ()), ("1e8", ("--tmax", "1e300"))],
-        ids=["bmax-1e100", "bmax-1e308", "tmax-1e300"],
+        "n, b_max, extra",
+        [
+            ("8", "1e100", ()),
+            ("8", "1e308", ()),
+            ("8", "1e8", ("--tmax", "1e300")),
+            ("2", "5e-159", ("--tmax", "1e165", "--emax", "1e300")),
+        ],
+        ids=["bmax-1e100", "bmax-1e308", "tmax-1e300", "n2-tmax-1e165"],
     )
-    def test_any_finite_band_is_split(self, tmp_path, capsys, b_max, extra):
-        # These bands once exited 1: the multiplier search ran out of
-        # steps, and at T_max = 1e300 theta_max was infinite.  At 1e308 no
-        # float multiplier fills the band, and the split stops where psi^-1
-        # underflows.
+    def test_any_finite_band_is_split(self, tmp_path, capsys, n, b_max, extra):
+        # The first three once exited 1: the multiplier search ran out of
+        # steps, and at T_max = 1e300 theta_max was infinite.  Then two
+        # were split short of the band, because their multiplier left
+        # the float range: at 1e308 psi^-1 was nan below it, and at
+        # n2-tmax-1e165 the group was held at its bound above it.  The
+        # level sqrt(pq/theta) that fills a band is finite with the band.
         path, doc = tmp_path / "scn.json", tmp_path / "out.json"
-        assert run("gen-scenario", "--n", "8", "--seed", "1", "--output", str(path)) == EXIT_OK
+        seed = "1" if n == "8" else "0"
+        assert run("gen-scenario", "--n", n, "--seed", seed, "--output", str(path)) == EXIT_OK
         capsys.readouterr()
         assert run("solve", str(path), "--bmax", b_max, *extra, "--output", str(doc)) == EXIT_OK
         assert "strategy=proposed [feasible]" in capsys.readouterr().out
         used = math.fsum(g["bandwidth_hz"] for g in json.loads(doc.read_text())["allocation"]["groups"])
         assert math.isfinite(used)
-        assert used <= float(b_max) * (1.0 + 1e-9)
+        assert float(b_max) * (1.0 - 1e-9) <= used <= float(b_max) * (1.0 + 1e-9)
 
     def test_band_whose_multiplier_is_subnormal_is_split(self, tmp_path, capsys):
         # theta* lies among the subnormals, where many log theta round to
@@ -386,8 +394,11 @@ class TestSolve:
             ("6", "13", "proposed", ("--bmax", "1e-300", "--tmax", "1e308")),
             # An infinite theta_max: psi divided by zero on stderr.
             ("8", "1", "proposed", ("--bmax", "1e3", "--tmax", "1e300")),
+            # Each pair's transmit energy is near the largest float, so the
+            # energy bound's MWPM summed prices past it (OverflowError).
+            ("4", "0", "proposed", ("--bmax", "5e-302", "--tmax", "1e308")),
         ],
-        ids=["objective-overflow", "stall-n2", "stall-n6", "theta-max-overflow"],
+        ids=["objective-overflow", "stall-n2", "stall-n6", "theta-max-overflow", "price-overflow"],
     )
     def test_float_range_budgets_get_an_answer(
         self, tmp_path, capsys, n, seed, strategy, budgets

@@ -52,3 +52,12 @@ def test_pool_answers_prints_one_line_per_pool_instance():
     assert len(lines) == 96
     assert {line["workload"] for line in lines} == {"certify-n32"}
     assert len({line["key"] for line in lines}) == 96
+
+
+def test_float_corners_fill_every_band_they_split():
+    lines = [json.loads(line) for line in run_script("float_corners.py")]
+    assert len(lines) == 295
+    assert {line["exit"] for line in lines} <= {0, 4}
+    split = [line for line in lines if line["verdict"].endswith("[feasible]")]
+    assert split
+    assert all(1.0 - 1e-9 <= line["used_share"] <= 1.0 + 1e-9 for line in split)

@@ -418,20 +418,20 @@ def _walk_set_module():
 def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
     # Every energy bound the solver runs on the walk set and on the
     # energy-tight benchmark pool (N=16, 5 MHz, 110 J, seeds 0-119), with
-    # its verdict and the number of q(theta) it probed.  The bound starts
-    # at the rejected candidate's KKT multiplier, so an allocator that
-    # moves in its last digits must move none of them.
+    # its verdict and the number of q(v) it probed.  The bound starts at
+    # the level of the rejected candidate's KKT multiplier, so an
+    # allocator that moves in its last digits must move none of them.
     calls, probed, key = [], [], [None]
     bound, dual = solver.energy_infeasible, bandwidth.energy_dual
 
     def counted_dual(*args):
-        q, theta_max = dual(*args)
+        q, v_min = dual(*args)
 
-        def counted(theta):
-            probed.append(theta)
-            return q(theta)
+        def counted(v):
+            probed.append(v)
+            return q(v)
 
-        return counted, theta_max
+        return counted, v_min
 
     def spy(*args):
         probed.clear()
@@ -456,28 +456,28 @@ def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
     assert silent == {f"n{n}-s{s}-under-c1" for n, s in walks.SCENARIOS} - loud_under
 
 
-def test_candidate_one_split_takes_a_pinned_number_of_psi_inverses(monkeypatch):
+def test_candidate_one_split_takes_a_pinned_number_of_level_evaluations(monkeypatch):
     # Candidate 1's KKT split on three solve-n16 benchmark instances
     # (N=16, default template): the water-level bracket's two ends plus
-    # one or three regula falsi steps.
-    inverse, kkt = bandwidth.psi_inverse, solver.kkt_allocate
+    # one regula falsi step.
+    respond, kkt = bandwidth._respond, solver.kkt_allocate
     counts = []
 
     def spy_kkt(*args):
         counts.append(0)
         return kkt(*args)
 
-    def spy_inverse(s):
+    def spy_respond(*args):
         counts[-1] += 1
-        return inverse(s)
+        return respond(*args)
 
-    monkeypatch.setattr(bandwidth, "psi_inverse", spy_inverse)
+    monkeypatch.setattr(bandwidth, "_respond", spy_respond)
     monkeypatch.setattr(solver, "kkt_allocate", spy_kkt)
-    for seed, b_max, expected in ((0, 5.0e6, 3), (2, 5.0e6, 5), (5, 10.0e6, 5)):
+    for seed, b_max in ((0, 5.0e6), (2, 5.0e6), (5, 10.0e6)):
         counts.clear()
         res = solve_proposed(generate_scenario(ScenarioTemplate(b_max=b_max), seed))
         assert res.candidates_tried == 1
-        assert counts == [expected]
+        assert counts == [3]
 
 
 def _costs(scn):
