@@ -13,7 +13,8 @@ milliseconds of ``generate_scenario``, and ``kkt_ms`` that of
 ``kkt_allocate`` on candidate 1 (the cost matrix's MWPM) with its
 pairs' bounds.  The cost entry's ``rank1_mwpms`` counts the MWPMs that
 ranking candidate 1 solves: 1 when its own solve proves that nothing
-ties it, 2 when the tie check re-solves it on raised costs.
+ties it (by the closed gap's duals or by the blossom run on raised
+costs), more when a near tie makes the ranking split its cell first.
 With ``--no-time`` the lines hold answers only, and each total is
 rounded to 9 significant digits, the 1e-9 relative tolerance the
 benchmark references are checked at: a change in a total's last bits

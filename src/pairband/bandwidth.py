@@ -138,7 +138,10 @@ class AllocationReport:
 
 
 def _exceeds(value: float, limit: float) -> bool:
-    """True when ``value`` is above ``limit`` beyond floating-point slop."""
+    """True when ``value`` is above ``limit`` beyond floating-point slop;
+    +inf is above every finite limit, though its slop is +inf too."""
+    if math.isinf(value):
+        return value > limit
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
 
 

@@ -29,14 +29,13 @@ include a prefix of its matching's edges and exclude the next one,
 re-solve each subcell, and keep them in a priority queue.  Cells
 partition the matching space, so the ranking is exact and
 duplicate-free.  A popped matching that is cheaper than everything
-else by more than a float tie tolerance, and unique in its cell, is
-yielded before its cell is split; a cell is split only when the next
-matching is asked for.  Uniqueness comes free with a closed gap whose
-matching is the assignment itself: the reduced costs then show every
-rival dearer by more than the tolerance allows.  Otherwise one more
-MWPM, with the matching's own edges raised by the tolerance, must
-still return it.  So the first matching costs one MWPM when its own
-duals prove it untied, and two unless something ties it.
+else by more than a float tie tolerance, and that its cell's own solve
+proved unique, is yielded before its cell is split; a cell is split
+only when the next matching is asked for.  A closed gap whose matching
+is the assignment itself proves it by its reduced costs; otherwise the
+blossom, run with the matching's edges raised by the tolerance, must
+return it, and that is the cell's one networkx call when the matching
+read off the cycles is already the minimum.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ __all__ = [
 def __getattr__(name: str):
     """``pairing.nx`` is networkx, imported on first use (PEP 562):
     ``pairing.nx.max_weight_matching`` is the blossom that
-    :func:`_solve_min_cost` calls, before or after its first call."""
+    :func:`_blossom` calls, before or after its first call."""
     if name == "nx":
         import networkx
 
@@ -377,30 +376,48 @@ def _no_rival(keep: np.ndarray, mate: list[int], pairs: list[Pair]) -> bool:
     return len(peeled) == len(mate)
 
 
+def _blossom(r: np.ndarray, rho: float, w: np.ndarray, ub: float) -> tuple[Pair, ...] | None:
+    """networkx's least-r perfect matching (weights max(r) - r) over the
+    edges :func:`_priced_edges` keeps below ``ub``, or None if none."""
+    import networkx as nx  # loaded on the first open gap only
+
+    i, j = np.nonzero(_priced_edges(r, rho, w, ub))
+    reduced = r[i, j]
+    graph = nx.Graph()
+    graph.add_nodes_from(range(r.shape[0]))
+    graph.add_weighted_edges_from(zip(i.tolist(), j.tolist(), (reduced.max() - reduced).tolist()))
+    mate = nx.max_weight_matching(graph, maxcardinality=True)
+    return _canonical(mate) if 2 * len(mate) == r.shape[0] else None
+
+
 def _solve_min_cost(
     costs: np.ndarray, tau: float | None
 ) -> tuple[tuple[Pair, ...], bool] | None:
     """Min-cost perfect matching over finite edges, or None if none exists,
     with a proof flag: True when a tie tolerance ``tau`` is given and
-    every other perfect matching costs more than N ``tau`` above it.
+    every other perfect matching costs at least 2 ``tau`` more.
 
     The assignment relaxation bounds the optimum below by LB = sum(w) -
     (N/2) rho and the matching read off its cycles bounds it above by
     its cost UB.  When UB <= LB, compared exactly, that matching is
-    optimal and is returned as it is.  Otherwise the relaxation prices
-    out every edge that no matching as cheap as UB can use, and
-    networkx's blossom solves the rest exactly; without a finite
-    heuristic matching it gets every finite edge.  So networkx runs
-    only on an open gap.  It is handed reduced costs r_ij: a perfect
-    matching's sum of r is its cost minus sum(w), so both rank perfect
-    matchings alike, and the assignment's edges, tight under w, leave
-    the blossom few dual updates to make.
+    optimal.  Otherwise the relaxation prices out every edge that no
+    matching as cheap as UB can use, and networkx's blossom solves the
+    rest exactly; without a finite heuristic matching it gets every
+    finite edge.
 
-    The flag needs a closed gap whose matching M is the assignment
-    itself (every cycle a 2-cycle, left as it is by 2-opt).  The same
-    pricing then keeps the edges of every matching that costs at most
-    c(M) + N tau, and :func:`_no_rival` shows M to be the only one.
-    On an open gap the flag is False.
+    With ``tau``, a closed gap whose matching M is the assignment itself
+    (every cycle a 2-cycle, left as it is by 2-opt) is proved by its own
+    duals: the same pricing keeps the edges of every matching that
+    costs at most c(M) + N tau, and :func:`_no_rival` shows M to be the
+    only one.  Otherwise the flag means that the raised blossom returns
+    the matching: it is priced at c(guess) + (N/2) tau with the guess's
+    edges raised by tau in r (w stays feasible as costs rise).  A rival
+    X shares at most N/2 - 2 edges with the guess, so if the guess comes
+    back, c(X) >= c(guess) + 2 tau.  The first guess is the cycle
+    matching, and a blossom that returns another matching makes that
+    the guess, once.  After two misses the flag is False, and the
+    matching is the cycle matching on a closed gap or the unraised
+    blossom's on an open one.
     """
     n = costs.shape[0]
     if n == 0:
@@ -410,26 +427,30 @@ def _solve_min_cost(
         return None
     w, col_of = solved
     d = costs - w[:, None] - w
-    heuristic = _cycle_matching(costs, d, col_of)
+    heuristic = _canonical(_cycle_matching(costs, d, col_of))
     ub = _total(costs, heuristic)
     r, rho = _reduced(costs, d)
     # LB is finite, so an infinite UB never closes the gap.
-    if ub <= math.fsum(w) - 0.5 * n * rho:
-        proved = tau is not None and _no_rival(
-            _priced_edges(r, rho, w, ub + n * tau), col_of.tolist(), heuristic
-        )
-        return _canonical(heuristic), proved
-    import networkx as nx  # loaded on the first open gap only
-
-    i, j = np.nonzero(_priced_edges(r, rho, w, ub))
-    reduced = r[i, j]
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_weighted_edges_from(zip(i.tolist(), j.tolist(), (reduced.max() - reduced).tolist()))
-    mate = nx.max_weight_matching(graph, maxcardinality=True)
-    if 2 * len(mate) != n:
-        return None
-    return _canonical(mate), False
+    closed = ub <= math.fsum(w) - 0.5 * n * rho
+    if closed and (
+        tau is None or _no_rival(_priced_edges(r, rho, w, ub + n * tau), col_of.tolist(), heuristic)
+    ):
+        return heuristic, tau is not None
+    if tau is not None:
+        guess = heuristic
+        for _ in range(2):
+            raised = r.copy()
+            raised[tuple(np.array(guess).T)] += tau
+            found = _blossom(raised, rho, w, _total(costs, guess) + 0.5 * n * tau)
+            if found is None:
+                return None
+            if found == guess:
+                return guess, True
+            guess = found
+        if closed:
+            return heuristic, False
+    found = _blossom(r, rho, w, ub)
+    return None if found is None else (found, False)
 
 
 def mwpm(costs: PairCostMatrix) -> Matching | None:
@@ -468,28 +489,6 @@ def _solve_cell(
     return _canonical(pairs), solved[1]
 
 
-def _unique_in_cell(
-    c: np.ndarray,
-    pairs: tuple[Pair, ...],
-    free_edges: list[Pair],
-    forced_in: frozenset[Pair],
-    forced_out: frozenset[Pair],
-    tau: float,
-) -> bool:
-    """True when no other matching of the cell costs within ``tau`` of
-    ``pairs``: raising each of its free edges by ``tau`` puts any rival
-    (which misses at least two of them) 2*tau closer, so the cell's
-    minimum stays ``pairs`` only if every rival is 2*tau dearer.  One
-    more MWPM; :func:`_ranked` runs it only on a cell whose own solve
-    gave no proof."""
-    raised = c.copy()
-    for i, j in free_edges:
-        raised[i, j] += tau
-        raised[j, i] += tau
-    solved = _solve_cell(raised, forced_in, forced_out, None)
-    return solved is not None and solved[0] == pairs
-
-
 def _ranked(costs: PairCostMatrix):
     """Yield every finite perfect matching in ascending (cost, pairs) order.
 
@@ -498,16 +497,12 @@ def _ranked(costs: PairCostMatrix):
     a cell's minimum only to within float error, so "cheaper" means by
     more than a tie tolerance tau.  A popped cell's matching is yielded
     before its cell is split when it is cheaper than every other cell
-    key and settled matching and unique in its cell; otherwise it is
-    settled, and the smallest settled matching is yielded once every
-    unsplit cell is dearer, so nothing still unranked can tie or beat
-    it.  A cell is split only when the next yield needs it.
-
-    Each cell keeps its solve's proof flag.  Where it is set, every
-    rival in the cell is dearer by more than n tau, for n free users:
-    more than the n/2 tau by which :func:`_unique_in_cell` raises the
-    matching, so its extra MWPM could only return the matching again
-    and is skipped.
+    key and settled matching and its solve's proof flag is set
+    (:func:`_solve_min_cost`: every rival in the cell is at least 2 tau
+    dearer); otherwise it is settled, and the smallest settled matching
+    is yielded once every unsplit cell is dearer, so nothing still
+    unranked can tie or beat it.  A cell is split only when the next
+    yield needs it.
     """
     if costs.n % 2 != 0:
         raise ValueError("perfect matching needs an even number of users")
@@ -527,9 +522,9 @@ def _ranked(costs: PairCostMatrix):
         total, pairs, proved, f_in, f_out = heapq.heappop(cells)
         free_edges = [p for p in pairs if p not in f_in]
         if (
-            (not cells or cells[0][0] > total + tau)
+            proved
+            and (not cells or cells[0][0] > total + tau)
             and (not settled or settled[0][0] > total + tau)
-            and (proved or _unique_in_cell(c, pairs, free_edges, f_in, f_out, tau))
         ):
             yield Matching(pairs=pairs, total_cost=total)
         else:

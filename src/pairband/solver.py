@@ -9,9 +9,9 @@ because every cheaper pairing was already proven infeasible.
 
 Candidates come from a lazy ranking whose window starts at one
 matching and doubles on exhaustion, so a solve decided by its first
-candidate ranks just that one: with the certificate, two MWPMs in all
-when candidate 1's own duals prove that nothing ties it, and three
-when a re-solve on raised costs must prove it.  Two sound certificates
+candidate ranks just that one: with the certificate, two MWPMs in all,
+since candidate 1's own solve proves that nothing ties it unless a
+rival comes within twice the tie tolerance.  Two sound certificates
 stop hopeless instances instead of enumerating all (N-1)!! matchings:
 
 * Before enumerating at all: the matching that minimizes the summed

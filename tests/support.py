@@ -13,6 +13,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
+from pairband import pairing
 from pairband.channel import ChannelGain, psi
 from pairband.distortion import DistortionTable, SimilarityModel, similarity_gate
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
@@ -198,6 +199,27 @@ def unpruned_mwpm(costs: PairCostMatrix) -> Matching | None:
         return None
     pairs = tuple(sorted((min(a, b), max(a, b)) for a, b in mate))
     return Matching(pairs=pairs, total_cost=matching_cost(c, pairs))
+
+
+def unique_in_cell(
+    c: np.ndarray,
+    pairs: tuple,
+    forced_in: frozenset,
+    forced_out: frozenset,
+    tau: float,
+) -> bool:
+    """The raised re-solve: True when the cell's minimum, re-solved with
+    each free edge of ``pairs`` raised by ``tau``, is still ``pairs``.
+    A rival misses at least two of those edges, so it comes 2 tau
+    closer; the cell's minimum stays ``pairs`` only if every rival is
+    at least 2 tau dearer."""
+    raised = c.copy()
+    for i, j in pairs:
+        if (i, j) not in forced_in:
+            raised[i, j] += tau
+            raised[j, i] += tau
+    solved = pairing._solve_cell(raised, forced_in, forced_out, None)
+    return solved is not None and solved[0] == pairs
 
 
 def numpy_assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -572,6 +572,17 @@ def _bounds(users, matching, cfg):
 
 
 class TestEvaluateFixedAllocation:
+    def test_an_infinite_value_exceeds_every_finite_limit(self):
+        # inf - limit > 1e-12 * inf compares inf with inf: the slop rule
+        # alone let an overflowing transmit energy pass its budget.
+        assert bandwidth._exceeds(math.inf, 200.0)
+        assert bandwidth._exceeds(math.inf, -200.0)
+        assert bandwidth._exceeds(math.inf, 1.7976931348623157e308)
+        assert not bandwidth._exceeds(math.inf, math.inf)
+        assert not bandwidth._exceeds(200.0, math.inf)
+        assert bandwidth._exceeds(200.0 * (1.0 + 1e-11), 200.0)
+        assert not bandwidth._exceeds(200.0 * (1.0 + 1e-13), 200.0)
+
     def test_equal_split_objective(self):
         rng = np.random.default_rng(41)
         users, cfg, matching = random_instance(rng, k=2)

@@ -413,6 +413,30 @@ class TestSolve:
         assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
+        "strategy, exit_code, verdict",
+        [
+            ("proposed", EXIT_INFEASIBLE, "no feasible pairing exists (candidates tried: 1)"),
+            ("random_kkt", EXIT_OK, "strategy=random_kkt [infeasible (energy)]"),
+            ("random_equal", EXIT_OK, "strategy=random_equal [infeasible (energy)]"),
+        ],
+        ids=["proposed", "random_kkt", "random_equal"],
+    )
+    def test_an_infinite_transmit_energy_fails_the_budget(
+        self, tmp_path, capsys, strategy, exit_code, verdict
+    ):
+        # A band 1e-10 above the bounds' sum: each group's transmit energy
+        # is finite but near the largest float, and their sum overflows to
+        # +inf, which once passed the 200 J budget as [feasible].
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "4", "--seed", "0", "--output", str(path)) == EXIT_OK
+        capsys.readouterr()
+        budgets = ("--tmax", "1e308", "--bmax", "2.600000000261591e-302")
+        assert run("solve", str(path), "--strategy", strategy, *budgets) == exit_code
+        out = capsys.readouterr().out
+        assert verdict in out
+        assert "[feasible]" not in out
+
+    @pytest.mark.parametrize(
         "n, seed, budget",
         [("32", "0", ("--bmax", "20e6")), ("16", "1", ("--emax", "95"))],
         ids=["hang-A", "hang-B"],

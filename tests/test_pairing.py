@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from pairband.pairing import (
@@ -28,6 +28,7 @@ from support import (
     matching_cost,
     numpy_assignment,
     random_cost_matrix,
+    unique_in_cell,
     unpruned_mwpm,
 )
 
@@ -493,12 +494,26 @@ def test_prop_a_proved_cell_minimum_is_untied(n, seed, hole_rate, tenths, forced
         if (i, j) not in forced_in and rng.uniform() < forced
     )
     tau = 1e-9 * max(float(c[np.isfinite(c)].max(initial=0.0)), 1.0)
-    solved = pairing._solve_cell(c, forced_in, forced_out, tau)
-    if solved is None or not solved[1]:
+    blossom, calls = pairing._blossom, []
+
+    def counted(*args):
+        calls.append(1)
+        return blossom(*args)
+
+    pairing._blossom = counted
+    try:
+        solved = pairing._solve_cell(c, forced_in, forced_out, tau)
+    finally:
+        pairing._blossom = blossom
+    if solved is None:
         return
-    pairs = solved[0]
-    free_edges = [p for p in pairs if p not in forced_in]
-    assert pairing._unique_in_cell(c, pairs, free_edges, forced_in, forced_out, tau)
+    pairs, proved = solved
+    # A proof comes from the closed gap's own duals (no blossom call),
+    # the first guess (one call) or the second (two).
+    event(["closed gap", "first guess", "second guess"][len(calls)] if proved else "unproved")
+    if not proved:
+        return
+    assert unique_in_cell(c, pairs, forced_in, forced_out, tau)
     best = matching_cost(c, pairs)
     for other in all_matchings(n):
         if other != pairs and forced_in <= set(other) and not forced_out & set(other):

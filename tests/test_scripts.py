@@ -42,9 +42,9 @@ def test_compare_strategies_prints_every_strategy():
 def test_mwpm_scale_prints_one_answer_line_per_size():
     lines = [json.loads(line) for line in run_script("mwpm_scale.py", "--no-time")]
     assert [line["n"] for line in lines] == [16, 32, 64, 128]
-    # Ranking candidate 1 takes one MWPM, plus one tie check unless the
-    # first solve proves that nothing ties it.
-    assert all(line["cost"]["rank1_mwpms"] in (1, 2) for line in lines)
+    # Ranking candidate 1 takes one MWPM: its own solve proves that
+    # nothing ties it at every size.
+    assert all(line["cost"]["rank1_mwpms"] == 1 for line in lines)
 
 
 def test_pool_answers_prints_one_line_per_pool_instance():

@@ -39,6 +39,7 @@ from support import (
     random_cost_matrix,
     scenario_from_pair_costs,
     table_from_per_user,
+    unpruned_mwpm,
 )
 
 
@@ -154,25 +155,27 @@ class TestProposed:
 
     def test_candidate_one_ranks_one_matching(self, monkeypatch):
         # Feasible at candidate 1: the solver asks for one matching, and
-        # the kernel solves exactly three MWPMs: one for the certificate,
-        # one for the best matching, and one to prove nothing ties it.
-        # networkx runs only inside a solve whose assignment bound leaves
-        # a gap, at most once each; here two of the three do.
+        # the kernel solves exactly two MWPMs: one for the certificate and
+        # one for the best matching.  The certificate's gap closes, so it
+        # calls no blossom.  Candidate 1's stays open, and its one blossom
+        # call, with the matching read off the assignment's cycles raised
+        # by the tie tolerance, returns that matching: it is the minimum,
+        # and nothing ties it.
         scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), 0)
         windows, blossoms_per_solve, blossom_calls = _spy_ranking(monkeypatch)
         res = solve_proposed(scn)
         assert res.feasible
         assert res.candidates_tried == 1
         assert windows == [1]
-        assert len(blossoms_per_solve) == 3
+        assert len(blossoms_per_solve) == 2
         assert set(blossoms_per_solve) <= {0, 1}
-        assert len(blossom_calls) == 2
+        assert len(blossom_calls) == 1
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_a_closed_gap_proves_candidate_one_untied(self, monkeypatch, seed):
         # Here the certificate's and candidate 1's gaps close, and candidate
         # 1's MWPM is the assignment itself, whose own duals show that no
-        # rival comes within the tie tolerance: no third MWPM is needed.
+        # rival comes within the tie tolerance: no blossom runs at all.
         scn = generate_scenario(ScenarioTemplate(n_users=16, b_max=5.0e6), seed)
         windows, blossoms_per_solve, blossom_calls = _spy_ranking(monkeypatch)
         res = solve_proposed(scn)
@@ -181,6 +184,21 @@ class TestProposed:
         assert windows == [1]
         assert len(blossoms_per_solve) == 2
         assert len(blossom_calls) == 0
+
+    def test_a_missed_first_guess_is_proved_by_the_second(self, monkeypatch):
+        # energy-tight pool seed 57: candidate 1's gap stays open and the
+        # matching read off the assignment's cycles is 2.07 % above the
+        # minimum.  The raised blossom returns the minimum instead, and
+        # raised in turn, the minimum comes back: proved in two calls.
+        c = _costs(generate_scenario(ScenarioTemplate(b_max=5.0e6, e_max=110.0), 57)).costs
+        w, col_of = pairing._assignment(c)
+        cycle = pairing._cycle_matching(c, c - w[:, None] - w, col_of)
+        best = unpruned_mwpm(PairCostMatrix(n=16, costs=c))
+        assert pairing._total(c, cycle) / best.total_cost - 1 == pytest.approx(0.0207, abs=5e-5)
+        blossom_calls = _count_calls(monkeypatch, pairing.nx, "max_weight_matching")
+        tau = 1e-9 * max(float(c[np.isfinite(c)].max()), 1.0)
+        assert pairing._solve_cell(c, frozenset(), frozenset(), tau) == (best.pairs, True)
+        assert len(blossom_calls) == 2
 
     def test_each_pair_bound_is_computed_once(self, monkeypatch):
         # One bound matrix serves the certificate and every candidate: a
