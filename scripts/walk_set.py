@@ -41,8 +41,7 @@ SCENARIOS = [(n, seed) for n in (6, 8) for seed in range(10)] + [(10, 0), (10, 1
 
 def candidate_one_energy(scn) -> float:
     """Energy of the cheapest-distortion matching under its KKT split."""
-    d = scn.distortions
-    best = mwpm(build_cost_matrix(d.pair_sum, d.per_user, scn.cfg.d_max))
+    best = mwpm(build_cost_matrix(scn.distortions, scn.cfg.d_max))
     return check_feasibility(list(scn.users), best, scn.cfg).energy_total
 
 

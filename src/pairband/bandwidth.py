@@ -12,8 +12,10 @@ rate and gradient there.  Three structural facts make this easy:
 * The latency budget turns into a per-group lower bound L_k: the unique
   root of F(b) = Q/Delta (F is strictly increasing with a finite
   asymptote, so the root exists iff Q/Delta < f_limit and Delta > 0).
-  Since F(b) = x*phi(b/x), it is L = x*phi^-1(Q/(Delta*x)), one array
-  expression over every pair at once.
+  Since F(b) = x*phi(b/x), a user's root is x*phi^-1(Q/(Delta*x)), one
+  array expression over both users of every pair at once, and L_k is
+  the larger of its two users' roots (:func:`b_min_pair`): in exact
+  arithmetic, the root at the pair's link.
 
 * xi_k = Q/F is differentiable with -d/db [p*Q/F(b)] = G(b) strictly
   decreasing, so the KKT system reduces to a single multiplier Theta:
@@ -191,18 +193,22 @@ def _pair_links(users: list[UserProfile], cfg: SystemConfig, i, j) -> np.ndarray
 
 def b_min_pair(users: list[UserProfile], i, j, cfg: SystemConfig) -> np.ndarray:
     """Minimum bandwidths pairs (i[k], j[k]) need to meet the deadline:
-    each the root at the pair's link (:func:`b_min_user`).
+    each the larger of its two users' roots (:func:`b_min_user`) at the
+    pair's slack.
 
-    ``i`` and ``j`` are index arrays into ``users``.  A bound is +inf
-    when the deadline cannot be met at any finite bandwidth
-    (non-positive slack, or required rate at/above the pair's
+    ``i`` and ``j`` are index arrays into ``users``.  The weaker user's
+    root is the larger in exact arithmetic; taking both keeps the bound
+    at or above each user's own root where rounding says otherwise.  A
+    bound is +inf when the deadline cannot be met at any finite
+    bandwidth (non-positive slack, or required rate at/above the pair's
     saturation rate).
     """
     bs = np.array([tau_bs(u, cfg) for u in users])
     rx = np.array([tau_rx(u, cfg) for u in users])
+    own = np.array([cfg.link(u, cfg.power) for u in users])
     # delta_slack's order of operations, so each slack is bit-identical.
     delta = cfg.t_max - bs[i] - rx[i] - bs[j] - rx[j]
-    return b_min_user(delta, _pair_links(users, cfg, i, j), cfg.payload_bits)
+    return b_min_user(delta, own[np.stack([i, j])], cfg.payload_bits).max(axis=0)
 
 
 def phi_inverse(s: np.ndarray) -> np.ndarray:

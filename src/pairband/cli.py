@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -49,16 +49,6 @@ METRIC_COLUMNS = (
     "mean_bandwidth_used",
     "mean_candidates_tried",
 )
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """What was asked of the tool — embedded in outputs for provenance."""
-
-    command: str
-    scenario_path: str | None
-    seed: int
-    overrides: dict
 
 
 class InputError(Exception):
@@ -157,13 +147,17 @@ def cmd_gen_scenario(args) -> int:
     return EXIT_OK
 
 
-def _result_document(scn: Scenario, res: SolveResult, manifest: RunManifest) -> dict:
+def _result_document(
+    scn: Scenario, res: SolveResult, scenario_path: str, seed: int, overrides: dict
+) -> dict:
+    """The ``solve --output`` document: what was asked of the tool, for
+    provenance, and what it answered."""
     doc = {
         "tool_version": __version__,
-        "command": manifest.command,
-        "scenario_path": manifest.scenario_path,
-        "seed": manifest.seed,
-        "overrides": manifest.overrides,
+        "command": "solve",
+        "scenario_path": scenario_path,
+        "seed": seed,
+        "overrides": overrides,
         "strategy": res.strategy,
         "feasible": res.feasible,
         "candidates_tried": res.candidates_tried,
@@ -237,15 +231,8 @@ def cmd_solve(args) -> int:
     scn = _apply_overrides(scn, overrides)
     seed = args.seed if args.seed is not None else scn.seed
     res = solve(scn, args.strategy, matching_seed=seed)
-
-    manifest = RunManifest(
-        command="solve",
-        scenario_path=str(path),
-        seed=seed,
-        overrides=overrides,
-    )
     if args.output:
-        doc = _result_document(scn, res, manifest)
+        doc = _result_document(scn, res, str(path), seed, overrides)
         Path(args.output).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     _print_solve_summary(res)
     if res.strategy == "proposed" and res.matching is None:

@@ -13,12 +13,16 @@ The cosine is symmetric, so each value is computed once per unordered
 pair and the synthetic table is symmetric, D_i(w_ij) = D_j(w_ji).  This
 mirrors the qualitative behavior that pairing semantically similar
 users reconstructs better, which is all the pairing layer depends on.
+
+A :class:`DistortionTable` is built from the per-user values alone and
+derives the pair sums; it is where every table, synthesized or loaded,
+is checked for missing and negative entries.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,39 +41,41 @@ _FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class DistortionTable:
-    """Per-user and summed pairwise distortions for n users.
+    """Pairwise distortions for n users, built from ``per_user`` alone.
 
     ``per_user[i][j]`` is D_i when i is paired with j (row = whose
-    distortion, column = partner); ``pair_sum[i][j] = per_user[i][j] +
-    per_user[j][i]`` is the symmetric matching weight.  Diagonals are
-    unused and kept at zero.
+    distortion, column = partner).  ``n`` and the symmetric matching
+    weight ``pair_sum[i][j] = per_user[i][j] + per_user[j][i]`` (zero
+    diagonal) are derived.  The table is the one place distortions are
+    validated: it must be square, an off-diagonal NaN is a missing entry
+    and no entry may be negative; each is reported by pair.  +inf is a
+    pair that every quality cap excludes.  The diagonal is unused.
     """
 
-    n: int
     per_user: np.ndarray
-    pair_sum: np.ndarray
+    n: int = field(init=False)
+    pair_sum: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         pu = np.asarray(self.per_user, dtype=float)
-        ps = np.asarray(self.pair_sum, dtype=float)
-        if pu.shape != (self.n, self.n) or ps.shape != (self.n, self.n):
-            raise ValueError("distortion tables must be n x n")
-        if np.any(pu < 0) or np.any(ps < 0):
-            raise ValueError("distortion values must be non-negative")
-        expected = pu + pu.T
-        off = ~np.eye(self.n, dtype=bool)
-        if not np.allclose(ps[off], expected[off], rtol=1e-9, atol=0.0):
-            raise ValueError("pair_sum must equal per_user[i][j] + per_user[j][i]")
-        object.__setattr__(self, "per_user", pu)
-        object.__setattr__(self, "pair_sum", ps)
-
-    @classmethod
-    def from_per_user(cls, per_user) -> "DistortionTable":
-        pu = np.asarray(per_user, dtype=float)
-        n = pu.shape[0]
+        if pu.ndim != 2 or pu.shape[0] != pu.shape[1]:
+            raise ValueError(f"a distortion table must be square, got shape {pu.shape}")
+        holes = np.isnan(pu)
+        np.fill_diagonal(holes, False)
+        if holes.any():
+            raise ValueError(f"missing distortion entries for pairs: {_pairs(holes)}")
+        negative = pu < 0
+        if negative.any():
+            raise ValueError(f"negative distortion for pairs: {_pairs(negative)}")
         ps = pu + pu.T
         np.fill_diagonal(ps, 0.0)
-        return cls(n=n, per_user=pu, pair_sum=ps)
+        object.__setattr__(self, "per_user", pu)
+        object.__setattr__(self, "n", pu.shape[0])
+        object.__setattr__(self, "pair_sum", ps)
+
+
+def _pairs(mask: np.ndarray) -> list[tuple[int, int]]:
+    return [(int(i), int(j)) for i, j in np.argwhere(mask)]
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ def distortions_from_features(features: np.ndarray, model: SimilarityModel) -> D
     per_user[i, j] = per_user[j, i] = model.base_distortion * (
         1.0 - model.similarity_weight * np.array(gates)
     )
-    return DistortionTable.from_per_user(per_user)
+    return DistortionTable(per_user)
 
 
 def synthesize_distortions(
@@ -156,8 +162,10 @@ def load_distortion_table(source: str | Path) -> DistortionTable:
         units <word>
         <i> <j> <D_i_given_j> <D_j_given_i>    (one line per unordered pair)
 
-    Rows may list the pair in either order; duplicates, gaps, negative
-    or non-numeric values are rejected with the offending pair named.
+    Rows may list the pair in either order.  Malformed or non-numeric
+    rows, out-of-range indices and duplicates are rejected here;
+    missing pairs and negative values are rejected, by pair, by
+    :class:`DistortionTable`.
     """
     text = Path(source).read_text()
     header: dict[str, str] = {}
@@ -197,19 +205,8 @@ def load_distortion_table(source: str | Path) -> DistortionTable:
     for i, j, dij, dji in rows:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
-        if dij < 0 or dji < 0:
-            raise ValueError(f"negative distortion for pair ({i}, {j})")
         if not math.isnan(per_user[i, j]) or not math.isnan(per_user[j, i]):
             raise ValueError(f"duplicate entry for pair ({i}, {j})")
         per_user[i, j] = dij
         per_user[j, i] = dji
-
-    holes = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if math.isnan(per_user[i, j]) or math.isnan(per_user[j, i])
-    ]
-    if holes:
-        raise ValueError(f"missing entries for pairs: {holes}")
-    return DistortionTable.from_per_user(per_user)
+    return DistortionTable(per_user)

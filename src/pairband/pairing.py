@@ -2,11 +2,12 @@
 
 Pairing all N users into N/2 disjoint pairs at minimum total distortion
 is a minimum-weight perfect matching problem on the complete graph with
-edge weights C_ij (infinite where either user would exceed the
-distortion cap).  The kernel is an Edmonds blossom solver (networkx),
-run on max-transformed weights so that a max-cardinality/max-weight
-matching of the finite-edge subgraph is exactly the min-cost perfect
-matching.
+edge weights C_ij: a validated distortion table's pair sums, infinite
+where either user would exceed the distortion cap.  The cost matrix
+only applies that cap.  The kernel is an Edmonds blossom solver
+(networkx), run on max-transformed weights so that a
+max-cardinality/max-weight matching of the finite-edge subgraph is
+exactly the min-cost perfect matching.
 
 The assignment relaxation, solved by shortest augmenting paths, gives
 duals w with LB = sum(w) - (N/2) rho <= the optimum (rho covers float
@@ -46,6 +47,8 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
+
+from .distortion import DistortionTable
 
 __all__ = [
     "INFEASIBLE",
@@ -121,36 +124,19 @@ def _total(costs: np.ndarray, pairs) -> float:
     return float(math.fsum(costs[i, j] for i, j in pairs))
 
 
-def build_cost_matrix(pair_sums, per_user, d_max: float) -> PairCostMatrix:
+def build_cost_matrix(table: DistortionTable, d_max: float) -> PairCostMatrix:
     """Edge weights C_ij = d_ij where both users meet the quality cap.
 
-    ``pair_sums[i][j]`` is the summed pair distortion d_ij and
-    ``per_user[i][j]`` is user i's own distortion when paired with j;
-    the entry is INFEASIBLE when either per-user distortion exceeds
-    ``d_max``.  Missing (NaN) entries are reported by pair.
+    ``table.pair_sum[i][j]`` is the summed pair distortion d_ij; the
+    entry is INFEASIBLE on the diagonal and where either user's own
+    distortion ``table.per_user`` exceeds ``d_max``.  The table has
+    already rejected missing and negative entries, and its pair sums
+    are symmetric bit for bit.
     """
-    ps = np.asarray(pair_sums, dtype=float)
-    pu = np.asarray(per_user, dtype=float)
-    n = ps.shape[0]
-    if ps.shape != (n, n) or pu.shape != (n, n):
-        raise ValueError("distortion tables must be square and same-shaped")
-
-    off = ~np.eye(n, dtype=bool)
-    holes = off & (np.isnan(ps) | np.isnan(pu))
-    missing = [(int(i), int(j)) for i, j in np.argwhere(holes)]
-    if missing:
-        raise ValueError(f"missing distortion entries for pairs: {missing}")
-
-    if np.any(ps[off] < 0) or np.any(pu[off] < 0):
-        raise ValueError("distortion entries must be non-negative")
-    if not np.allclose(ps[off], ps.T[off], rtol=1e-9, atol=0.0):
-        raise ValueError("pair distortion table must be symmetric")
-
-    # Upper-triangle entries decide both directions, as d_ij may differ
-    # from d_ji in the last digits.
-    capped = np.triu((pu <= d_max) & (pu.T <= d_max), 1)
-    upper = np.where(capped, ps, INFEASIBLE)
-    return PairCostMatrix(n=n, costs=np.minimum(upper, upper.T))
+    pu = table.per_user
+    capped = (pu <= d_max) & (pu.T <= d_max)
+    np.fill_diagonal(capped, False)
+    return PairCostMatrix(n=table.n, costs=np.where(capped, table.pair_sum, INFEASIBLE))
 
 
 def _assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -255,7 +255,7 @@ def scenario_from_json(text: str) -> Scenario:
     cfg_d["group_powers"] = tuple(cfg_d["group_powers"])
     cfg = SystemConfig(**cfg_d)
     users = tuple(_user_from_dict(d) for d in doc["users"])
-    table = DistortionTable.from_per_user(np.asarray(doc["distortion"]["per_user"]))
+    table = DistortionTable(doc["distortion"]["per_user"])
     return Scenario(
         cfg=cfg,
         users=users,

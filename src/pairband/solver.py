@@ -104,11 +104,7 @@ class SolveResult:
 
 
 def _cost_matrix(scenario: Scenario) -> PairCostMatrix:
-    return build_cost_matrix(
-        scenario.distortions.pair_sum,
-        scenario.distortions.per_user,
-        scenario.cfg.d_max,
-    )
+    return build_cost_matrix(scenario.distortions, scenario.cfg.d_max)
 
 
 def _pair_bounds(scenario: Scenario, costs: PairCostMatrix) -> np.ndarray:

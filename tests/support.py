@@ -93,14 +93,10 @@ def make_cfg(
     )
 
 
-def table_from_per_user(per_user) -> DistortionTable:
-    return DistortionTable.from_per_user(np.asarray(per_user, dtype=float))
-
-
 def uniform_table(n: int, value: float = 1.0) -> DistortionTable:
     per_user = np.full((n, n), value)
     np.fill_diagonal(per_user, 0.0)
-    return DistortionTable.from_per_user(per_user)
+    return DistortionTable(per_user)
 
 
 def make_scenario(
@@ -473,7 +469,7 @@ def loop_distortions(features: np.ndarray, model: SimilarityModel) -> Distortion
             per_user[i, j] = model.base_distortion * (
                 1.0 - model.similarity_weight * gate
             )
-    return DistortionTable.from_per_user(per_user)
+    return DistortionTable(per_user)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +487,7 @@ def scenario_from_pair_costs(pair_costs, gains, cfg) -> Scenario:
             if i != j:
                 per_user[i, j] = pair_costs[i][j] / 2.0
     users = [make_user(i, gain=gains[i]) for i in range(n)]
-    return make_scenario(users, cfg, table_from_per_user(per_user))
+    return make_scenario(users, cfg, DistortionTable(per_user))
 
 
 def exhaustive_first_feasible(scn):

@@ -265,9 +265,7 @@ def test_criterion_5_solver_end_to_end(monkeypatch):
     for seed in range(8):
         scn = generate_scenario(template, seed)
         res = solve_proposed(scn)
-        costs = build_cost_matrix(
-            scn.distortions.pair_sum, scn.distortions.per_user, scn.cfg.d_max
-        )
+        costs = build_cost_matrix(scn.distortions, scn.cfg.d_max)
         ref = brute_force_mwpm(costs)
         assert res.feasible
         assert res.candidates_tried == 1

@@ -677,6 +677,17 @@ def test_prop_b_min_pair_is_max_of_user_roots(pair, t_max, power):
     assert _one_pair_bound(*pair, cfg) == max(roots)
 
 
+def test_b_min_pair_is_max_of_user_roots_where_the_root_is_not_monotone():
+    # The property's shrunk example: one ulp apart in gain, the stronger
+    # user's own root is one ulp above the weaker one's.
+    cfg = make_cfg(2, t_max=1.0, power=2.0)
+    pair = (make_user(0, gain=1e-13), make_user(1, gain=1.0000000000000002e-13, dec=1.171875))
+    delta = delta_slack(*pair, cfg)
+    roots = [b_min_user(delta, cfg.link(u, 2.0), cfg.payload_bits) for u in pair]
+    assert roots == [2239784.2449775646, 2239784.244977565]
+    assert _one_pair_bound(*pair, cfg) == 2239784.244977565
+
+
 # Rate demands Q/delta as a share of the saturation rate: tiny, ordinary,
 # near saturation, at it and above it.
 _demand_shares = st.one_of(

@@ -287,6 +287,23 @@ class TestSolve:
         assert capsys.readouterr().err == f"error: invalid input: {message} cfg.n_users\n"
 
     @pytest.mark.parametrize(
+        "value, message",
+        [
+            (float("nan"), "missing distortion entries for pairs: [(1, 2)]"),
+            (-0.5, "negative distortion for pairs: [(1, 2)]"),
+        ],
+    )
+    def test_a_bad_distortion_entry_is_named_by_its_pair(self, tmp_path, capsys, value, message):
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "8", "--seed", "3", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["distortion"]["per_user"][1][2] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve", str(path)) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("noise_psd", 0.0),  # died with ZeroDivisionError

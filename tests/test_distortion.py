@@ -219,21 +219,39 @@ def test_prop_array_table_is_the_loop_table_bit_for_bit(feats, model):
 
 
 class TestDistortionTableValidation:
+    def test_derives_n_and_pair_sums_from_per_user(self):
+        per_user = np.array([[math.nan, 0.125], [0.5, 0.0]])
+        table = DistortionTable(per_user)
+        assert table.n == 2
+        assert table.pair_sum.tolist() == [[0.0, 0.625], [0.625, 0.0]]
+
+    def test_rejects_a_matrix_that_is_not_square(self):
+        for per_user in (np.zeros((2, 4)), np.zeros(4), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                DistortionTable(per_user)
+
+    def test_missing_entries_are_named(self):
+        per_user = np.full((4, 4), 0.2)
+        np.fill_diagonal(per_user, 0.0)
+        per_user[0, 2] = per_user[2, 0] = math.nan
+        per_user[3, 1] = math.nan
+        with pytest.raises(
+            ValueError,
+            match=r"^missing distortion entries for pairs: \[\(0, 2\), \(2, 0\), \(3, 1\)\]$",
+        ):
+            DistortionTable(per_user)
+
     def test_rejects_negative_entries(self):
+        # Each negative entry is named by its pair, on the diagonal too.
         per_user = np.full((4, 4), 0.5)
         np.fill_diagonal(per_user, 0.0)
         per_user[0, 1] = -0.5
-        with pytest.raises(ValueError):
-            DistortionTable.from_per_user(per_user)
-
-    def test_rejects_mismatched_pair_sum(self):
-        per_user = np.full((4, 4), 0.5)
-        np.fill_diagonal(per_user, 0.0)
-        good = DistortionTable.from_per_user(per_user)
-        bad_sum = good.pair_sum.copy()
-        bad_sum[0, 1] = bad_sum[1, 0] = 9.0
-        with pytest.raises(ValueError):
-            DistortionTable(n=4, per_user=per_user, pair_sum=bad_sum)
+        with pytest.raises(ValueError, match=r"negative distortion for pairs: \[\(0, 1\)\]$"):
+            DistortionTable(per_user)
+        per_user[0, 1] = 0.5
+        per_user[2, 2] = -0.0001
+        with pytest.raises(ValueError, match=r"pairs: \[\(2, 2\)\]$"):
+            DistortionTable(per_user)
 
 
 # ---------------------------------------------------------------------------

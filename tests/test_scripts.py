@@ -5,6 +5,7 @@ so a refactor of the solver can break them without any other test
 noticing.  Each runs in its own interpreter on a small input.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -61,3 +62,13 @@ def test_float_corners_fill_every_band_they_split():
     split = [line for line in lines if line["verdict"].endswith("[feasible]")]
     assert split
     assert all(1.0 - 1e-9 <= line["used_share"] <= 1.0 + 1e-9 for line in split)
+
+
+def test_cli_grid_digests_every_solve_of_one_size():
+    lines = [json.loads(line) for line in run_script("cli_grid.py", "--n", "4")]
+    assert len(lines) == 10 * 5 * len(STRATEGIES)
+    assert len({tuple(line["args"]) for line in lines}) == len(lines)
+    assert {line["exit"] for line in lines} <= {0, 4}
+    # Every solve writes its document and prints nothing to stderr.
+    assert all(line["document"] is not None for line in lines)
+    assert {line["stderr"] for line in lines} == {hashlib.sha256(b"").hexdigest()}

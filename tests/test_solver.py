@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pairband.bandwidth import check_feasibility
+from pairband.distortion import DistortionTable
 from pairband.latency_energy import e_const
 from pairband import bandwidth, pairing, solver
 from pairband.pairing import (
@@ -38,7 +39,6 @@ from support import (
     make_user,
     random_cost_matrix,
     scenario_from_pair_costs,
-    table_from_per_user,
     unpruned_mwpm,
 )
 
@@ -608,7 +608,7 @@ class TestGreedy:
         per_user[0, 1] = per_user[1, 0] = 0.1
         per_user[2, 3] = per_user[3, 2] = 10.0
         users = [make_user(i) for i in range(4)]
-        scn = make_scenario(users, cfg, table_from_per_user(per_user))
+        scn = make_scenario(users, cfg, DistortionTable(per_user))
         res = solve(scn, "greedy_equal")
         assert res.matching is None
         assert not res.feasible
