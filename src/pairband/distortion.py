@@ -202,11 +202,14 @@ def load_distortion_table(source: str | Path) -> DistortionTable:
 
     per_user = np.full((n, n), np.nan)
     np.fill_diagonal(per_user, 0.0)
+    seen: set[tuple[int, int]] = set()
     for i, j, dij, dji in rows:
         if not (0 <= i < n and 0 <= j < n) or i == j:
             raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
-        if not math.isnan(per_user[i, j]) or not math.isnan(per_user[j, i]):
+        pair = (min(i, j), max(i, j))
+        if pair in seen:
             raise ValueError(f"duplicate entry for pair ({i}, {j})")
+        seen.add(pair)
         per_user[i, j] = dij
         per_user[j, i] = dji
     return DistortionTable(per_user)

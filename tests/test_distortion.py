@@ -334,12 +334,15 @@ class TestTableIO:
             load_distortion_table(path)
 
     def test_rejects_duplicate_pair(self, tmp_path):
-        lines = valid_lines()
-        lines.append("0 1 0.3 0.3")
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        with pytest.raises(ValueError, match="duplicate"):
-            load_distortion_table(path)
+        # Also after a row of NaNs, which once let the later row win.
+        for first in ("0 1 0.25 0.25", "1 0 nan nan"):
+            lines = valid_lines()
+            lines[3] = first
+            lines.append("0 1 0.3 0.3")
+            path = tmp_path / "t.txt"
+            write_lines(path, lines)
+            with pytest.raises(ValueError, match=r"duplicate entry for pair \(0, 1\)"):
+                load_distortion_table(path)
 
     def test_rejects_missing_pairs(self, tmp_path):
         lines = valid_lines()[:-1]  # drop the (2, 3) row
