@@ -94,6 +94,15 @@ class TestBuildCostMatrix:
             assert cm.costs[0, 2] == cm.costs[2, 0] == INFEASIBLE
             assert cm.costs[0, 1] == 0.4
 
+    def test_rejects_negative_distortion(self):
+        # A negative entry never reaches the cap: the table that
+        # build_cost_matrix takes refuses it and names the pair.
+        per_user = np.full((4, 4), 0.2)
+        np.fill_diagonal(per_user, 0.0)
+        per_user[0, 1] = -0.1
+        with pytest.raises(ValueError, match=r"negative distortion for pairs: \[\(0, 1\)\]$"):
+            build_cost_matrix(DistortionTable(per_user), d_max=1.0)
+
     def test_matches_the_pairwise_loop(self):
         # Reference: the loop over i < j that the array form replaced.
         rng = np.random.default_rng(11)
