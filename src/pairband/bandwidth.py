@@ -56,8 +56,11 @@ whose inner minimiser is the split's best response b*(v).  q is concave
 in Theta with supergradient sum_M b*_ij - B_max over the minimising
 matching M.  The search probes the rejected candidate's own level
 first, then bisects log v by the sign of that supergradient, and stops
-a silent search once two tangents meet at or below the budget.  The
-b_min certificate is its v -> 0 limit.
+a silent search once two tangents meet at or below the budget.  Each
+probe first tries the half-edge bound H = sum_v min_u w_vu / 2, at
+most MWPM(w) and one array reduction: where H - (p*Q/v)*(B_max/v) is
+already over the budget the probe needs no MWPM.  The b_min
+certificate is its v -> 0 limit.
 """
 
 from __future__ import annotations
@@ -145,6 +148,12 @@ def _exceeds(value: float, limit: float) -> bool:
     if math.isinf(value):
         return value > limit
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
+
+
+def _over_budget(value: float, budget: float) -> bool:
+    """True when an energy bound passes the transmit budget by more than
+    1e-9 relative."""
+    return value - budget > 1e-9 * max(abs(budget), 1.0)
 
 
 def _overfills(total: float, b_max: float) -> bool:
@@ -285,7 +294,26 @@ def _lowest_level(b: np.ndarray, x: np.ndarray) -> float:
         return float(np.min(b / _root_a(b / x)))
 
 
-def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray):
+def _half_edge(w: np.ndarray) -> float:
+    """H = sum_v min_u w_vu / 2, at most the fsum total of every perfect
+    matching over the symmetric prices ``w``: the column-reduction duals
+    min_u w_vu / 2 that start :func:`~pairband.pairing._assignment`.
+
+    Each matched edge costs at least the mean of its ends' row minima,
+    so the exact total is at least S/2, with S the exact sum of the
+    minima.  The minima are exact, S stays in range (q scales the
+    prices by 2^-k <= 1/n) and fsum rounds S correctly: below 2^-1021
+    it is S itself (a multiple of 2^-1074 with at most 53 bits), and
+    from there on halving is exact.  So H = round(S/2), which is at
+    most round(total), the MWPM's fsum, as rounding is monotone.  A row
+    of +inf makes H +inf (no perfect matching is finite); a nan makes
+    it nan."""
+    return math.fsum(w.min(axis=1).tolist()) / 2.0
+
+
+def energy_dual(
+    users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray, budget: float | None = None
+):
     """(q, v_min): the Lagrangian lower bound on the transmit energy of
     every pairing, and the lowest level of the pair bounds
     (:func:`_lowest_level`).
@@ -295,7 +323,11 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
     matching, minus B_max.  ``bounds`` is the N x N matrix of pair
     minimum bandwidths L_ij, +inf for pairs that may not be matched.
     Every q(v) with v > 0 is a valid bound (see the module docstring);
-    at v <= v_min each pair's price sits at its L_ij.
+    at v <= v_min each pair's price sits at its L_ij.  Given a transmit
+    ``budget``, q first puts the half-edge bound (:func:`_half_edge`)
+    in the MWPM's place; where that is over the budget
+    (:func:`_over_budget`), so is the exact q, and q returns it with a
+    nan slope and solves no MWPM.
     """
     n = len(users)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
@@ -311,13 +343,18 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray)
             b = _respond(lower, x, v)
             w = np.full((n, n), INFEASIBLE)
             w[i, j] = w[j, i] = scale * (pq / f_value(b, x) + (pq / v) * (b / v))
+            price = scale * (pq / v) * (cfg.b_max / v)
+        if budget is not None:
+            value = (_half_edge(w) - price) / scale
+            if _over_budget(value, budget):
+                return value, math.nan
         best = mwpm(PairCostMatrix(n=n, costs=w))
         if best is None:  # every matching's price overflows: no energy fits
             return math.inf, 0.0
         bands = np.zeros((n, n))
         bands[i, j] = bands[j, i] = b
         used = math.fsum(bands[k, m] for k, m in best.pairs)
-        return (best.total_cost - scale * (pq / v) * (cfg.b_max / v)) / scale, used - cfg.b_max
+        return (best.total_cost - price) / scale, used - cfg.b_max
 
     return q, _lowest_level(lower, x)
 
@@ -344,13 +381,15 @@ def energy_infeasible(
     meet at or below the budget (q is concave in theta, so no theta can
     beat that meeting point; where a probe's theta leaves the float
     range the meeting point is not finite and the search goes on), or
-    once the bracket is under 5e-4 wide: at most 16 probes.  ``bounds``
-    must admit a perfect matching (the b_min certificate passed).
+    once the bracket is under 5e-4 wide: at most 16 probes.  Each probe
+    solves one MWPM, unless the half-edge bound alone proves it over the
+    budget: then it is the last probe and solves none.  ``bounds`` must
+    admit a perfect matching (the b_min certificate passed).
     """
     budget = cfg.e_max - e_const(users, cfg)
     margin = 1e-9 * max(abs(budget), 1.0)
     pq = cfg.power * cfg.payload_bits
-    q, v_min = energy_dual(users, cfg, bounds)
+    q, v_min = energy_dual(users, cfg, bounds, budget)
     links = _pair_links(users, cfg, *np.transpose(pairs))
     v = _lowest_level(np.array(bandwidths), links)
     lo = math.log(v_min)
@@ -361,7 +400,7 @@ def energy_infeasible(
     rising, falling = (0.0, 0.0, 0.0), (math.inf, 0.0, 0.0)
     while True:
         value, slope = q(v)
-        if value - budget > margin:
+        if _over_budget(value, budget):
             return True
         if slope == 0.0:  # a zero supergradient: v maximises q
             return False

@@ -23,7 +23,9 @@ stop hopeless instances instead of enumerating all (N-1)!! matchings:
   Lagrangian bound of :func:`~pairband.bandwidth.energy_infeasible`
   on every pairing's transmit energy, first at that candidate's own
   KKT multiplier.  If it exceeds the budget left after compute energy,
-  no pairing meets E_max.  A solve decided at candidate 1 never runs it.
+  no pairing meets E_max.  A probe that the half-edge bound (half the
+  sum of each user's cheapest price) already puts over the budget
+  solves no MWPM.  A solve decided at candidate 1 never runs it.
 
 Four reference strategies mirror the evaluation baselines.  Each is a
 pairing rule (random, greedy or channel-balanced) combined with a

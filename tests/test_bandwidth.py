@@ -9,6 +9,7 @@ and a dense grid oracle.
 """
 
 import math
+import sys
 import time
 import warnings
 from dataclasses import replace
@@ -39,7 +40,7 @@ from pairband.latency_energy import (
     pair_link,
     transmit_energy,
 )
-from pairband.pairing import Matching
+from pairband.pairing import INFEASIBLE, Matching, PairCostMatrix
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from support import (
     NOISE,
@@ -49,6 +50,7 @@ from support import (
     bisection_b_min,
     bisection_g_inverse,
     bisection_kkt,
+    brute_force_mwpm,
     consecutive_matching,
     group_airtime,
     make_cfg,
@@ -1058,6 +1060,103 @@ def test_prop_energy_bound_is_sound(
     low = max(q(v_1)[0], 0.0)
     if grid_max > low:
         check("between q(theta_1) and the grid", low + between * (grid_max - low))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    instance=_energy_bound_instance(),
+    budget_share=st.sampled_from([0.5, 0.9, 0.99, 1.0 - 1e-6, 1.0 + 1e-6, 1.01, 1.1, 1.5]),
+    start=st.integers(min_value=0, max_value=10_000),
+    stretch=st.sampled_from([0.0, -2.0, 2.0]),
+    between=st.floats(min_value=0.1, max_value=0.9),
+)
+def test_prop_the_half_edge_bound_changes_no_verdict_or_probe(
+    instance, budget_share, start, stretch, between
+):
+    # The draws and the two budgets of test_prop_energy_bound_is_sound.
+    # With the budget, energy_dual may decide a probe by the half-edge
+    # bound; without it, every probe solves its MWPM.  The search must
+    # give the same verdict after the same levels either way.
+    scn, bounds = instance
+    eligible = _eligible_allocations(scn, bounds)
+    assume(eligible)
+    least = min(e[0] for e in eligible)
+    _, rejected, report = eligible[start % len(eligible)]
+    start_bandwidths = [b * math.exp(stretch) for b in report.bandwidths]
+    users = list(scn.users)
+
+    def search(transmit_budget, exact):
+        """The verdict and the probed levels, and whether the last probe
+        was decided without its MWPM (a nan slope)."""
+        cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + transmit_budget)
+        probed, slopes = [], []
+
+        def dual(users, cfg, bounds, budget=None):
+            q, v_min = energy_dual(users, cfg, bounds, None if exact else budget)
+
+            def counted(v):
+                probed.append(v)
+                value, slope = q(v)
+                slopes.append(slope)
+                return value, slope
+
+            return counted, v_min
+
+        with mock.patch.object(bandwidth, "energy_dual", dual):
+            verdict = energy_infeasible(users, cfg, bounds, rejected.pairs, start_bandwidths)
+        return (verdict, probed), math.isnan(slopes[-1])
+
+    q, v_min = energy_dual(users, scn.cfg, bounds)
+    grid_max = max(q(v_min * math.exp(k))[0] for k in np.linspace(0.0, 15.0, 200))
+    budgets = {"share": budget_share * least}
+    (_, levels), _ = search(budgets["share"], exact=True)
+    low = max(q(levels[0])[0], 0.0)
+    if grid_max > low:
+        budgets["between"] = low + between * (grid_max - low)
+    for label, transmit_budget in budgets.items():
+        exact, undecided = search(transmit_budget, exact=True)
+        fast, shortcut = search(transmit_budget, exact=False)
+        event(f"budget {label}, bound fired: {exact[0]}, half-edge decided: {shortcut}")
+        assert not undecided
+        assert fast == exact
+
+
+_HALF_EDGE_KINDS = ("tenths", "huge", "subnormal")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([2, 4, 6, 8, 10]),
+    seed=st.integers(0, 10_000),
+    hole_rate=st.sampled_from([0.0, 0.3, 0.6]),
+    kind=st.sampled_from(_HALF_EDGE_KINDS),
+)
+def test_prop_the_half_edge_bound_is_at_most_the_brute_force_mwpm(n, seed, hole_rate, kind):
+    # Prices as energy_dual's q builds them: integer tenths, which tie
+    # exactly; prices near the largest float times the 2^-k <= 1/n that
+    # q scales by; and subnormal multiples of 2^-1074, whose sums cross
+    # into the normal range.  Holes are +inf, as is the diagonal.
+    rng = np.random.default_rng(seed)
+    if kind == "tenths":
+        c = rng.integers(1, 11, size=(n, n)) / 10.0
+    elif kind == "huge":
+        scale = 2.0 ** -(n - 1).bit_length()
+        c = scale * (sys.float_info.max * rng.uniform(0.5, 1.0, size=(n, n)))
+    else:
+        c = rng.integers(1, 2**rng.integers(1, 56), size=(n, n)) * 5e-324
+    c = np.triu(c, 1)
+    c[np.triu(rng.uniform(size=(n, n)) < hole_rate, 1)] = INFEASIBLE
+    c = c + c.T
+    np.fill_diagonal(c, INFEASIBLE)
+    half_edge = bandwidth._half_edge(c)
+    best = brute_force_mwpm(PairCostMatrix(n=n, costs=c))
+    event(f"{kind}: {'no perfect matching' if best is None else 'matched'}")
+    if np.isinf(c).all(axis=1).any():
+        assert best is None and half_edge == math.inf
+    if best is not None:
+        tight = half_edge == best.total_cost
+        event(f"{kind}: bound {'equals' if tight else 'is below'} the optimum")
+        assert half_edge <= best.total_cost
 
 
 class TestEnergyBoundSearch:

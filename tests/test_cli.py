@@ -463,7 +463,8 @@ class TestSolve:
     ):
         # Energy binds on every matching, which the b_min certificate
         # cannot see: the walk used to run through all (N-1)!! of them.
-        # q at candidate 1's own multiplier proves it with one MWPM.
+        # q at candidate 1's own multiplier proves it from the half-edge
+        # bound alone, with no MWPM.
         path = tmp_path / "scn.json"
         assert run("gen-scenario", "--n", n, "--seed", seed, "--output", str(path)) == EXIT_OK
         capsys.readouterr()
@@ -480,7 +481,7 @@ class TestSolve:
         assert time.perf_counter() - start < 2.0
         out = capsys.readouterr().out
         assert "no feasible pairing exists (candidates tried: 1)" in out
-        assert len(bound_mwpms) == 1
+        assert len(bound_mwpms) == 0
 
     def test_missing_scenario_file(self, tmp_path):
         assert run("solve", str(tmp_path / "nope.json")) == EXIT_INVALID_INPUT

@@ -72,3 +72,16 @@ def test_cli_grid_digests_every_solve_of_one_size():
     # Every solve writes its document and prints nothing to stderr.
     assert all(line["document"] is not None for line in lines)
     assert {line["stderr"] for line in lines} == {hashlib.sha256(b"").hexdigest()}
+
+
+def test_energy_bound_decides_the_n64_rows_without_an_mwpm():
+    lines = [json.loads(line) for line in run_script("energy_bound.py", "--no-time")]
+    assert len(lines) == 12
+    proved = [line for line in lines if line["verdict"] == "infeasible"]
+    assert [line["key"] for line in proved] == [f"n64-s{s}-bmax40e6" for s in range(6)]
+    assert all(line["candidates_tried"] == 1 for line in lines)
+    # Each proof takes one probe, which the half-edge bound decides; the
+    # feasible rows never run the bound.
+    keys = ("energy_probes", "bound_mwpms", "bound_blossoms")
+    assert {tuple(line[k] for k in keys) for line in proved} == {(1, 0, 0)}
+    assert {line["energy_probes"] for line in lines if line not in proved} == {0}

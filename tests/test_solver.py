@@ -132,8 +132,9 @@ class TestProposed:
         assert res.candidates_tried == 1
         assert windows == [1]
         assert bound_calls == [True]
-        # q at candidate 1's own multiplier already proves it.
-        assert len(bound_mwpms) == 1
+        # q at candidate 1's own multiplier already proves it, from the
+        # half-edge bound alone: no MWPM.
+        assert len(bound_mwpms) == 0
 
     def test_energy_rejection_runs_the_bound_once(self, monkeypatch):
         # Candidate 1 fails on energy and candidate 2 fits: the bound runs
@@ -439,8 +440,11 @@ def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
     # its verdict and the number of q(v) it probed.  The bound starts at
     # the level of the rejected candidate's KKT multiplier, so an
     # allocator that moves in its last digits must move none of them.
-    calls, probed, key = [], [], [None]
+    # Also pinned: the MWPMs the probes solve, which the half-edge bound
+    # spares wherever it alone proves a probe over the budget.
+    calls, probed, key, solved = [], [], [None], []
     bound, dual = solver.energy_infeasible, bandwidth.energy_dual
+    bound_mwpms = _count_calls(monkeypatch, bandwidth, "mwpm")
 
     def counted_dual(*args):
         q, v_min = dual(*args)
@@ -453,8 +457,10 @@ def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
 
     def spy(*args):
         probed.clear()
+        before = len(bound_mwpms)
         verdict = bound(*args)
         calls.append((key[0], verdict, len(probed)))
+        solved.append((verdict, len(bound_mwpms) - before))
         return verdict
 
     monkeypatch.setattr(bandwidth, "energy_dual", counted_dual)
@@ -464,11 +470,16 @@ def test_energy_bound_verdicts_and_probe_counts_are_pinned(monkeypatch):
         key[0] = f"pool-s{seed}"
         solve_proposed(generate_scenario(template, seed))
     assert Counter((v, n) for _, v, n in calls) == {(True, 1): 41}
+    assert Counter(solved) == {(True, 0): 41}
     calls.clear()
+    solved.clear()
     walks = _walk_set_module()
     for key[0], _, scn in walks.walk_set():
         solve_proposed(scn)
     assert Counter((v, n) for _, v, n in calls) == {(True, 1): 103, (False, 2): 19}
+    # A silent probe always solves its MWPM; the half-edge bound decides
+    # 100 of the 103 proofs.
+    assert Counter(solved) == {(True, 0): 100, (True, 1): 3, (False, 2): 19}
     silent = {k for k, v, _ in calls if not v}
     loud_under = {"n6-s4-under-c1", "n8-s0-under-c1", "n8-s8-under-c1"}
     assert silent == {f"n{n}-s{s}-under-c1" for n, s in walks.SCENARIOS} - loud_under
