@@ -311,9 +311,7 @@ def _half_edge(w: np.ndarray) -> float:
     return math.fsum(w.min(axis=1).tolist()) / 2.0
 
 
-def energy_dual(
-    users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray, budget: float | None = None
-):
+def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray, budget: float):
     """(q, v_min): the Lagrangian lower bound on the transmit energy of
     every pairing, and the lowest level of the pair bounds
     (:func:`_lowest_level`).
@@ -323,11 +321,11 @@ def energy_dual(
     matching, minus B_max.  ``bounds`` is the N x N matrix of pair
     minimum bandwidths L_ij, +inf for pairs that may not be matched.
     Every q(v) with v > 0 is a valid bound (see the module docstring);
-    at v <= v_min each pair's price sits at its L_ij.  Given a transmit
-    ``budget``, q first puts the half-edge bound (:func:`_half_edge`)
-    in the MWPM's place; where that is over the budget
-    (:func:`_over_budget`), so is the exact q, and q returns it with a
-    nan slope and solves no MWPM.
+    at v <= v_min each pair's price sits at its L_ij.  q first puts the
+    half-edge bound (:func:`_half_edge`) in the MWPM's place; where that
+    is over the transmit ``budget`` (:func:`_over_budget`), so is the
+    exact q, and q returns it with a nan slope and solves no MWPM.  At
+    ``budget = inf`` every probe solves its MWPM.
     """
     n = len(users)
     i, j = np.nonzero(np.triu(np.isfinite(bounds), 1))
@@ -344,10 +342,9 @@ def energy_dual(
             w = np.full((n, n), INFEASIBLE)
             w[i, j] = w[j, i] = scale * (pq / f_value(b, x) + (pq / v) * (b / v))
             price = scale * (pq / v) * (cfg.b_max / v)
-        if budget is not None:
-            value = (_half_edge(w) - price) / scale
-            if _over_budget(value, budget):
-                return value, math.nan
+        value = (_half_edge(w) - price) / scale
+        if _over_budget(value, budget):
+            return value, math.nan
         best = mwpm(PairCostMatrix(n=n, costs=w))
         if best is None:  # every matching's price overflows: no energy fits
             return math.inf, 0.0

@@ -24,13 +24,7 @@ from pathlib import Path
 from . import __version__
 from .distortion import load_distortion_table
 from .latency_energy import group_time, transmit_energy
-from .scenario import (
-    Scenario,
-    ScenarioTemplate,
-    generate_scenario,
-    load_scenario,
-    save_scenario,
-)
+from .scenario import Scenario, ScenarioTemplate, generate_scenario, load_scenario, save_scenario
 from .solver import STRATEGIES, SolveResult, solve, sweep_bandwidth
 
 EXIT_OK = 0
@@ -49,6 +43,9 @@ METRIC_COLUMNS = (
     "mean_bandwidth_used",
     "mean_candidates_tried",
 )
+
+# The budget flags: config field -> what the flag's help calls it.
+BUDGETS = {"b_max": "B_max [Hz]", "t_max": "T_max [s]", "e_max": "E_max [J]", "d_max": "D_max"}
 
 
 class InputError(Exception):
@@ -92,48 +89,26 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--seeds", default="50", help="seed count N (meaning 0..N-1) or comma-separated seed list")
     swp.add_argument("--jobs", type=int, default=1, help="parallel workers (output independent of this)")
     swp.add_argument("--output", required=True, help="metrics CSV to write")
-    swp.add_argument("--tmax", type=float, help="override T_max [s]")
-    swp.add_argument("--emax", type=float, help="override E_max [J]")
-    swp.add_argument("--dmax", type=float, help="override D_max")
+    _add_budget_flags(swp, skip="b_max")
     return parser
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bmax", type=float, help="override B_max [Hz]")
-    p.add_argument("--tmax", type=float, help="override T_max [s]")
-    p.add_argument("--emax", type=float, help="override E_max [J]")
-    p.add_argument("--dmax", type=float, help="override D_max")
+def _add_budget_flags(p: argparse.ArgumentParser, skip: str | None = None) -> None:
+    """``--bmax`` ... ``--dmax``, each stored under its config field, so
+    that SystemConfig and ScenarioTemplate check the values."""
+    for field, name in BUDGETS.items():
+        if field != skip:
+            flag = "--" + field.replace("_", "")
+            metavar = flag[2:].upper()
+            p.add_argument(flag, dest=field, type=float, metavar=metavar, help=f"override {name}")
 
 
-def _overrides(args, keys=("bmax", "tmax", "emax", "dmax")) -> dict:
-    mapping = {"bmax": "b_max", "tmax": "t_max", "emax": "e_max", "dmax": "d_max"}
-    out = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            if value <= 0:
-                raise InputError(f"--{key} must be positive, got {value}")
-            out[mapping[key]] = value
-    return out
-
-
-def _apply_overrides(scn: Scenario, overrides: dict) -> Scenario:
-    if not overrides:
-        return scn
-    return replace(
-        scn,
-        cfg=replace(scn.cfg, **overrides),
-        template=replace(scn.template, **overrides),
-    )
+def _overrides(args) -> dict:
+    return {f: v for f in BUDGETS if (v := getattr(args, f, None)) is not None}
 
 
 def cmd_gen_scenario(args) -> int:
-    if args.n < 2 or args.n % 2 != 0:
-        raise InputError(f"--n must be even and >= 2, got {args.n}")
-    overrides = _overrides(args)
-    template = ScenarioTemplate(n_users=args.n, area_m=args.area_m)
-    if overrides:
-        template = replace(template, **overrides)
+    template = ScenarioTemplate(n_users=args.n, area_m=args.area_m, **_overrides(args))
     scn = generate_scenario(template, args.seed)
     if args.distortion_file:
         table = load_distortion_table(args.distortion_file)
@@ -228,7 +203,11 @@ def cmd_solve(args) -> int:
     path = Path(args.scenario)
     scn = load_scenario(path)
     overrides = _overrides(args)
-    scn = _apply_overrides(scn, overrides)
+    scn = replace(
+        scn,
+        cfg=replace(scn.cfg, **overrides),
+        template=replace(scn.template, **overrides),
+    )
     seed = args.seed if args.seed is not None else scn.seed
     res = solve(scn, args.strategy, matching_seed=seed)
     if args.output:
@@ -270,13 +249,9 @@ def write_metrics_csv(rows: list[dict], path, preamble: dict) -> None:
 
 def cmd_sweep(args) -> int:
     path = Path(args.scenario)
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be >= 1, got {args.jobs}")
     scn = load_scenario(path)
-    overrides = _overrides(args, keys=("tmax", "emax", "dmax"))
-    template = scn.template
-    if overrides:
-        template = replace(template, **overrides)
+    overrides = _overrides(args)
+    template = replace(scn.template, **overrides)
     strategies = args.strategy or list(STRATEGIES)
     seeds = _parse_seeds(args.seeds)
 

@@ -130,8 +130,6 @@ def synthesize_distortions(
 ) -> DistortionTable:
     """Similarity-driven synthetic table: one unit feature vector per
     user, deterministic under the generator's seed."""
-    if n % 2 != 0:
-        raise ValueError("n must be even")
     feats = rng.normal(size=(n, model.feature_dim))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     return distortions_from_features(feats, model)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from numbers import Real
 from pathlib import Path
 
@@ -86,11 +86,15 @@ class ScenarioTemplate:
     def __post_init__(self) -> None:
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
-        # nan passes every sign check, and the draws fail on nan or inf.
+        # nan passes every sign check, and the draws fail on nan or inf,
+        # or on a range that is not a (low, high) pair.
         for name, value in vars(self).items():
-            values = value if isinstance(value, tuple) else (value,)
+            pair = name.endswith("_range")
+            values = value if pair and isinstance(value, tuple) else (value,)
             if not all(isinstance(v, Real) and math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be a finite number")
+            if len(values) != 1 + pair:
+                raise ValueError(f"{name} must be a (low, high) pair")
         if self.area_m <= 0:
             raise ValueError("area_m must be positive")
 
@@ -185,48 +189,21 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
     )
 
 
-def _template_from_dict(d: dict) -> ScenarioTemplate:
+def _from_json(cls, d: dict):
+    """A ``cls`` from a JSON object, by field name; lists are read back
+    as the tuples they were written from."""
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(d).items()})
+
+
+def _user_to_json(u: UserProfile) -> dict:
+    d = asdict(u)
+    return {**d.pop("channel"), **d}
+
+
+def _user_from_json(d: dict) -> UserProfile:
     d = dict(d)
-    for key in ("cpu_hz_range", "enc_params_range", "dec_params_range"):
-        d[key] = tuple(d[key])
-    return ScenarioTemplate(**d)
-
-
-def _user_to_dict(u: UserProfile) -> dict:
-    return {
-        "id": u.id,
-        "position": list(u.position),
-        "q_bits": u.q_bits,
-        "enc_params": u.enc_params,
-        "dec_params": u.dec_params,
-        "cpu_hz": u.cpu_hz,
-        "cycles_per_bit": u.cycles_per_bit,
-        "energy_coeff": u.energy_coeff,
-        "pathloss_db": u.channel.pathloss_db,
-        "shadowing_db": u.channel.shadowing_db,
-        "gain_linear": u.channel.gain_linear,
-        "noise_psd": u.noise_psd,
-    }
-
-
-def _user_from_dict(d: dict) -> UserProfile:
-    gain = ChannelGain(
-        pathloss_db=d["pathloss_db"],
-        shadowing_db=d["shadowing_db"],
-        gain_linear=d["gain_linear"],
-    )
-    return UserProfile(
-        id=d["id"],
-        position=tuple(d["position"]),
-        q_bits=d["q_bits"],
-        enc_params=d["enc_params"],
-        dec_params=d["dec_params"],
-        cpu_hz=d["cpu_hz"],
-        cycles_per_bit=d["cycles_per_bit"],
-        energy_coeff=d["energy_coeff"],
-        channel=gain,
-        noise_psd=d.get("noise_psd"),
-    )
+    channel = ChannelGain(**{f.name: d.pop(f.name) for f in fields(ChannelGain)})
+    return _from_json(UserProfile, {**d, "channel": channel})
 
 
 def scenario_to_json(scn: Scenario, tool_version: str) -> str:
@@ -236,7 +213,7 @@ def scenario_to_json(scn: Scenario, tool_version: str) -> str:
         "seed": scn.seed,
         "template": asdict(scn.template),
         "config": asdict(scn.cfg),
-        "users": [_user_to_dict(u) for u in scn.users],
+        "users": [_user_to_json(u) for u in scn.users],
         "distortion": {
             "per_user": [list(row) for row in scn.distortions.per_user],
         },
@@ -251,17 +228,12 @@ def scenario_from_json(text: str) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema version: {version}")
-    cfg_d = dict(doc["config"])
-    cfg_d["group_powers"] = tuple(cfg_d["group_powers"])
-    cfg = SystemConfig(**cfg_d)
-    users = tuple(_user_from_dict(d) for d in doc["users"])
-    table = DistortionTable(doc["distortion"]["per_user"])
     return Scenario(
-        cfg=cfg,
-        users=users,
-        distortions=table,
+        cfg=_from_json(SystemConfig, doc["config"]),
+        users=tuple(_user_from_json(d) for d in doc["users"]),
+        distortions=DistortionTable(doc["distortion"]["per_user"]),
         seed=doc["seed"],
-        template=_template_from_dict(doc["template"]),
+        template=_from_json(ScenarioTemplate, doc["template"]),
     )
 
 

@@ -127,14 +127,15 @@ def _check_with_bounds(
     return kkt_allocate(list(scenario.users), matching, scenario.cfg, bounds)
 
 
-def _no_pairing(candidates_tried: int) -> SolveResult:
-    """The proposed strategy's proof that no pairing is feasible."""
+def _no_pairing(candidates_tried: int, strategy: str) -> SolveResult:
+    """A result without a pairing: the proposed strategy's proof that
+    none is feasible, or a pairing rule's dead end."""
     return SolveResult(
         matching=None,
         allocation=None,
         total_distortion=math.inf,
         candidates_tried=candidates_tried,
-        strategy="proposed",
+        strategy=strategy,
     )
 
 
@@ -157,7 +158,7 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
     # latency and the bandwidth sum.
     best = mwpm(PairCostMatrix(n=costs.n, costs=bounds))
     if best is None or _overfills(best.total_cost, scenario.cfg.b_max):
-        return _no_pairing(0)
+        return _no_pairing(0, "proposed")
 
     rows = bounds.tolist()
     tried = 0
@@ -184,11 +185,11 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
                 if energy_infeasible(
                     list(scenario.users), scenario.cfg, bounds, matching.pairs, report.bandwidths
                 ):
-                    return _no_pairing(tried)
+                    return _no_pairing(tried, "proposed")
         if len(candidates) < window:
             # Window exceeded the number of finite matchings: everything
             # has been tried.
-            return _no_pairing(tried)
+            return _no_pairing(tried, "proposed")
         window *= 2
 
 
@@ -261,13 +262,7 @@ def solve(
     else:
         pairs = channel_balanced_matching(scenario.users)
     if pairs is None:
-        return SolveResult(
-            matching=None,
-            allocation=None,
-            total_distortion=math.inf,
-            candidates_tried=1,
-            strategy=strategy,
-        )
+        return _no_pairing(1, strategy)
 
     matching = Matching(
         pairs=pairs, total_cost=float(math.fsum(costs.costs[i, j] for i, j in pairs))
@@ -332,9 +327,9 @@ def sweep_bandwidth(
 
     Returns one aggregate row per (b_max, strategy): mean total
     distortion and mean bandwidth over the feasible draws, feasibility
-    rate, and mean candidate count.  Workers split by seed and results
-    merge by cell key with exact sums, so any ``jobs`` count produces
-    the identical table.
+    rate, and mean candidate count.  Up to ``jobs`` workers, never more
+    than there are seeds, split the seeds; results merge by cell key
+    with exact sums, so any ``jobs`` count produces the identical table.
     """
     if not b_max_values:
         raise ValueError("b_max_values must be non-empty")
@@ -357,9 +352,11 @@ def sweep_bandwidth(
         (template, tuple(b_max_values), tuple(strategies), seed)
         for seed in seeds
     ]
-    if jobs > 1:
+    # The pool starts every worker at once, so never more than the seeds.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_seed = list(pool.map(_sweep_cell_records, tasks))
     else:
         per_seed = [_sweep_cell_records(t) for t in tasks]

@@ -991,7 +991,7 @@ def test_prop_energy_bound_is_sound(
     # Concavity in theta = pq/v^2: every tangent q(a) + s(a)*(theta - a)
     # lies above q.  The levels run from theta_max * e^-35 to theta_max *
     # e^5, with theta_max = pq/v_min^2.
-    q, v_min = energy_dual(users, scn.cfg, bounds)
+    q, v_min = energy_dual(users, scn.cfg, bounds, math.inf)
     pq = scn.cfg.power * scn.cfg.payload_bits
     levels = [v_min * math.exp(-0.5 * k) for k in log_thetas]
     thetas = [pq / v / v for v in levels]
@@ -1075,7 +1075,7 @@ def test_prop_the_half_edge_bound_changes_no_verdict_or_probe(
 ):
     # The draws and the two budgets of test_prop_energy_bound_is_sound.
     # With the budget, energy_dual may decide a probe by the half-edge
-    # bound; without it, every probe solves its MWPM.  The search must
+    # bound; with an infinite one, every probe solves its MWPM.  The search must
     # give the same verdict after the same levels either way.
     scn, bounds = instance
     eligible = _eligible_allocations(scn, bounds)
@@ -1091,8 +1091,8 @@ def test_prop_the_half_edge_bound_changes_no_verdict_or_probe(
         cfg = replace(scn.cfg, e_max=e_const(users, scn.cfg) + transmit_budget)
         probed, slopes = [], []
 
-        def dual(users, cfg, bounds, budget=None):
-            q, v_min = energy_dual(users, cfg, bounds, None if exact else budget)
+        def dual(users, cfg, bounds, budget):
+            q, v_min = energy_dual(users, cfg, bounds, math.inf if exact else budget)
 
             def counted(v):
                 probed.append(v)
@@ -1106,7 +1106,7 @@ def test_prop_the_half_edge_bound_changes_no_verdict_or_probe(
             verdict = energy_infeasible(users, cfg, bounds, rejected.pairs, start_bandwidths)
         return (verdict, probed), math.isnan(slopes[-1])
 
-    q, v_min = energy_dual(users, scn.cfg, bounds)
+    q, v_min = energy_dual(users, scn.cfg, bounds, math.inf)
     grid_max = max(q(v_min * math.exp(k))[0] for k in np.linspace(0.0, 15.0, 200))
     budgets = {"share": budget_share * least}
     (_, levels), _ = search(budgets["share"], exact=True)

@@ -26,7 +26,7 @@ from pairband.distortion import (
     save_distortion_table,
     synthesize_distortions,
 )
-from pairband.scenario import load_scenario
+from pairband.scenario import ScenarioTemplate, load_scenario
 
 
 def run(*argv):
@@ -87,6 +87,13 @@ class TestGenScenario:
     def test_odd_population_rejected(self, tmp_path):
         code = run("gen-scenario", "--n", "5", "--output", str(tmp_path / "x.json"))
         assert code == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("n", ["5", "0", "-2"])
+    def test_population_is_checked_by_the_template(self, tmp_path, capsys, n):
+        out = tmp_path / "x.json"
+        assert run("gen-scenario", "--n", n, "--output", str(out)) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: invalid input: n_users must be even and >= 2\n"
+        assert not out.exists()
 
     def test_nonpositive_override_rejected(self, tmp_path):
         code = run(
@@ -685,8 +692,21 @@ class TestSweep:
             "--jobs", jobs, "--output", str(tmp_path / "m.csv"),
         )
         assert code == EXIT_INVALID_INPUT
-        assert "--jobs must be >= 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: invalid input: jobs must be >= 1, got {jobs}\n"
         assert not (tmp_path / "m.csv").exists()
+
+    def test_template_range_of_three_is_invalid_input(self, small_scenario, tmp_path, capsys):
+        # The draw passed all three to numpy's uniform: a TypeError traceback.
+        doc = json.loads(small_scenario.read_text())
+        doc["template"]["cpu_hz_range"] = [5e8, 1e9, 1.6e9]
+        path, out = tmp_path / "range.json", tmp_path / "m.csv"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run("sweep", str(path), "--bmax", "9e6", "--seeds", "1", "--output", str(out))
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: invalid input: cpu_hz_range must be a (low, high) pair\n"
+        assert not out.exists()
 
     def test_bad_bmax_literal_is_a_usage_error(self, small_scenario, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -695,6 +715,62 @@ class TestSweep:
                 "--output", str(tmp_path / "m.csv"),
             )
         assert exc.value.code == EXIT_USAGE
+
+
+BUDGET_FLAGS = {"b_max": ("--bmax", "7e6"), "t_max": ("--tmax", "3.5"),
+                "e_max": ("--emax", "150"), "d_max": ("--dmax", "0.95")}
+
+
+def _budget_run(command, scenario, out, flag, value):
+    """``pairband <command>`` with one budget flag, writing to ``out``."""
+    if command == "gen-scenario":
+        return run(command, "--n", "4", "--output", str(out), f"{flag}={value}")
+    extra = ("--bmax", "9e6", "--seeds", "1", "--strategy", "greedy_equal") if command == "sweep" else ()
+    return run(command, str(scenario), *extra, "--output", str(out), f"{flag}={value}")
+
+
+COMMAND_FIELDS = [
+    (command, field)
+    for command in ("gen-scenario", "solve", "sweep")
+    for field in BUDGET_FLAGS
+    if (command, field) != ("sweep", "b_max")  # there --bmax is the list of budgets
+]
+
+
+class TestBudgetFlags:
+    """Each budget flag fills the config field of its name, and the
+    config and the template check its value."""
+
+    @pytest.mark.parametrize("command, field", COMMAND_FIELDS)
+    def test_flag_lands_in_its_field(self, small_scenario, tmp_path, command, field):
+        flag, value = BUDGET_FLAGS[field]
+        out = tmp_path / "out"
+        assert _budget_run(command, small_scenario, out, flag, value) == EXIT_OK
+        if command == "gen-scenario":
+            doc = json.loads(out.read_text())
+            assert doc["config"][field] == doc["template"][field] == float(value)
+            for other in set(BUDGET_FLAGS) - {field}:
+                assert doc["config"][other] == getattr(ScenarioTemplate(), other)
+        elif command == "solve":
+            doc = json.loads(out.read_text())
+            assert doc["config"][field] == float(value)
+            assert doc["overrides"] == {field: float(value)}
+        else:
+            assert f'# overrides={{"{field}": {float(value)!r}}}' in out.read_text().splitlines()
+
+    @pytest.mark.parametrize("command, field", COMMAND_FIELDS)
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_invalid_value_is_named_by_its_field(
+        self, small_scenario, tmp_path, capsys, command, field, value
+    ):
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = _budget_run(command, small_scenario, out, BUDGET_FLAGS[field][0], value)
+        assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid input: {field} must be ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
 
 
 class TestTopLevel:

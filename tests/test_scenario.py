@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from pairband import __version__
+from pairband.channel import ChannelGain
+from pairband.latency_energy import UserProfile
 from pairband.scenario import (
     SCHEMA_VERSION,
     ScenarioTemplate,
@@ -95,6 +97,15 @@ class TestGeneration:
         with pytest.raises(ValueError, match=f"{field} must be a finite number"):
             ScenarioTemplate(**{field: bad_value})
 
+    @pytest.mark.parametrize("bad", [5.0e8, (5.0e8, 1.0e9, 1.6e9)], ids=["number", "triple"])
+    def test_rejects_a_range_that_is_not_a_pair(self, bad):
+        with pytest.raises(ValueError, match=r"cpu_hz_range must be a \(low, high\) pair"):
+            ScenarioTemplate(cpu_hz_range=bad)
+
+    def test_rejects_a_tuple_for_a_number(self):
+        with pytest.raises(ValueError, match="kappa must be a finite number"):
+            ScenarioTemplate(kappa=(5.0,))
+
 
 class TestJsonRoundtrip:
     def test_full_value_roundtrip(self):
@@ -121,6 +132,38 @@ class TestJsonRoundtrip:
         assert doc["seed"] == 2
         assert len(doc["users"]) == 4
         assert len(doc["distortion"]["per_user"]) == 4
+
+    def test_user_keys_are_the_profile_and_channel_fields(self):
+        scn = generate_scenario(ScenarioTemplate(n_users=4), seed=2)
+        doc = json.loads(scenario_to_json(scn, __version__))
+        profile = {f.name for f in fields(UserProfile)} - {"channel"}
+        expected = profile | {f.name for f in fields(ChannelGain)}
+        assert [set(u) for u in doc["users"]] == [expected] * 4
+
+    def test_user_noise_psd_roundtrips(self):
+        scn = generate_scenario(ScenarioTemplate(n_users=4), seed=2)
+        scn = replace(scn, users=(replace(scn.users[0], noise_psd=3.5e-21), *scn.users[1:]))
+        text = scenario_to_json(scn, __version__)
+        back = scenario_from_json(text)
+        assert back.users == scn.users
+        assert back.users[0].noise_psd == 3.5e-21
+        assert scenario_to_json(back, __version__) == text
+
+    def test_user_without_noise_psd_uses_the_global_psd(self):
+        scn = generate_scenario(ScenarioTemplate(n_users=4), seed=2)
+        doc = json.loads(scenario_to_json(scn, __version__))
+        del doc["users"][1]["noise_psd"]
+        assert scenario_from_json(json.dumps(doc)).users == scn.users
+
+    @pytest.mark.parametrize("part", ["template", "config", "user"])
+    def test_unknown_key_is_rejected(self, tmp_path, part):
+        scn = generate_scenario(ScenarioTemplate(n_users=4), seed=2)
+        doc = json.loads(scenario_to_json(scn, __version__))
+        (doc["users"][0] if part == "user" else doc[part])["b_maks"] = 5e6
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unexpected keyword argument 'b_maks'"):
+            load_scenario(path)
 
     def test_save_load_files(self, tmp_path):
         scn = generate_scenario(ScenarioTemplate(n_users=4), seed=8)

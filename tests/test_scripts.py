@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from pairband.solver import STRATEGIES
@@ -66,12 +67,16 @@ def test_float_corners_fill_every_band_they_split():
 
 def test_cli_grid_digests_every_solve_of_one_size():
     lines = [json.loads(line) for line in run_script("cli_grid.py", "--n", "4")]
-    assert len(lines) == 10 * 5 * len(STRATEGIES)
+    commands = Counter(line["args"][0] for line in lines)
+    assert commands == {"gen-scenario": 10, "solve": 10 * 5 * len(STRATEGIES), "sweep": 4}
     assert len({tuple(line["args"]) for line in lines}) == len(lines)
     assert {line["exit"] for line in lines} <= {0, 4}
-    # Every solve writes its document and prints nothing to stderr.
+    # Every run writes its file and prints nothing to stderr.
     assert all(line["document"] is not None for line in lines)
     assert {line["stderr"] for line in lines} == {hashlib.sha256(b"").hexdigest()}
+    # A sweep's CSV does not depend on its worker count.
+    sweeps = [line["document"] for line in lines if line["args"][0] == "sweep"]
+    assert sweeps[0] == sweeps[1] != sweeps[2] == sweeps[3]
 
 
 def test_energy_bound_decides_the_n64_rows_without_an_mwpm():

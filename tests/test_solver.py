@@ -7,6 +7,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import replace
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 import numpy as np
@@ -861,6 +862,28 @@ class TestSweep:
     def test_rejects_unknown_strategy(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             sweep_bandwidth(SWEEP_TEMPLATE, [5.0e6], strategies=["magic"], seeds=[0])
+
+    @pytest.mark.parametrize("seeds, forks", [([0], 0), ([0, 1], 2)], ids=["1-seed", "2-seed"])
+    def test_workers_are_capped_at_the_seed_count(self, monkeypatch, seeds, forks):
+        # The pool forks all of its workers at once, however few seeds
+        # there are to share out.  A start past the expected count fails
+        # the test instead, and stops the workers already started.
+        started, start = [], BaseProcess.start
+
+        def counted(process):
+            if len(started) == forks:
+                for p in started:
+                    p.terminate()
+                raise AssertionError(f"more than {forks} worker processes")
+            start(process)
+            started.append(process)
+
+        monkeypatch.setattr(BaseProcess, "start", counted)
+        args = (SWEEP_TEMPLATE, [5.0e6], ["greedy_equal"], seeds)
+        rows = sweep_bandwidth(*args, jobs=3)
+        assert len(started) == forks
+        monkeypatch.undo()
+        assert rows == sweep_bandwidth(*args)
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
