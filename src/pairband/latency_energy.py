@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 from .channel import ChannelGain, f_value
 
@@ -96,6 +97,8 @@ class SystemConfig:
     group_powers: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.n_users, Integral):
+            raise ValueError("n_users must be an integer")
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
         for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd", "payload_bits"):

@@ -12,14 +12,16 @@ exactly the min-cost perfect matching.
 The assignment relaxation, solved by shortest augmenting paths, gives
 duals w with LB = sum(w) - (N/2) rho <= the optimum (rho covers float
 rounding of dual feasibility); a perfect matching read off its cycles
-(left-over users joined along alternating paths, then 2-opt) gives a
-cost UB >= the optimum.  When UB <= LB that matching is optimal and
-networkx is not called; on the default generator at N = 16-32 this
-holds for about three MWPMs in four.  On an open gap networkx sees
-only the edges that can still be optimal: an edge whose reduced cost
-C_ij - w_i - w_j exceeds the gap UB - LB lies in no matching that
-cheap, so it is dropped (Cook & Rohe 1999, INFORMS J. Comput. 11(2)).
-On the default generator typically one or two edges per user remain.
+gives a cost UB >= the optimum.  An assignment of 2-cycles is that
+matching as it is; otherwise the left-over users are joined along
+alternating paths, then 2-opt polishes the result.  When UB <= LB
+that matching is optimal and networkx is not called; on the default
+generator at N = 16-32 this holds for about three MWPMs in four.  On
+an open gap networkx sees only the edges that can still be optimal:
+an edge whose reduced cost C_ij - w_i - w_j exceeds the gap UB - LB
+lies in no matching that cheap, so it is dropped (Cook & Rohe 1999,
+INFORMS J. Comput. 11(2)).  On the default generator typically one or
+two edges per user remain.
 Those edges are weighted by their reduced costs, which rank perfect
 matchings as the costs do and vanish (up to rounding) on the
 assignment's edges.
@@ -229,42 +231,42 @@ def _two_opt(c: np.ndarray, pairs: list[Pair]) -> list[Pair]:
     return list(zip(a.tolist(), b.tolist()))
 
 
-def _join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
+def _join_exposed(r: list[list[float]], mate: list[int]) -> None:
     """Pair up the exposed users (mate -1) in place, each along the
     alternating path of least reduced-cost increase r to another one.
 
     Dijkstra over the users reached through a mate: from such a user y,
     an edge (y, x) plus x's mate e reach e, at the cost r_yx - r_xe
-    floored at 0.  A path that meets itself (an odd cycle) is not
-    flipped; its two ends are paired directly.
+    floored at 0.  Ties go to the lowest user.  A path that meets
+    itself (an odd cycle) is not flipped; its two ends are paired
+    directly.  Runs on Python lists, as :func:`_assignment` does.
     """
-    n = mate.size
-    rows = np.arange(n)
-    while (exposed := np.flatnonzero(mate < 0)).size:
+    n = len(mate)
+    while exposed := [k for k in range(n) if mate[k] < 0]:
         a = exposed[0]
-        dist = np.full(n, np.inf)
+        dist = [math.inf] * n
         dist[a] = 0.0
-        via = np.full(n, -1)
-        done = np.zeros(n, dtype=bool)
-        matched = mate >= 0
-        own = np.where(matched, r[rows, mate], 0.0)
-        best, end = np.inf, (a, exposed[1])
+        via = [-1] * n
+        done = [False] * n
+        matched = [(x, mate[x], r[x][mate[x]]) for x in range(n) if mate[x] >= 0]
+        best, end = math.inf, (a, exposed[1])
         while True:
-            open_dist = np.where(done, np.inf, dist)
-            y = int(np.argmin(open_dist))
-            if not open_dist[y] < best:
+            d_y, y = math.inf, -1
+            for k in range(n):
+                if not done[k] and dist[k] < d_y:
+                    d_y, y = dist[k], k
+            if not d_y < best:
                 break
             done[y] = True
-            finish = np.where(matched, np.inf, dist[y] + r[y])
-            finish[a] = np.inf
-            b = int(np.argmin(finish))
-            if finish[b] < best:
-                best, end = finish[b], (y, b)
-            with np.errstate(invalid="ignore"):  # inf - inf: no step
-                reach = dist[y] + np.maximum(r[y] - own, 0.0)
-            e = mate[matched]
-            closer = ~done[e] & (reach[matched] < dist[e])
-            dist[e[closer]], via[e[closer]] = reach[matched][closer], y
+            r_y = r[y]
+            for b in exposed[1:]:
+                if d_y + r_y[b] < best:
+                    best, end = d_y + r_y[b], (y, b)
+            for x, e, own in matched:
+                # max(nan, 0.0) is nan: inf - inf reaches nothing.
+                reach = d_y + max(r_y[x] - own, 0.0)
+                if not done[e] and reach < dist[e]:
+                    dist[e], via[e] = reach, y
         y, b = end
         path = [b, y]
         while path[-1] != a:
@@ -279,17 +281,22 @@ def _join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
 def _cycle_matching(c: np.ndarray, d: np.ndarray, col_of: np.ndarray) -> list[Pair]:
     """A perfect matching read off an assignment's cycles.
 
-    A 2-cycle is its own pair.  A longer even cycle splits into its
-    cheaper set of alternate edges and an odd cycle into the cheapest
-    such set over all but one user; the left-over users are joined
-    along alternating paths of the reduced costs ``d`` (c_ij - w_i -
-    w_j over the whole matrix), and 2-opt polishes the result.  Its
-    edges may be infinite.
+    An assignment whose cycles are all 2-cycles is returned as its
+    pairs: a perfect matching M' is an assignment of cost 2 c(M'), so
+    the optimal assignment read as a matching is a minimum one, and
+    2-opt has nothing to swap.  Otherwise a 2-cycle is its own pair, a
+    longer even cycle splits into its cheaper set of alternate edges
+    and an odd cycle into the cheapest such set over all but one user;
+    the left-over users are joined along alternating paths of the
+    reduced costs ``d`` (c_ij - w_i - w_j over the whole matrix), and
+    2-opt polishes the result.  Its edges may be infinite.
     """
     n = c.shape[0]
-    mate = np.full(n, -1)
-    seen = [False] * n
     succ = col_of.tolist()
+    if all(succ[m] == k for k, m in enumerate(succ)):
+        return [(k, m) for k, m in enumerate(succ) if k < m]
+    mate = [-1] * n
+    seen = [False] * n
     for start in range(n):
         cycle = []
         k = start
@@ -298,14 +305,15 @@ def _cycle_matching(c: np.ndarray, d: np.ndarray, col_of: np.ndarray) -> list[Pa
             cycle.append(k)
             k = succ[k]
         if len(cycle) == 2:
-            mate[cycle] = cycle[::-1]
+            mate[cycle[0]], mate[cycle[1]] = cycle[1], cycle[0]
         elif cycle:
             odd = len(cycle) % 2
             turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
             turn = min(turns, key=lambda t: _total(c, zip(t[odd::2], t[odd + 1 :: 2])))
-            mate[turn[odd::2]], mate[turn[odd + 1 :: 2]] = turn[odd + 1 :: 2], turn[odd::2]
-    _join_exposed(d, mate)
-    return _two_opt(c, [(k, int(m)) for k, m in enumerate(mate) if k < m])
+            for i, j in zip(turn[odd::2], turn[odd + 1 :: 2]):
+                mate[i], mate[j] = j, i
+    _join_exposed(d.tolist(), mate)
+    return _two_opt(c, [(k, m) for k, m in enumerate(mate) if k < m])
 
 
 def _reduced(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +84,9 @@ class ScenarioTemplate:
     feature_dim: int = 16
 
     def __post_init__(self) -> None:
+        for name in ("n_users", "feature_dim"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
         # nan passes every sign check, and the draws fail on nan or inf,
@@ -137,6 +140,8 @@ class Scenario:
     template: ScenarioTemplate
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, Integral):
+            raise ValueError("seed must be an integer")
         if len(self.users) != self.cfg.n_users:
             raise ValueError("user count must match cfg.n_users")
         if self.distortions.n != self.cfg.n_users:

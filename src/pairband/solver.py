@@ -347,6 +347,9 @@ def sweep_bandwidth(
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    # The budgets are checked here, not in the first worker to draw.
+    for b_max in b_max_values:
+        replace(template, b_max=b_max).system_config()
 
     tasks = [
         (template, tuple(b_max_values), tuple(strategies), seed)

@@ -137,7 +137,8 @@ def random_cost_matrix(rng: np.random.Generator, n: int, scale: float = 10.0):
 # ---------------------------------------------------------------------------
 # Matching oracles: exhaustive enumeration for small N, networkx's blossom
 # on every finite edge (the kernel before edge pricing), and the assignment
-# relaxation as the kernel solved it in numpy.
+# relaxation and the matching read off its cycles as the kernel solved them
+# in numpy.
 
 
 def all_matchings(n: int):
@@ -269,6 +270,107 @@ def numpy_assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
             if i == root:
                 break
     return 0.5 * (u + v), col_of
+
+
+def _numpy_two_opt(c: np.ndarray, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Swap partners between two pairs while that lowers their cost."""
+    a, b = np.array(pairs).T
+    with np.errstate(invalid="ignore"):
+        for _ in range(len(pairs)):
+            cur = c[a, b]
+            cross = c[a[:, None], a] + c[b[:, None], b]
+            twist = c[a[:, None], b] + c[b[:, None], a]
+            # fmax turns the nan of inf - inf into no gain.
+            gain = np.fmax(cur[:, None] + cur - np.minimum(cross, twist), -np.inf)
+            k, m = np.unravel_index(np.argmax(gain), gain.shape)
+            if not gain[k, m] > 0.0:
+                break
+            if cross[k, m] <= twist[k, m]:
+                b[k], a[m] = a[m], b[k]
+            else:
+                b[k], b[m] = b[m], b[k]
+    return list(zip(a.tolist(), b.tolist()))
+
+
+def _numpy_join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
+    """Pair up the exposed users (mate -1) in place, each along the
+    alternating path of least reduced-cost increase r to another one.
+
+    Dijkstra over the users reached through a mate: from such a user y,
+    an edge (y, x) plus x's mate e reach e, at the cost r_yx - r_xe
+    floored at 0.  A path that meets itself (an odd cycle) is not
+    flipped; its two ends are paired directly.
+    """
+    n = mate.size
+    rows = np.arange(n)
+    while (exposed := np.flatnonzero(mate < 0)).size:
+        a = exposed[0]
+        dist = np.full(n, np.inf)
+        dist[a] = 0.0
+        via = np.full(n, -1)
+        done = np.zeros(n, dtype=bool)
+        matched = mate >= 0
+        own = np.where(matched, r[rows, mate], 0.0)
+        best, end = np.inf, (a, exposed[1])
+        while True:
+            open_dist = np.where(done, np.inf, dist)
+            y = int(np.argmin(open_dist))
+            if not open_dist[y] < best:
+                break
+            done[y] = True
+            finish = np.where(matched, np.inf, dist[y] + r[y])
+            finish[a] = np.inf
+            b = int(np.argmin(finish))
+            if finish[b] < best:
+                best, end = finish[b], (y, b)
+            with np.errstate(invalid="ignore"):  # inf - inf: no step
+                reach = dist[y] + np.maximum(r[y] - own, 0.0)
+            e = mate[matched]
+            closer = ~done[e] & (reach[matched] < dist[e])
+            dist[e[closer]], via[e[closer]] = reach[matched][closer], y
+        y, b = end
+        path = [b, y]
+        while path[-1] != a:
+            path += [mate[path[-1]], via[path[-1]]]
+        if len(set(path)) < len(path):
+            mate[a], mate[b] = b, a
+            continue
+        for k in range(0, len(path), 2):
+            mate[path[k]], mate[path[k + 1]] = path[k + 1], path[k]
+
+
+def numpy_cycle_matching(c: np.ndarray, d: np.ndarray, col_of: np.ndarray) -> list[tuple[int, int]]:
+    """A perfect matching read off an assignment's cycles, as the pairing
+    kernel read it in numpy, one array pass per Dijkstra step of the
+    join.  ``pairing._cycle_matching`` must return exactly its pairs.
+
+    A 2-cycle is its own pair.  A longer even cycle splits into its
+    cheaper set of alternate edges and an odd cycle into the cheapest
+    such set over all but one user; the left-over users are joined
+    along alternating paths of the reduced costs ``d`` (c_ij - w_i -
+    w_j over the whole matrix), and 2-opt polishes the result.  Its
+    edges may be infinite.
+    """
+    n = c.shape[0]
+    mate = np.full(n, -1)
+    seen = [False] * n
+    succ = col_of.tolist()
+    for start in range(n):
+        cycle = []
+        k = start
+        while not seen[k]:
+            seen[k] = True
+            cycle.append(k)
+            k = succ[k]
+        if len(cycle) == 2:
+            mate[cycle] = cycle[::-1]
+        elif cycle:
+            odd = len(cycle) % 2
+            turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
+            turn = min(turns, key=lambda t: matching_cost(c, zip(t[odd::2], t[odd + 1 :: 2])))
+            mate[turn[odd::2]], mate[turn[odd + 1 :: 2]] = turn[odd + 1 :: 2], turn[odd::2]
+    _numpy_join_exposed(d, mate)
+    return _numpy_two_opt(c, [(k, int(m)) for k, m in enumerate(mate) if k < m])
 
 
 # ---------------------------------------------------------------------------

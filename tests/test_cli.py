@@ -336,6 +336,32 @@ class TestSolve:
             assert err.startswith(f"error: invalid input: {field} must be")
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("template", "n_users", 4.0),  # sweep died in numpy with a TypeError
+            ("template", "feature_dim", 16.5),
+            ("config", "n_users", 4.0),
+            (None, "seed", 1.5),  # random_equal died in numpy with a TypeError
+        ],
+    )
+    def test_a_fractional_integer_field_is_invalid_input(
+        self, tmp_path, capsys, section, field, value
+    ):
+        path, out = tmp_path / "scn.json", tmp_path / "m.csv"
+        assert run("gen-scenario", "--n", "4", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        (doc if section is None else doc[section])[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (
+            ("sweep", str(path), "--bmax", "5e6", "--seeds", "2", "--output", str(out)),
+            ("solve", str(path), "--strategy", "random_equal"),
+        ):
+            assert run(*argv) == EXIT_INVALID_INPUT
+            assert capsys.readouterr().err == f"error: invalid input: {field} must be an integer\n"
+        assert not out.exists()
+
     def test_huge_deadline_keeps_baselines_feasible(self, tmp_path, capsys):
         # At T_max = 1e24 s the pair roots lie far below 1 Hz.
         path = tmp_path / "scn.json"

@@ -28,6 +28,7 @@ from support import (
     brute_force_mwpm,
     matching_cost,
     numpy_assignment,
+    numpy_cycle_matching,
     random_cost_matrix,
     unique_in_cell,
     unpruned_mwpm,
@@ -392,6 +393,64 @@ def test_prop_list_assignment_is_bitwise_the_numpy_one(c):
         assert np.array_equal(fast[0], slow[0])
         assert np.array_equal(fast[1], slow[1])
 
+
+
+def near_additive_costs(rng, n: int, eps: float) -> np.ndarray:
+    """c_ij = a_i + a_j + eps * u_ij, symmetric, with u uniform in [0, 1):
+    every perfect matching costs sum(a) up to eps, so the assignment is
+    nearly degenerate."""
+    user = 4.0e5 * (1.0 + rng.uniform(size=n))
+    noise = np.triu(rng.uniform(size=(n, n)), 1)
+    c = user[:, None] + user + eps * (noise + noise.T)
+    np.fill_diagonal(c, INFEASIBLE)
+    return c
+
+
+@st.composite
+def cycle_inputs(draw):
+    if draw(st.booleans()):
+        return draw(assignment_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    n = draw(st.sampled_from([2, 4, 8, 16, 32]))
+    return near_additive_costs(rng, n, draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6])))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c=cycle_inputs())
+def test_prop_list_cycle_matching_is_the_numpy_one(c):
+    # The list join keeps the numpy join's arithmetic, tie order and
+    # odd-cycle rule, and an involutive assignment is returned before
+    # 2-opt, which never moved one: the same pairs in the same order.
+    solved = pairing._assignment(c)
+    assume(solved is not None)
+    w, col_of = solved
+    d = c - w[:, None] - w
+    involution = np.array_equal(col_of[col_of], np.arange(c.shape[0]))
+    event(f"involution: {involution}")
+    assert pairing._cycle_matching(c, d, col_of) == numpy_cycle_matching(c, d, col_of)
+
+
+def test_an_involutive_assignment_is_taken_without_join_or_two_opt(monkeypatch):
+    # The fixture and certify-n32 pool seed 0's pair bounds both have an
+    # assignment whose cycles are all 2-cycles: mwpm reads its pairs off
+    # the assignment and never joins or polishes them.
+    from pairband.scenario import ScenarioTemplate, generate_scenario
+    from pairband.solver import _cost_matrix, _pair_bounds
+
+    scn = generate_scenario(ScenarioTemplate(n_users=32, t_max=2.4), 0)
+    bounds = _pair_bounds(scn, _cost_matrix(scn))
+    col_of = pairing._assignment(bounds)[1]
+    assert np.array_equal(col_of[col_of], np.arange(32))
+
+    def boom(*args):
+        raise AssertionError("an involutive assignment needs no join or 2-opt")
+
+    monkeypatch.setattr(pairing, "_join_exposed", boom)
+    monkeypatch.setattr(pairing, "_two_opt", boom)
+    assert mwpm(four_user_fixture()).pairs == ((0, 1), (2, 3))
+    best = mwpm(matrix(bounds))
+    assert best.pairs == tuple((k, m) for k, m in enumerate(col_of.tolist()) if k < m)
+    assert best.total_cost == pytest.approx(unpruned_mwpm(matrix(bounds)).total_cost, rel=1e-12)
 
 def test_a_closed_gap_returns_the_cycle_matching_without_networkx(monkeypatch):
     # A planted cheap perfect matching: the cycle matching finds it, its

@@ -885,6 +885,29 @@ class TestSweep:
         monkeypatch.undo()
         assert rows == sweep_bandwidth(*args)
 
+    @pytest.mark.parametrize(
+        "template, b_max, message",
+        [
+            (ScenarioTemplate(n_users=4, t_max=0.0), 5.0e6, "t_max must be positive"),
+            (SWEEP_TEMPLATE, 0.0, "b_max must be positive"),
+        ],
+        ids=["t_max", "b_max"],
+    )
+    def test_a_bad_budget_is_rejected_before_any_worker_starts(
+        self, monkeypatch, template, b_max, message
+    ):
+        # Each budget reached only the first worker to draw a scenario.
+        started = []
+
+        def counted(process):
+            started.append(process)
+            raise AssertionError("a worker process started")
+
+        monkeypatch.setattr(BaseProcess, "start", counted)
+        with pytest.raises(ValueError, match=message):
+            sweep_bandwidth(template, [b_max], ["greedy_equal"], [0, 1, 2, 3], jobs=2)
+        assert started == []
+
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_rejects_jobs_below_one(self, jobs):
         with pytest.raises(ValueError, match="jobs must be >= 1"):
