@@ -144,15 +144,18 @@ class AllocationReport:
 
 def _exceeds(value: float, limit: float) -> bool:
     """True when ``value`` is above ``limit`` beyond floating-point slop;
-    +inf is above every finite limit, though its slop is +inf too."""
-    if math.isinf(value):
+    an infinite value or limit, whose slop is +inf too, is compared
+    exactly."""
+    if math.isinf(value) or math.isinf(limit):
         return value > limit
     return value - limit > 1e-12 * max(abs(value), abs(limit), 1.0)
 
 
 def _over_budget(value: float, budget: float) -> bool:
     """True when an energy bound passes the transmit budget by more than
-    1e-9 relative."""
+    1e-9 relative; an infinite budget is compared exactly."""
+    if math.isinf(budget):
+        return value > budget
     return value - budget > 1e-9 * max(abs(budget), 1.0)
 
 

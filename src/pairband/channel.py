@@ -64,8 +64,11 @@ def path_loss_db(distance_km: float) -> float:
 
 
 def gain_from_db(pathloss_db: float, shadowing_db: float) -> float:
-    """Linear power gain |h|^2 from total attenuation in dB."""
-    return 10.0 ** (-(pathloss_db + shadowing_db) / 10.0)
+    """Linear power gain |h|^2 from total attenuation in dB (+inf past the float range)."""
+    try:
+        return 10.0 ** (-(pathloss_db + shadowing_db) / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ All structured outputs are deterministic: JSON with sorted keys, CSV
 with a fixed column order and repr-formatted floats, no timestamps.
 Exit codes: 0 success, 1 numerical failure (a root or multiplier
 bracket that could not be closed), 2 usage error, 3 invalid input
-(also a file that cannot be read or written, and a scenario document
-that is not a JSON object), 4 globally infeasible instance.
+(also a file that cannot be read or written, and a scenario or table
+document that is not a JSON object), 4 globally infeasible instance.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
-from .distortion import load_distortion_table
 from .latency_energy import group_time, transmit_energy
-from .scenario import Scenario, ScenarioTemplate, generate_scenario, load_scenario, save_scenario
+from .scenario import Scenario, ScenarioTemplate, generate_scenario, load_distortion, load_scenario, save_scenario
 from .solver import STRATEGIES, SolveResult, solve, sweep_bandwidth
 
 EXIT_OK = 0
@@ -48,10 +47,6 @@ METRIC_COLUMNS = (
 BUDGETS = {"b_max": "B_max [Hz]", "t_max": "T_max [s]", "e_max": "E_max [J]", "d_max": "D_max"}
 
 
-class InputError(Exception):
-    """Invalid input file or parameter combination (exit code 3)."""
-
-
 def _float_list(text: str) -> list[float]:
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -72,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--area-m", type=float, default=500.0, help="square side length [m]")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--output", required=True, help="scenario file to write")
-    gen.add_argument("--distortion-file", help="use this distortion table instead of the synthetic model")
+    gen.add_argument("--distortion-file", help="use this distortion table (a scenario's JSON distortion object) instead of the synthetic model")
     _add_budget_flags(gen)
 
     slv = sub.add_parser("solve", help="solve one scenario")
@@ -111,12 +106,7 @@ def cmd_gen_scenario(args) -> int:
     template = ScenarioTemplate(n_users=args.n, area_m=args.area_m, **_overrides(args))
     scn = generate_scenario(template, args.seed)
     if args.distortion_file:
-        table = load_distortion_table(args.distortion_file)
-        if table.n != args.n:
-            raise InputError(
-                f"distortion table is for {table.n} users, scenario has {args.n}"
-            )
-        scn = replace(scn, distortions=table)
+        scn = replace(scn, distortions=load_distortion(args.distortion_file))
     save_scenario(scn, args.output, __version__)
     print(f"wrote scenario: n={args.n} seed={args.seed} -> {args.output}")
     return EXIT_OK
@@ -228,7 +218,7 @@ def _parse_seeds(text: str) -> list[int]:
             raise ValueError
         return list(range(count))
     except ValueError as exc:
-        raise InputError(
+        raise ValueError(
             f"--seeds must be a positive count or comma-separated integers: {text!r}"
         ) from exc
 
@@ -285,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except ValueError as exc:

@@ -1,9 +1,11 @@
-"""Pairwise distortion tables: file ingestion and a synthetic generator.
+"""Pairwise distortion tables and a synthetic generator.
 
 The optimizer consumes only numbers: D_i(w_ij), user i's reconstruction
 distortion when paired with user j, and the pair sum d_ij = D_i + D_j
 used as the matching edge weight.  Real tables come from an offline
-codec evaluation; for self-contained experiments we synthesize them
+codec evaluation and are read as a scenario's ``distortion`` block
+(:func:`pairband.scenario.load_distortion`); for self-contained
+experiments we synthesize them
 from a similarity gate — each user gets a random unit feature vector
 and more-similar pairs get proportionally lower distortion:
 
@@ -15,15 +17,14 @@ mirrors the qualitative behavior that pairing semantically similar
 users reconstructs better, which is all the pairing layer depends on.
 
 A :class:`DistortionTable` is built from the per-user values alone and
-derives the pair sums; it is where every table, synthesized or loaded,
-is checked for missing and negative entries.
+derives the pair sums; it is where every table, synthesized or read
+from a file, is checked for missing and negative entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -32,11 +33,7 @@ __all__ = [
     "SimilarityModel",
     "similarity_gate",
     "synthesize_distortions",
-    "load_distortion_table",
-    "save_distortion_table",
 ]
-
-_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -67,7 +64,8 @@ class DistortionTable:
         negative = pu < 0
         if negative.any():
             raise ValueError(f"negative distortion for pairs: {_pairs(negative)}")
-        ps = pu + pu.T
+        with np.errstate(over="ignore"):  # a pair sum past the largest float is +inf
+            ps = pu + pu.T
         np.fill_diagonal(ps, 0.0)
         object.__setattr__(self, "per_user", pu)
         object.__setattr__(self, "n", pu.shape[0])
@@ -102,10 +100,13 @@ class SimilarityModel:
 
 
 def similarity_gate(cos_sim: float, kappa: float) -> float:
-    """Logistic gate sigma(kappa * cos_sim) in (0, 1)."""
+    """Logistic gate sigma(kappa * cos_sim) in [0, 1)."""
     if not -1.0 <= cos_sim <= 1.0:
         raise ValueError(f"cosine similarity must lie in [-1, 1], got {cos_sim}")
-    return 1.0 / (1.0 + math.exp(-kappa * cos_sim))
+    try:
+        return 1.0 / (1.0 + math.exp(-kappa * cos_sim))
+    except OverflowError:  # there 1/(1 + e^-z) is e^z to within rounding
+        return math.exp(kappa * cos_sim)
 
 
 def distortions_from_features(features: np.ndarray, model: SimilarityModel) -> DistortionTable:
@@ -133,81 +134,3 @@ def synthesize_distortions(
     feats = rng.normal(size=(n, model.feature_dim))
     feats /= np.linalg.norm(feats, axis=1, keepdims=True)
     return distortions_from_features(feats, model)
-
-
-def save_distortion_table(table: DistortionTable, path: str | Path, units: str = "mse") -> None:
-    """Write the table as versioned text; floats via repr so that a
-    save/load roundtrip is bit-exact."""
-    lines = [
-        f"version {_FORMAT_VERSION}",
-        f"n {table.n}",
-        f"units {units}",
-    ]
-    for i in range(table.n):
-        for j in range(i + 1, table.n):
-            lines.append(
-                f"{i} {j} {float(table.per_user[i, j])!r} {float(table.per_user[j, i])!r}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def load_distortion_table(source: str | Path) -> DistortionTable:
-    """Parse a distortion table file.
-
-    Grammar (one item per line, '#' starts a comment):
-        version 1
-        n <even int>
-        units <word>
-        <i> <j> <D_i_given_j> <D_j_given_i>    (one line per unordered pair)
-
-    Rows may list the pair in either order.  Malformed or non-numeric
-    rows, out-of-range indices and duplicates are rejected here;
-    missing pairs and negative values are rejected, by pair, by
-    :class:`DistortionTable`.
-    """
-    text = Path(source).read_text()
-    header: dict[str, str] = {}
-    rows: list[tuple[int, int, float, float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("version", "n", "units"):
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: malformed header {raw!r}")
-            header[parts[0]] = parts[1]
-            continue
-        if len(parts) != 4:
-            raise ValueError(
-                f"line {lineno}: expected 'i j D_i_given_j D_j_given_i', got {raw!r}"
-            )
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            dij, dji = float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric entry in {raw!r}") from exc
-        rows.append((i, j, dij, dji))
-
-    for key in ("version", "n"):
-        if key not in header:
-            raise ValueError(f"missing '{key}' header")
-    if int(header["version"]) != _FORMAT_VERSION:
-        raise ValueError(f"unsupported format version {header['version']}")
-    n = int(header["n"])
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be even and >= 2, got {n}")
-
-    per_user = np.full((n, n), np.nan)
-    np.fill_diagonal(per_user, 0.0)
-    seen: set[tuple[int, int]] = set()
-    for i, j, dij, dji in rows:
-        if not (0 <= i < n and 0 <= j < n) or i == j:
-            raise ValueError(f"invalid pair ({i}, {j}) for n={n}")
-        pair = (min(i, j), max(i, j))
-        if pair in seen:
-            raise ValueError(f"duplicate entry for pair ({i}, {j})")
-        seen.add(pair)
-        per_user[i, j] = dij
-        per_user[j, i] = dji
-    return DistortionTable(per_user)

@@ -65,6 +65,8 @@ class UserProfile:
     noise_psd: float | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, Integral):
+            raise ValueError("id must be an integer")
         for name in ("q_bits", "cpu_hz", "cycles_per_bit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -101,12 +103,12 @@ class SystemConfig:
             raise ValueError("n_users must be an integer")
         if self.n_users < 2 or self.n_users % 2 != 0:
             raise ValueError("n_users must be even and >= 2")
-        for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd", "payload_bits"):
+        for name in ("b_max", "t_max", "e_max", "d_max", "noise_psd", "payload_bits",
+                     "bs_cpu_hz", "bs_cycles_per_bit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        for name in ("bs_cpu_hz", "bs_cycles_per_bit", "bs_energy_coeff"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        if not 0 <= self.bs_energy_coeff < math.inf:
+            raise ValueError("bs_energy_coeff must be non-negative and finite")
         if len(self.group_powers) != self.n_users // 2:
             raise ValueError("group_powers must have one entry per group (N/2)")
         if not all(0 < p < math.inf for p in self.group_powers):
@@ -177,24 +179,13 @@ def group_time(
     return tau_bs(i, cfg) + tau_bs(j, cfg) + t_air + tau_rx(i, cfg) + tau_rx(j, cfg)
 
 
-def _bs_energy(user: UserProfile, cfg: SystemConfig) -> float:
-    return (
-        cfg.bs_energy_coeff
-        * cfg.bs_cpu_hz**2
-        * cfg.bs_cycles_per_bit
-        * user.q_bits
-        * user.enc_params
-    )
-
-
-def _rx_energy(user: UserProfile, cfg: SystemConfig) -> float:
-    return (
-        user.energy_coeff
-        * user.cpu_hz**2
-        * user.cycles_per_bit
-        * cfg.payload_bits
-        * user.dec_params
-    )
+def _compute_energy(coeff: float, hz: float, cycles: float, bits: float, params: float) -> float:
+    """coeff * hz^2 * cycles * bits * params [J]: +inf where hz^2 passes
+    the largest float, unless another factor is zero."""
+    try:
+        return coeff * hz**2 * cycles * bits * params
+    except OverflowError:
+        return math.inf if coeff and cycles and bits and params else 0.0
 
 
 def e_const(users: list[UserProfile], cfg: SystemConfig) -> float:
@@ -204,7 +195,11 @@ def e_const(users: list[UserProfile], cfg: SystemConfig) -> float:
     are formed, so this sum is matching-invariant and can be subtracted
     from the energy budget up front.
     """
-    return sum(_bs_energy(u, cfg) + _rx_energy(u, cfg) for u in users)
+    return sum(
+        _compute_energy(cfg.bs_energy_coeff, cfg.bs_cpu_hz, cfg.bs_cycles_per_bit, u.q_bits, u.enc_params)
+        + _compute_energy(u.energy_coeff, u.cpu_hz, u.cycles_per_bit, cfg.payload_bits, u.dec_params)
+        for u in users
+    )
 
 
 def transmit_energy(

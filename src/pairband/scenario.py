@@ -13,7 +13,9 @@ bit-exactly.
 Scenario files are JSON with sorted keys; floats serialize via their
 shortest repr, so save/load roundtrips are exact and repeated runs are
 byte-identical.  The file embeds the generator template so sweeps can
-redraw fresh instances per seed under identical settings.
+redraw fresh instances per seed under identical settings.  A
+distortion table file is a scenario's ``distortion`` object saved on
+its own, and one reader reads both.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "scenario_from_json",
     "save_scenario",
     "load_scenario",
+    "load_distortion",
 ]
 
 SCHEMA_VERSION = 1
@@ -148,6 +151,9 @@ class Scenario:
             raise ValueError("distortion table size must match cfg.n_users")
         if any(u.id != k for k, u in enumerate(self.users)):
             raise ValueError("user ids must be 0..N-1 in order: a user is its index")
+        for u in self.users:  # the rate law is nan at a link of 0 or +inf
+            if not 0 < self.cfg.link(u, self.cfg.power) < math.inf:
+                raise ValueError(f"user {u.id}'s link g*p/N0 must be positive and finite")
 
 
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
@@ -226,17 +232,39 @@ def scenario_to_json(scn: Scenario, tool_version: str) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def scenario_from_json(text: str) -> Scenario:
+def _document(text: str) -> dict:
+    """The JSON object in ``text``.  No field of a scenario or table file
+    is boolean, and Python reads a JSON ``true`` as 1, so a boolean
+    anywhere in the document is rejected."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
-        raise ValueError("a scenario document must be a JSON object")
+        raise ValueError("a scenario or distortion document must be a JSON object")
+    nodes = [doc]
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, bool):
+            raise ValueError(f"no field takes a boolean, got {json.dumps(node)}")
+        nodes.extend(node.values() if isinstance(node, dict) else node if isinstance(node, list) else ())
+    return doc
+
+
+def _table_from_json(d: dict) -> DistortionTable:
+    """A scenario's ``distortion`` object; ``null`` is a missing entry."""
+    rows = d["per_user"]
+    if not all(v is None or isinstance(v, Real) for row in rows for v in row):
+        raise ValueError("per_user entries must be numbers or null")
+    return DistortionTable(rows)
+
+
+def scenario_from_json(text: str) -> Scenario:
+    doc = _document(text)
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scenario schema version: {version}")
     return Scenario(
         cfg=_from_json(SystemConfig, doc["config"]),
         users=tuple(_user_from_json(d) for d in doc["users"]),
-        distortions=DistortionTable(doc["distortion"]["per_user"]),
+        distortions=_table_from_json(doc["distortion"]),
         seed=doc["seed"],
         template=_from_json(ScenarioTemplate, doc["template"]),
     )
@@ -246,8 +274,18 @@ def save_scenario(scn: Scenario, path: str | Path, tool_version: str) -> None:
     Path(path).write_text(scenario_to_json(scn, tool_version))
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def _load(path: str | Path, what: str, parse):
     try:
-        return scenario_from_json(Path(path).read_text())
+        return parse(Path(path).read_text())
     except (KeyError, TypeError, json.JSONDecodeError) as exc:
-        raise ValueError(f"invalid scenario file {path}: {exc}") from exc
+        raise ValueError(f"invalid {what} file {path}: {exc}") from exc
+
+
+def load_scenario(path: str | Path) -> Scenario:
+    return _load(path, "scenario", scenario_from_json)
+
+
+def load_distortion(path: str | Path) -> DistortionTable:
+    """A distortion table file: a JSON object ``{"per_user": [[...], ...]}``,
+    the ``distortion`` object of a scenario file saved on its own."""
+    return _load(path, "distortion", lambda text: _table_from_json(_document(text)))

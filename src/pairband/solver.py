@@ -347,9 +347,10 @@ def sweep_bandwidth(
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # The budgets are checked here, not in the first worker to draw.
+    # Every template value is checked here, by the type it fills, not in
+    # the first worker to draw.
     for b_max in b_max_values:
-        replace(template, b_max=b_max).system_config()
+        generate_scenario(replace(template, b_max=b_max), seeds[0])
 
     tasks = [
         (template, tuple(b_max_values), tuple(strategies), seed)

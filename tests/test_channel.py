@@ -130,6 +130,12 @@ class TestChannelGain:
         with pytest.raises(ValueError, match="gain_linear must be positive and finite"):
             ChannelGain(pathloss_db=100.0, shadowing_db=0.0, gain_linear=bad)
 
+    def test_a_gain_past_the_float_range_is_rejected(self):
+        # 10^400 raised an OverflowError, from a sweep whose template drew
+        # shadowing with a 1e308 dB deviation.
+        with pytest.raises(ValueError, match="gain_linear must be positive and finite"):
+            ChannelGain.from_db(100.0, -4100.0)
+
 
 class TestRateParamsValidation:
     """A link x = g*p/N0 is only built from validated fields: the power

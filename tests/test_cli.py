@@ -3,7 +3,6 @@ and byte-level determinism of every artifact."""
 
 import json
 import math
-import re
 import time
 import warnings
 
@@ -20,13 +19,9 @@ from pairband.cli import (
     METRIC_COLUMNS,
     main,
 )
-from pairband.distortion import (
-    SimilarityModel,
-    load_distortion_table,
-    save_distortion_table,
-    synthesize_distortions,
-)
+from pairband.distortion import SimilarityModel, synthesize_distortions
 from pairband.scenario import ScenarioTemplate, load_scenario
+from pairband.solver import STRATEGIES
 
 
 def run(*argv):
@@ -113,62 +108,73 @@ class TestGenScenario:
         assert not (tmp_path / "x.json").exists()
 
     def test_external_distortion_table(self, tmp_path):
-        table = synthesize_distortions(
-            np.random.default_rng(0), SimilarityModel(), 4
-        )
-        tpath = tmp_path / "table.txt"
-        save_distortion_table(table, tpath)
-        out = tmp_path / "s.json"
+        # A scenario's own distortion block, saved alone, rebuilds the
+        # scenario byte for byte.
+        scn, again, tpath = tmp_path / "s.json", tmp_path / "again.json", tmp_path / "t.json"
+        assert run("gen-scenario", "--n", "6", "--seed", "5", "--output", str(scn)) == EXIT_OK
+        tpath.write_text(json.dumps(json.loads(scn.read_text())["distortion"]))
         code = run(
-            "gen-scenario", "--n", "4", "--output", str(out),
+            "gen-scenario", "--n", "6", "--seed", "5", "--output", str(again),
             "--distortion-file", str(tpath),
         )
         assert code == EXIT_OK
-        scn = load_scenario(out)
-        assert np.array_equal(scn.distortions.per_user, table.per_user)
+        assert again.read_bytes() == scn.read_bytes()
 
-    def test_external_table_size_mismatch(self, tmp_path):
+    def test_asymmetric_table_with_excluded_pairs_roundtrips(self, tmp_path):
+        table = synthesize_distortions(np.random.default_rng(0), SimilarityModel(), 4).per_user
+        table[0, 1], table[1, 0], table[2, 3] = math.inf, 1 / 3, math.inf
+        tpath, out = tmp_path / "t.json", tmp_path / "s.json"
+        tpath.write_text(json.dumps({"per_user": table.tolist()}))
+        assert "Infinity" in tpath.read_text()
+        code = run("gen-scenario", "--n", "4", "--output", str(out), "--distortion-file", str(tpath))
+        assert code == EXIT_OK
+        assert load_scenario(out).distortions.per_user.tobytes() == table.tobytes()
+
+    def test_external_table_size_mismatch(self, tmp_path, capsys):
         table = synthesize_distortions(
             np.random.default_rng(0), SimilarityModel(), 6
         )
-        tpath = tmp_path / "table.txt"
-        save_distortion_table(table, tpath)
+        tpath = tmp_path / "table.json"
+        tpath.write_text(json.dumps({"per_user": table.per_user.tolist()}))
         code = run(
             "gen-scenario", "--n", "4", "--output", str(tmp_path / "s.json"),
             "--distortion-file", str(tpath),
         )
         assert code == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: invalid input: distortion table size must match cfg.n_users\n"
 
-    def test_malformed_table_rejected(self, tmp_path):
-        tpath = tmp_path / "table.txt"
-        tpath.write_text("version 1\nn 4\nunits mse\n0 1 -3 0.2\n")
+    def test_malformed_table_rejected(self, tmp_path, capsys):
+        tpath = tmp_path / "table.json"
+        tpath.write_text('{"per_user": [[0, -3], [0.2, 0]]}')
         code = run(
-            "gen-scenario", "--n", "4", "--output", str(tmp_path / "s.json"),
+            "gen-scenario", "--n", "2", "--output", str(tmp_path / "s.json"),
             "--distortion-file", str(tpath),
         )
         assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: invalid input: negative distortion for pairs: [(0, 1)]\n"
+        assert not (tmp_path / "s.json").exists()
 
     @pytest.mark.parametrize(
-        "line, bad, message",
+        "text, message",
         [
-            (1, "n 4 x", "line 2: malformed header 'n 4 x'"),
-            (3, "0 1 0.3 high", "line 4: non-numeric entry in '0 1 0.3 high'"),
+            ('{"perUser": [[0, 1], [1, 0]]}', "invalid distortion file {path}: 'per_user'"),
+            ("[[0, 1], [1, 0]]", "a scenario or distortion document must be a JSON object"),
+            ('{"per_user": [[0, "high"], [1, 0]]}', "per_user entries must be numbers or null"),
+            ('{"per_user": [[0, true], [1, 0]]}', "no field takes a boolean, got true"),
+            ('{"per_user": [[0, 1], [1, 0]', "invalid distortion file {path}: Expecting"),
         ],
-        ids=["header", "entry"],
+        ids=["header", "list", "entry", "boolean", "json"],
     )
-    def test_unparsable_table_line_is_named(self, tmp_path, capsys, line, bad, message):
-        rows = ["version 1", "n 4", "units mse", "0 1 0.3 0.2"]
-        rows[line] = bad
-        tpath = tmp_path / "table.txt"
-        tpath.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            load_distortion_table(tpath)
-        code = run(
-            "gen-scenario", "--n", "4", "--output", str(tmp_path / "s.json"),
-            "--distortion-file", str(tpath),
-        )
+    def test_unparsable_table_line_is_named(self, tmp_path, capsys, text, message):
+        tpath, out = tmp_path / "table.json", tmp_path / "s.json"
+        tpath.write_text(text)
+        code = run("gen-scenario", "--n", "2", "--output", str(out), "--distortion-file", str(tpath))
         assert code == EXIT_INVALID_INPUT
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid input: " + message.format(path=tpath))
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestSolve:
@@ -338,11 +344,31 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "section, field, value",
+        [("users", "gain_linear", 1e308), ("users", "noise_psd", 5e-324), ("config", "noise_psd", 5e-324)],
+    )
+    def test_an_infinite_link_is_invalid_input(self, tmp_path, capsys, section, field, value):
+        # g*p/N0 = +inf: random_kkt died with a ZeroDivisionError and the
+        # other strategies emitted RuntimeWarnings from a nan rate.
+        path = tmp_path / "scn.json"
+        assert run("gen-scenario", "--n", "4", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        part = doc[section]
+        (part[0] if isinstance(part, list) else part)[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for strategy in ("proposed", "random_kkt"):
+            assert run("solve", str(path), "--strategy", strategy) == EXIT_INVALID_INPUT
+            err = capsys.readouterr().err
+            assert err == "error: invalid input: user 0's link g*p/N0 must be positive and finite\n"
+
+    @pytest.mark.parametrize(
+        "section, field, value",
         [
             ("template", "n_users", 4.0),  # sweep died in numpy with a TypeError
             ("template", "feature_dim", 16.5),
             ("config", "n_users", 4.0),
             (None, "seed", 1.5),  # random_equal died in numpy with a TypeError
+            ("users", "id", 0.0),  # passed the renumbering check, 0.0 == 0
         ],
     )
     def test_a_fractional_integer_field_is_invalid_input(
@@ -351,7 +377,8 @@ class TestSolve:
         path, out = tmp_path / "scn.json", tmp_path / "m.csv"
         assert run("gen-scenario", "--n", "4", "--output", str(path)) == EXIT_OK
         doc = json.loads(path.read_text())
-        (doc if section is None else doc[section])[field] = value
+        part = doc if section is None else doc[section]
+        (part[0] if isinstance(part, list) else part)[field] = value
         path.write_text(json.dumps(doc))
         capsys.readouterr()
         for argv in (
@@ -360,6 +387,37 @@ class TestSolve:
         ):
             assert run(*argv) == EXIT_INVALID_INPUT
             assert capsys.readouterr().err == f"error: invalid input: {field} must be an integer\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("template", "feature_dim"), True),  # sweep died with a TypeError
+            (("seed",), True),  # the rest were read as 1, with no error
+            (("users", 1, "id"), True),
+            (("config", "b_max"), True),
+            (("users", 0, "q_bits"), True),
+            (("distortion", "per_user", 0, 1), False),
+        ],
+        ids=["feature_dim", "seed", "id", "b_max", "q_bits", "per_user"],
+    )
+    def test_a_boolean_is_invalid_input(self, tmp_path, capsys, where, value):
+        path, out = tmp_path / "scn.json", tmp_path / "m.csv"
+        assert run("gen-scenario", "--n", "4", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        part = doc
+        for key in where[:-1]:
+            part = part[key]
+        part[where[-1]] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (
+            ("sweep", str(path), "--bmax", "5e6", "--seeds", "2", "--output", str(out)),
+            ("solve", str(path), "--strategy", "random_equal"),
+        ):
+            assert run(*argv) == EXIT_INVALID_INPUT
+            message = f"no field takes a boolean, got {json.dumps(value)}"
+            assert capsys.readouterr().err == f"error: invalid input: {message}\n"
         assert not out.exists()
 
     def test_huge_deadline_keeps_baselines_feasible(self, tmp_path, capsys):
@@ -485,6 +543,36 @@ class TestSolve:
         out = capsys.readouterr().out
         assert verdict in out
         assert "[feasible]" not in out
+
+    @pytest.mark.parametrize("n", ["4", "16"])
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [("config", "bs_energy_coeff", 1e308), ("config", "bs_cpu_hz", 1e200), ("users", "cpu_hz", 1e200)],
+        ids=["bs_energy_coeff", "bs_cpu_hz", "cpu_hz"],
+    )
+    def test_an_overflowing_compute_energy_fails_the_budget(
+        self, tmp_path, capsys, section, field, value, n
+    ):
+        # A compute energy past the largest float: +inf passed the 200 J
+        # budget as [feasible] (the energy bound was silent too, so a
+        # proposed solve would have walked every matching), and a CPU
+        # rate whose square overflows died with an OverflowError.
+        path, out = tmp_path / "scn.json", tmp_path / "res.json"
+        assert run("gen-scenario", "--n", n, "--seed", "0", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        part = doc[section]
+        (part[0] if isinstance(part, list) else part)[field] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("solve", str(path)) == EXIT_INFEASIBLE
+        assert "no feasible pairing exists (candidates tried: 1)" in capsys.readouterr().out
+        for strategy in STRATEGIES[1:]:
+            assert run("solve", str(path), "--strategy", strategy, "--output", str(out)) == EXIT_OK
+            printed = capsys.readouterr()
+            # At N = 16 the 5 MHz equal split already misses the deadline.
+            assert "[infeasible (energy)]" in printed.out or n == "16" and "[infeasible (" in printed.out
+            assert printed.err == ""
+            assert json.loads(out.read_text())["allocation"]["energy_total_j"] == math.inf
 
     @pytest.mark.parametrize(
         "n, seed, budget",

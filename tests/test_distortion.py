@@ -1,8 +1,11 @@
 """Distortion tables: the similarity gate, synthetic table generation
-(bit for bit against the per-pair loop in ``support``), and the external
-text format (grammar, diagnostics, exact roundtrip)."""
+(bit for bit against the per-pair loop in ``support``), and table files,
+a scenario's ``distortion`` object saved alone (diagnostics, exact
+roundtrip)."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,11 +16,10 @@ from pairband.distortion import (
     DistortionTable,
     SimilarityModel,
     distortions_from_features,
-    load_distortion_table,
-    save_distortion_table,
     similarity_gate,
     synthesize_distortions,
 )
+from pairband.scenario import ScenarioTemplate, generate_scenario, load_distortion, scenario_to_json
 from support import loop_distortions
 
 SIGMA_AT_5 = 0.9933071490757153  # logistic(5), frozen
@@ -50,6 +52,12 @@ class TestSimilarityGate:
 
     def test_sharpness_scales_with_kappa(self):
         assert similarity_gate(0.5, 10.0) > similarity_gate(0.5, 2.0)
+
+    def test_a_gate_below_the_float_range_does_not_overflow(self):
+        # e^720 raised an OverflowError, as did a sweep with kappa 1e308.
+        assert similarity_gate(-1.0, 720.0) == math.exp(-720.0) > 0.0
+        assert similarity_gate(-0.5, 1e308) == 0.0
+        assert similarity_gate(0.5, 1e308) == 1.0
 
     @pytest.mark.parametrize("bad", [1.5, -1.01])
     def test_rejects_out_of_range_cosine(self, bad):
@@ -255,120 +263,86 @@ class TestDistortionTableValidation:
 
 
 # ---------------------------------------------------------------------------
-# Text format
+# Table files: a scenario's ``distortion`` object saved on its own
 
 
-def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n")
+def write_table(path, per_user):
+    path.write_text(json.dumps({"per_user": per_user}))
 
 
-def valid_lines(n=4, value=0.25):
-    lines = [f"version 1", f"n {n}", "units mse"]
-    for i in range(n):
-        for j in range(i + 1, n):
-            lines.append(f"{i} {j} {value!r} {value!r}")
-    return lines
+def valid_rows(n=4, value=0.25):
+    return [[0.0 if i == j else value for j in range(n)] for i in range(n)]
 
 
 class TestTableIO:
     def test_roundtrip_is_bit_exact(self, tmp_path):
-        table = synthesize_distortions(
-            np.random.default_rng(3), SimilarityModel(), 6
-        )
-        path = tmp_path / "table.txt"
-        save_distortion_table(table, path)
-        loaded = load_distortion_table(path)
-        assert np.array_equal(loaded.per_user, table.per_user)
-        assert np.array_equal(loaded.pair_sum, table.pair_sum)
-
-    def test_save_then_save_again_is_identical(self, tmp_path):
-        table = synthesize_distortions(
-            np.random.default_rng(4), SimilarityModel(), 4
-        )
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_distortion_table(table, p1)
-        save_distortion_table(table, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_loads_comments_and_blank_lines(self, tmp_path):
-        lines = valid_lines()
-        lines.insert(1, "# produced by hand")
-        lines.insert(3, "")
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        table = load_distortion_table(path)
-        assert table.n == 4
-        assert table.per_user[0, 1] == 0.25
+        # The block a scenario file holds, saved alone, loads to the same
+        # table; so does an asymmetric one with excluded (+inf) pairs.
+        scn = generate_scenario(ScenarioTemplate(n_users=6), seed=3)
+        block = json.loads(scenario_to_json(scn, "x"))["distortion"]
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(block))
+        assert np.array_equal(load_distortion(path).per_user, scn.distortions.per_user)
+        per_user = np.array(valid_rows(4, 1 / 3))
+        per_user[0, 1], per_user[1, 0], per_user[2, 3] = math.inf, 0.3, 5e-324
+        write_table(path, per_user.tolist())
+        loaded = load_distortion(path)
+        assert loaded.per_user.tobytes() == per_user.tobytes()
+        assert np.array_equal(loaded.pair_sum, DistortionTable(per_user).pair_sum)
 
     def test_asymmetric_directions_are_preserved(self, tmp_path):
-        path = tmp_path / "t.txt"
-        write_lines(
-            path,
-            ["version 1", "n 2", "units mse", "0 1 0.125 0.5"],
-        )
-        table = load_distortion_table(path)
+        path = tmp_path / "t.json"
+        write_table(path, [[0.0, 0.125], [0.5, 0.0]])
+        table = load_distortion(path)
         assert table.per_user[0, 1] == 0.125
         assert table.per_user[1, 0] == 0.5
         assert table.pair_sum[0, 1] == 0.625
 
-    def test_rejects_unknown_version(self, tmp_path):
-        lines = valid_lines()
-        lines[0] = "version 2"
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        with pytest.raises(ValueError, match="version"):
-            load_distortion_table(path)
-
-    def test_rejects_odd_user_count(self, tmp_path):
-        path = tmp_path / "t.txt"
-        write_lines(path, ["version 1", "n 3", "units mse"])
-        with pytest.raises(ValueError, match="even"):
-            load_distortion_table(path)
-
     def test_rejects_negative_value_with_location(self, tmp_path):
-        lines = valid_lines()
-        lines[3] = "0 1 -0.25 0.25"
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        with pytest.raises(ValueError, match=r"0.*1"):
-            load_distortion_table(path)
-
-    def test_rejects_duplicate_pair(self, tmp_path):
-        # Also after a row of NaNs, which once let the later row win.
-        for first in ("0 1 0.25 0.25", "1 0 nan nan"):
-            lines = valid_lines()
-            lines[3] = first
-            lines.append("0 1 0.3 0.3")
-            path = tmp_path / "t.txt"
-            write_lines(path, lines)
-            with pytest.raises(ValueError, match=r"duplicate entry for pair \(0, 1\)"):
-                load_distortion_table(path)
+        rows = valid_rows()
+        rows[0][1] = -0.25
+        path = tmp_path / "t.json"
+        write_table(path, rows)
+        with pytest.raises(ValueError, match=re.escape("negative distortion for pairs: [(0, 1)]")):
+            load_distortion(path)
 
     def test_rejects_missing_pairs(self, tmp_path):
-        lines = valid_lines()[:-1]  # drop the (2, 3) row
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        with pytest.raises(ValueError, match=r"\(2, 3\)"):
-            load_distortion_table(path)
+        rows = valid_rows()
+        rows[3][2] = None  # null marks a missing entry
+        path = tmp_path / "t.json"
+        write_table(path, rows)
+        with pytest.raises(ValueError, match=re.escape("missing distortion entries for pairs: [(3, 2)]")):
+            load_distortion(path)
 
     def test_rejects_out_of_range_index(self, tmp_path):
-        lines = valid_lines()
-        lines.append("0 7 0.3 0.3")
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        with pytest.raises(ValueError):
-            load_distortion_table(path)
+        rows = [row + [0.3] for row in valid_rows()]  # a partner index past n
+        path = tmp_path / "t.json"
+        write_table(path, rows)
+        with pytest.raises(ValueError, match=re.escape("must be square, got shape (4, 5)")):
+            load_distortion(path)
 
     def test_rejects_malformed_row(self, tmp_path):
-        lines = valid_lines()
-        lines[3] = "0 1 only-three"
-        path = tmp_path / "t.txt"
-        write_lines(path, lines)
-        with pytest.raises(ValueError):
-            load_distortion_table(path)
+        path = tmp_path / "t.json"
+        for row, message in [
+            ([0.0, "0.25", 0.25, 0.25], "per_user entries must be numbers or null"),
+            ([0.0, True, 0.25, 0.25], "no field takes a boolean, got true"),
+            ([0.0, [0.25], 0.25, 0.25], "per_user entries must be numbers or null"),
+            (0.25, "'float' object is not iterable"),
+        ]:
+            rows = valid_rows()
+            rows[1] = row
+            write_table(path, rows)
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_distortion(path)
 
     def test_rejects_missing_header(self, tmp_path):
-        path = tmp_path / "t.txt"
-        write_lines(path, ["n 4", "units mse"])
-        with pytest.raises(ValueError):
-            load_distortion_table(path)
+        # The one key, per_user, of a JSON object.
+        path = tmp_path / "t.json"
+        for doc, message in [
+            ({"perUser": valid_rows()}, f"invalid distortion file {path}: 'per_user'"),
+            ([valid_rows()], "a scenario or distortion document must be a JSON object"),
+            ({"per_user": 4}, f"invalid distortion file {path}: 'int' object is not iterable"),
+        ]:
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ValueError, match=re.escape(message)):
+                load_distortion(path)

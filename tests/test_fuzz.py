@@ -6,22 +6,27 @@ negatives, +-inf, nan, 1e+-300, 1e308 and the smallest subnormal) and
 with powers of ten from 1e-323 to 1e308.  The
 command line must answer every draw with exit 0, 3 or 4, and the
 library must return a result for every strategy or reject the draw as
-invalid input.  Neither may let an exception escape or emit a
-RuntimeWarning.  Both run derandomized, so tier-1 stays deterministic,
-and both start from the draws that once escaped.
+invalid input.  A third property fuzzes the files rather than the flags:
+it sets one leaf of a scenario file to a drawn JSON value and runs
+solve, sweep and gen-scenario on it.  None may let an exception escape
+or emit a RuntimeWarning.  All run derandomized, so tier-1 stays
+deterministic, and all start from the draws that once escaped.
 """
 
 import contextlib
 import io
+import json
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pairband.channel import ChannelGain
 from pairband.cli import EXIT_INFEASIBLE, EXIT_INVALID_INPUT, EXIT_OK, main
+from pairband.latency_energy import SystemConfig, UserProfile
 from pairband.scenario import ScenarioTemplate, generate_scenario
 from pairband.solver import STRATEGIES, solve
 
@@ -139,3 +144,83 @@ def test_prop_every_strategy_answers_or_rejects_the_input(draw):
             return
         for strategy in STRATEGIES:
             assert solve(scn, strategy).strategy == strategy
+
+
+# A leaf of a scenario file takes one of these JSON values: every JSON
+# type, signed zero and one, a fraction, a small integer and the edges of
+# the float range.  No size field can take one above 64 (2 is the only
+# positive integer), so no draw asks for a huge allocation.
+LEAF_VALUES = (
+    True, False, None, "1", [], {}, 0, -1, 0.5, 2,
+    1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan,
+)
+USER_KEYS = [f.name for f in fields(UserProfile) if f.name != "channel"]
+# Every leaf of a gen-scenario --n 4 document, as a key path.
+LEAVES = (
+    ("seed",),
+    *(("config", f.name) for f in fields(SystemConfig)),
+    *(("template", f.name) for f in fields(ScenarioTemplate)),
+    *(("users", k, key) for k in range(4) for key in USER_KEYS + [f.name for f in fields(ChannelGain)]),
+    *(("distortion", "per_user", i, j) for i in range(4) for j in range(4)),
+)
+
+
+@pytest.fixture(scope="module")
+def documents(workdir):
+    """gen-scenario --n 4 documents, one per seed, drawn on first use."""
+    cache = {}
+
+    def document(seed):
+        if seed not in cache:
+            path = workdir / f"base-{seed}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen-scenario", "--n=4", f"--seed={seed}", f"--output={path}"]) == EXIT_OK
+            cache[seed] = path.read_text()
+        return json.loads(cache[seed])
+
+    return document
+
+
+# Leaves that once escaped: a compute energy past the largest float
+# (reported [feasible]), a CPU rate whose square overflows
+# (OverflowError), a boolean size (TypeError in the sweep), an infinite
+# link (ZeroDivisionError under random_kkt, RuntimeWarnings elsewhere), a
+# gate and a shadowing draw past the float range (OverflowError in the
+# sweep), and a diagonal entry whose pair sum overflowed (RuntimeWarning).
+@settings(FUZZ, max_examples=300)
+@example(seed=0, where=("config", "bs_energy_coeff"), value=1e308, strategy="proposed")
+@example(seed=0, where=("users", 0, "cpu_hz"), value=1e308, strategy="random_equal")
+@example(seed=0, where=("template", "feature_dim"), value=True, strategy="proposed")
+@example(seed=0, where=("users", 2, "gain_linear"), value=1e308, strategy="random_kkt")
+@example(seed=0, where=("config", "noise_psd"), value=5e-324, strategy="random_kkt")
+@example(seed=0, where=("template", "kappa"), value=1e308, strategy="proposed")
+@example(seed=0, where=("template", "shadow_sigma_db"), value=1e308, strategy="proposed")
+@example(seed=0, where=("distortion", "per_user", 0, 0), value=1e308, strategy="proposed")
+@given(
+    seed=st.integers(min_value=0, max_value=3),
+    where=st.sampled_from(LEAVES),
+    value=st.sampled_from(LEAF_VALUES),
+    strategy=st.sampled_from(STRATEGIES),
+)
+def test_prop_a_mutated_file_ends_in_one_of_three_outcomes(workdir, documents, seed, where, value, strategy):
+    """One leaf of a scenario file set to a drawn JSON value: solve,
+    sweep and the file's distortion block as a table file each end in
+    exit 0, 3 or 4."""
+    doc = documents(seed)
+    part = doc
+    for key in where[:-1]:
+        part = part[key]
+    part[where[-1]] = value
+    path, table, out = workdir / "mutated.json", workdir / "table.json", workdir / "out"
+    path.write_text(json.dumps(doc))
+    table.write_text(json.dumps(doc["distortion"]))
+    runs = (
+        ["solve", str(path), f"--strategy={strategy}", f"--output={out}.json"],
+        ["sweep", str(path), "--bmax=5e6", "--seeds=2", "--jobs=1", f"--output={out}.csv"],
+        ["gen-scenario", "--n=4", f"--distortion-file={table}", f"--output={out}-scn.json"],
+    )
+    for argv in runs:
+        with _no_runtime_warning(), contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+        assert code in (EXIT_OK, EXIT_INVALID_INPUT, EXIT_INFEASIBLE), argv[0]

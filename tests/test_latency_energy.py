@@ -232,6 +232,17 @@ class TestEConst:
             2.0 * e_const([u0], cfg), rel=1e-12
         )
 
+    def test_an_energy_past_the_float_range_is_inf_unless_a_factor_is_zero(self):
+        # A CPU rate whose square overflows raised an OverflowError.
+        cfg, base = make_cfg(n=2), make_user(1)
+        for fast in (make_user(0, cpu_hz=1e200), make_user(0, coeff=1e308)):
+            assert e_const([fast, base], cfg) == math.inf
+        assert e_const([base], replace(cfg, bs_cpu_hz=1e200)) == math.inf
+        idle = make_user(0, cpu_hz=1e200, coeff=0.0)
+        assert e_const([idle, base], cfg) == e_const([make_user(0, coeff=0.0), base], cfg)
+        idle_bs = replace(cfg, bs_cpu_hz=1e200, bs_energy_coeff=0.0)
+        assert e_const([base], idle_bs) == e_const([base], replace(cfg, bs_energy_coeff=0.0))
+
     def test_default_scale_leaves_transmit_headroom(self):
         # With the default coefficients, compute energy for 16 users
         # stays well inside a 200 J budget.
@@ -318,11 +329,23 @@ class TestValidation:
                 with pytest.raises(ValueError, match="must be positive and finite"):
                     make_cfg(**{field: bad})
 
-    @pytest.mark.parametrize("field", ["bs_cpu_hz", "bs_cycles_per_bit", "bs_energy_coeff"])
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
-    def test_rejects_nonfinite_base_station_constants(self, field, bad):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            pytest.param(bad, field, id=f"{bad}-{field}")
+            for field in ("bs_cpu_hz", "bs_cycles_per_bit", "bs_energy_coeff")
+            for bad in (math.inf, -math.inf, math.nan, 0.0, -1.0)
+            if (bad, field) != (0.0, "bs_energy_coeff")
+        ],
+    )
+    def test_rejects_nonfinite_base_station_constants(self, bad, field):
+        # A zero rate divided by zero in the encode delay; a negative one
+        # gave a negative delay or compute energy.
+        with pytest.raises(ValueError, match=f"{field} must be (positive|non-negative) and finite"):
             replace(make_cfg(), **{field: bad})
+
+    def test_base_station_may_spend_no_compute_energy(self):
+        assert replace(make_cfg(), bs_energy_coeff=0.0).bs_energy_coeff == 0.0
 
     @pytest.mark.parametrize("bad", [0.0, math.inf, math.nan])
     def test_rejects_nonpositive_or_nonfinite_power(self, bad):

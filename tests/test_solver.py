@@ -890,13 +890,18 @@ class TestSweep:
         [
             (ScenarioTemplate(n_users=4, t_max=0.0), 5.0e6, "t_max must be positive"),
             (SWEEP_TEMPLATE, 0.0, "b_max must be positive"),
+            (replace(SWEEP_TEMPLATE, bs_cpu_hz=0.0), 5.0e6, "bs_cpu_hz must be positive"),
+            (replace(SWEEP_TEMPLATE, kappa=0.0), 5.0e6, "kappa must be positive"),
+            (replace(SWEEP_TEMPLATE, similarity_weight=1.0), 5.0e6, "similarity_weight must be in"),
+            (replace(SWEEP_TEMPLATE, feature_dim=0), 5.0e6, "feature_dim must be >= 1"),
+            (replace(SWEEP_TEMPLATE, cpu_hz_range=(1.6e9, 5.0e8)), 5.0e6, "high - low < 0"),
         ],
-        ids=["t_max", "b_max"],
+        ids=["t_max", "b_max", "bs_cpu_hz", "kappa", "similarity_weight", "feature_dim", "cpu_hz_range"],
     )
     def test_a_bad_budget_is_rejected_before_any_worker_starts(
         self, monkeypatch, template, b_max, message
     ):
-        # Each budget reached only the first worker to draw a scenario.
+        # Each value reached only the first worker to draw a scenario.
         started = []
 
         def counted(process):
