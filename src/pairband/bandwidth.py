@@ -80,7 +80,6 @@ __all__ = [
     "b_min_user",
     "b_min_pair",
     "phi_inverse",
-    "psi_inverse",
     "energy_dual",
     "energy_infeasible",
     "kkt_allocate",
@@ -270,15 +269,6 @@ def _h_inverse(r):
         log_term, slope = _log_terms(t)
         t = scale * np.sqrt(slope) / log_term
     return t
-
-
-def psi_inverse(s: np.ndarray) -> np.ndarray:
-    """Elementwise t > 0 with psi(t) = s (:func:`~pairband.channel.psi`):
-    G^-1(theta) at link x and pq = p*Q is x * psi_inverse(theta * x^2 / pq).
-
-    psi(t) = a(t)/t^2, so the root is h^-1(1/sqrt(s)) (:func:`_h_inverse`).
-    """
-    return _h_inverse(1.0 / np.sqrt(s))
 
 
 def _respond(lower: np.ndarray, x: np.ndarray, v: float) -> np.ndarray:

@@ -67,6 +67,10 @@ class UserProfile:
     def __post_init__(self) -> None:
         if not isinstance(self.id, Integral):
             raise ValueError("id must be an integer")
+        pos = self.position
+        pair = isinstance(pos, tuple) and len(pos) == 2
+        if not (pair and all(isinstance(v, (int, float)) and math.isfinite(v) for v in pos)):
+            raise ValueError("position must be a pair of finite numbers")
         for name in ("q_bits", "cpu_hz", "cycles_per_bit"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")

@@ -12,16 +12,15 @@ exactly the min-cost perfect matching.
 The assignment relaxation, solved by shortest augmenting paths, gives
 duals w with LB = sum(w) - (N/2) rho <= the optimum (rho covers float
 rounding of dual feasibility); a perfect matching read off its cycles
-gives a cost UB >= the optimum.  An assignment of 2-cycles is that
-matching as it is; otherwise the left-over users are joined along
-alternating paths, then 2-opt polishes the result.  When UB <= LB
-that matching is optimal and networkx is not called; on the default
-generator at N = 16-32 this holds for about three MWPMs in four.  On
-an open gap networkx sees only the edges that can still be optimal:
-an edge whose reduced cost C_ij - w_i - w_j exceeds the gap UB - LB
-lies in no matching that cheap, so it is dropped (Cook & Rohe 1999,
-INFORMS J. Comput. 11(2)).  On the default generator typically one or
-two edges per user remain.
+gives a cost UB >= the optimum: each 2-cycle is a pair, and the users
+on longer cycles are joined along least reduced-cost alternating
+paths.  When UB <= LB that matching is optimal and networkx is not
+called; on the default generator at N = 16-32 this holds for about
+three MWPMs in four.  On an open gap networkx sees only the edges that
+can still be optimal: an edge whose reduced cost C_ij - w_i - w_j
+exceeds the gap UB - LB lies in no matching that cheap, so it is
+dropped (Cook & Rohe 1999, INFORMS J. Comput. 11(2)).  On the default
+generator typically one or two edges per user remain.
 Those edges are weighted by their reduced costs, which rank perfect
 matchings as the costs do and vanish (up to rounding) on the
 assignment's edges.
@@ -211,35 +210,16 @@ def _assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return 0.5 * (np.array(u) + np.array(v)), np.array(col_of)
 
 
-def _two_opt(c: np.ndarray, pairs: list[Pair]) -> list[Pair]:
-    """Swap partners between two pairs while that lowers their cost."""
-    a, b = np.array(pairs).T
-    with np.errstate(invalid="ignore"):
-        for _ in range(len(pairs)):
-            cur = c[a, b]
-            cross = c[a[:, None], a] + c[b[:, None], b]
-            twist = c[a[:, None], b] + c[b[:, None], a]
-            # fmax turns the nan of inf - inf into no gain.
-            gain = np.fmax(cur[:, None] + cur - np.minimum(cross, twist), -np.inf)
-            k, m = np.unravel_index(np.argmax(gain), gain.shape)
-            if not gain[k, m] > 0.0:
-                break
-            if cross[k, m] <= twist[k, m]:
-                b[k], a[m] = a[m], b[k]
-            else:
-                b[k], b[m] = b[m], b[k]
-    return list(zip(a.tolist(), b.tolist()))
-
-
 def _join_exposed(r: list[list[float]], mate: list[int]) -> None:
     """Pair up the exposed users (mate -1) in place, each along the
     alternating path of least reduced-cost increase r to another one.
 
     Dijkstra over the users reached through a mate: from such a user y,
     an edge (y, x) plus x's mate e reach e, at the cost r_yx - r_xe
-    floored at 0.  Ties go to the lowest user.  A path that meets
-    itself (an odd cycle) is not flipped; its two ends are paired
-    directly.  Runs on Python lists, as :func:`_assignment` does.
+    floored at 0, so no step lowers a settled user's distance, which is
+    at most y's.  Ties go to the lowest user.  A path that meets itself
+    (an odd cycle) is not flipped; its two ends are paired directly.
+    Runs on Python lists, as :func:`_assignment` does.
     """
     n = len(mate)
     while exposed := [k for k in range(n) if mate[k] < 0]:
@@ -265,7 +245,7 @@ def _join_exposed(r: list[list[float]], mate: list[int]) -> None:
             for x, e, own in matched:
                 # max(nan, 0.0) is nan: inf - inf reaches nothing.
                 reach = d_y + max(r_y[x] - own, 0.0)
-                if not done[e] and reach < dist[e]:
+                if reach < dist[e]:
                     dist[e], via[e] = reach, y
         y, b = end
         path = [b, y]
@@ -278,42 +258,23 @@ def _join_exposed(r: list[list[float]], mate: list[int]) -> None:
             mate[path[k]], mate[path[k + 1]] = path[k + 1], path[k]
 
 
-def _cycle_matching(c: np.ndarray, d: np.ndarray, col_of: np.ndarray) -> list[Pair]:
+def _cycle_matching(d: np.ndarray, col_of: np.ndarray) -> list[Pair]:
     """A perfect matching read off an assignment's cycles.
 
-    An assignment whose cycles are all 2-cycles is returned as its
+    Each 2-cycle is its own pair.  Every user on a longer cycle is left
+    exposed, and :func:`_join_exposed` pairs them along alternating
+    paths of the reduced costs ``d`` (c_ij - w_i - w_j over the whole
+    matrix).  An assignment of 2-cycles only is so returned as its
     pairs: a perfect matching M' is an assignment of cost 2 c(M'), so
-    the optimal assignment read as a matching is a minimum one, and
-    2-opt has nothing to swap.  Otherwise a 2-cycle is its own pair, a
-    longer even cycle splits into its cheaper set of alternate edges
-    and an odd cycle into the cheapest such set over all but one user;
-    the left-over users are joined along alternating paths of the
-    reduced costs ``d`` (c_ij - w_i - w_j over the whole matrix), and
-    2-opt polishes the result.  Its edges may be infinite.
+    the optimal assignment read as a matching is a minimum one.  Its
+    edges may be infinite.
     """
-    n = c.shape[0]
     succ = col_of.tolist()
-    if all(succ[m] == k for k, m in enumerate(succ)):
-        return [(k, m) for k, m in enumerate(succ) if k < m]
-    mate = [-1] * n
-    seen = [False] * n
-    for start in range(n):
-        cycle = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            cycle.append(k)
-            k = succ[k]
-        if len(cycle) == 2:
-            mate[cycle[0]], mate[cycle[1]] = cycle[1], cycle[0]
-        elif cycle:
-            odd = len(cycle) % 2
-            turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
-            turn = min(turns, key=lambda t: _total(c, zip(t[odd::2], t[odd + 1 :: 2])))
-            for i, j in zip(turn[odd::2], turn[odd + 1 :: 2]):
-                mate[i], mate[j] = j, i
-    _join_exposed(d.tolist(), mate)
-    return _two_opt(c, [(k, m) for k, m in enumerate(mate) if k < m])
+    mate = [m if succ[m] == k else -1 for k, m in enumerate(succ)]
+    # With no user exposed the join is a no-op; skip the copy of d.
+    if -1 in mate:
+        _join_exposed(d.tolist(), mate)
+    return [(k, m) for k, m in enumerate(mate) if k < m]
 
 
 def _reduced(c: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, float]:
@@ -392,24 +353,24 @@ def _solve_min_cost(
     every other perfect matching costs at least 2 ``tau`` more.
 
     The assignment relaxation bounds the optimum below by LB = sum(w) -
-    (N/2) rho and the matching read off its cycles bounds it above by
-    its cost UB.  When UB <= LB, compared exactly, that matching is
-    optimal.  Otherwise the relaxation prices out every edge that no
-    matching as cheap as UB can use, and networkx's blossom solves the
-    rest exactly; without a finite heuristic matching it gets every
-    finite edge.
+    (N/2) rho, and the matching read off its cycles (its 2-cycles plus
+    the alternating-path joins of :func:`_cycle_matching`) bounds it
+    above by its cost UB.  When UB <= LB, compared exactly, that
+    matching is optimal.  Otherwise the relaxation prices out every edge
+    that no matching as cheap as UB can use, and networkx's blossom
+    solves the rest exactly; without a finite heuristic matching it gets
+    every finite edge.
 
     With ``tau``, a closed gap whose matching M is the assignment itself
-    (every cycle a 2-cycle, left as it is by 2-opt) is proved by its own
-    duals: the same pricing keeps the edges of every matching that
-    costs at most c(M) + N tau, and :func:`_no_rival` shows M to be the
-    only one.  Otherwise the flag means that the raised blossom returns
-    the matching: it is priced at c(guess) + (N/2) tau with the guess's
-    edges raised by tau in r (w stays feasible as costs rise).  A rival
-    X shares at most N/2 - 2 edges with the guess, so if the guess comes
-    back, c(X) >= c(guess) + 2 tau.  The first guess is the cycle
-    matching, and a blossom that returns another matching makes that
-    the guess, once.  After two misses the flag is False, and the
+    (every cycle a 2-cycle) is proved by its own duals: the same pricing
+    keeps the edges of every matching that costs at most c(M) + N tau,
+    and :func:`_no_rival` shows M to be the only one.  Otherwise the
+    flag means that the raised blossom returns the matching: it is
+    priced at c(guess) + (N/2) tau with the guess's edges raised by tau
+    in r (w stays feasible as costs rise).  A rival X shares at most
+    N/2 - 2 edges with the guess, so if the guess comes back, c(X) >=
+    c(guess) + 2 tau.  The first guess is the cycle matching, and a
+    blossom that returns another matching makes that the guess, once.  After two misses the flag is False, and the
     matching is the cycle matching on a closed gap or the unraised
     blossom's on an open one.
     """
@@ -421,7 +382,7 @@ def _solve_min_cost(
         return None
     w, col_of = solved
     d = costs - w[:, None] - w
-    heuristic = _canonical(_cycle_matching(costs, d, col_of))
+    heuristic = _canonical(_cycle_matching(d, col_of))
     ub = _total(costs, heuristic)
     r, rho = _reduced(costs, d)
     # LB is finite, so an infinite UB never closes the gap.

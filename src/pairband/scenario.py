@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -235,7 +236,8 @@ def scenario_to_json(scn: Scenario, tool_version: str) -> str:
 def _document(text: str) -> dict:
     """The JSON object in ``text``.  No field of a scenario or table file
     is boolean, and Python reads a JSON ``true`` as 1, so a boolean
-    anywhere in the document is rejected."""
+    anywhere in the document is rejected; so is an integer that no
+    float can hold, which the arithmetic would overflow on."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("a scenario or distortion document must be a JSON object")
@@ -244,6 +246,8 @@ def _document(text: str) -> dict:
         node = nodes.pop()
         if isinstance(node, bool):
             raise ValueError(f"no field takes a boolean, got {json.dumps(node)}")
+        if isinstance(node, int) and abs(node) > sys.float_info.max:
+            raise ValueError("no field takes an integer past the largest float")
         nodes.extend(node.values() if isinstance(node, dict) else node if isinstance(node, list) else ())
     return doc
 
@@ -277,7 +281,7 @@ def save_scenario(scn: Scenario, path: str | Path, tool_version: str) -> None:
 def _load(path: str | Path, what: str, parse):
     try:
         return parse(Path(path).read_text())
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"invalid {what} file {path}: {exc}") from exc
 
 

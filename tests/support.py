@@ -13,7 +13,7 @@ import networkx as nx
 import numpy as np
 from hypothesis import strategies as st
 
-from pairband import pairing
+from pairband import bandwidth, pairing
 from pairband.channel import ChannelGain, psi
 from pairband.distortion import DistortionTable, SimilarityModel, similarity_gate
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
@@ -272,26 +272,6 @@ def numpy_assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return 0.5 * (u + v), col_of
 
 
-def _numpy_two_opt(c: np.ndarray, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Swap partners between two pairs while that lowers their cost."""
-    a, b = np.array(pairs).T
-    with np.errstate(invalid="ignore"):
-        for _ in range(len(pairs)):
-            cur = c[a, b]
-            cross = c[a[:, None], a] + c[b[:, None], b]
-            twist = c[a[:, None], b] + c[b[:, None], a]
-            # fmax turns the nan of inf - inf into no gain.
-            gain = np.fmax(cur[:, None] + cur - np.minimum(cross, twist), -np.inf)
-            k, m = np.unravel_index(np.argmax(gain), gain.shape)
-            if not gain[k, m] > 0.0:
-                break
-            if cross[k, m] <= twist[k, m]:
-                b[k], a[m] = a[m], b[k]
-            else:
-                b[k], b[m] = b[m], b[k]
-    return list(zip(a.tolist(), b.tolist()))
-
-
 def _numpy_join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
     """Pair up the exposed users (mate -1) in place, each along the
     alternating path of least reduced-cost increase r to another one.
@@ -326,7 +306,7 @@ def _numpy_join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
             with np.errstate(invalid="ignore"):  # inf - inf: no step
                 reach = dist[y] + np.maximum(r[y] - own, 0.0)
             e = mate[matched]
-            closer = ~done[e] & (reach[matched] < dist[e])
+            closer = reach[matched] < dist[e]
             dist[e[closer]], via[e[closer]] = reach[matched][closer], y
         y, b = end
         path = [b, y]
@@ -339,38 +319,18 @@ def _numpy_join_exposed(r: np.ndarray, mate: np.ndarray) -> None:
             mate[path[k]], mate[path[k + 1]] = path[k + 1], path[k]
 
 
-def numpy_cycle_matching(c: np.ndarray, d: np.ndarray, col_of: np.ndarray) -> list[tuple[int, int]]:
+def numpy_cycle_matching(d: np.ndarray, col_of: np.ndarray) -> list[tuple[int, int]]:
     """A perfect matching read off an assignment's cycles, as the pairing
     kernel read it in numpy, one array pass per Dijkstra step of the
     join.  ``pairing._cycle_matching`` must return exactly its pairs.
 
-    A 2-cycle is its own pair.  A longer even cycle splits into its
-    cheaper set of alternate edges and an odd cycle into the cheapest
-    such set over all but one user; the left-over users are joined
-    along alternating paths of the reduced costs ``d`` (c_ij - w_i -
-    w_j over the whole matrix), and 2-opt polishes the result.  Its
-    edges may be infinite.
+    Each 2-cycle is its own pair; every user on a longer cycle is
+    joined along alternating paths of the reduced costs ``d`` (c_ij -
+    w_i - w_j over the whole matrix).  Its edges may be infinite.
     """
-    n = c.shape[0]
-    mate = np.full(n, -1)
-    seen = [False] * n
-    succ = col_of.tolist()
-    for start in range(n):
-        cycle = []
-        k = start
-        while not seen[k]:
-            seen[k] = True
-            cycle.append(k)
-            k = succ[k]
-        if len(cycle) == 2:
-            mate[cycle] = cycle[::-1]
-        elif cycle:
-            odd = len(cycle) % 2
-            turns = [cycle[s:] + cycle[:s] for s in range(len(cycle) if odd else 2)]
-            turn = min(turns, key=lambda t: matching_cost(c, zip(t[odd::2], t[odd + 1 :: 2])))
-            mate[turn[odd::2]], mate[turn[odd + 1 :: 2]] = turn[odd + 1 :: 2], turn[odd::2]
+    mate = np.where(col_of[col_of] == np.arange(col_of.size), col_of, -1)
     _numpy_join_exposed(d, mate)
-    return _numpy_two_opt(c, [(k, int(m)) for k, m in enumerate(mate) if k < m])
+    return [(k, int(m)) for k, m in enumerate(mate) if k < m]
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +455,16 @@ def bisection_g_inverse(theta: float, x: float, pq: float, b_hint: float = 1.0e6
     return 0.5 * (lo + hi)
 
 
+def psi_inverse(s: np.ndarray) -> np.ndarray:
+    """Elementwise t > 0 with psi(t) = s, as the allocator finds it:
+    psi(t) = a(t)/t^2, so t = h^-1(1/sqrt(s)) (``bandwidth._h_inverse``).
+    G^-1(theta) at link x and pq = p*Q is x * psi_inverse(theta * x^2 / pq)."""
+    return bandwidth._h_inverse(1.0 / np.sqrt(s))
+
+
 def ratio_psi_inverse(s: np.ndarray) -> np.ndarray:
     """psi^-1 as six steps of t <- sqrt(psi(t)*t*t/s) from t =
-    1/sqrt(s), the form bandwidth.psi_inverse took before its step was
+    1/sqrt(s), the form the allocator's root took before its step was
     fused; nan where s is 0 or +inf."""
     t = 1.0 / np.sqrt(s)
     for _ in range(6):

@@ -30,7 +30,6 @@ from pairband.bandwidth import (
     evaluate_fixed_allocation,
     kkt_allocate,
     phi_inverse,
-    psi_inverse,
 )
 from pairband.channel import f_limit, f_prime, f_value, g_value, phi, psi
 from pairband.latency_energy import (
@@ -57,6 +56,7 @@ from support import (
     make_link,
     make_user,
     paired_users,
+    psi_inverse,
     random_instance,
     ratio_psi_inverse,
     user_pair,

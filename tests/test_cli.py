@@ -420,6 +420,64 @@ class TestSolve:
             assert capsys.readouterr().err == f"error: invalid input: {message}\n"
         assert not out.exists()
 
+    def test_an_integer_past_the_float_range_is_invalid_input(self, tmp_path, capsys):
+        # Written with 401 digits, q_bits died in solve's arithmetic and the
+        # table entry in DistortionTable, both with an OverflowError.
+        path, table, out = tmp_path / "scn.json", tmp_path / "table.json", tmp_path / "s.json"
+        assert run("gen-scenario", "--n", "4", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["distortion"]["per_user"][0][1] = 10**400
+        table.write_text(json.dumps(doc["distortion"]))
+        doc["users"][0]["q_bits"] = 10**400
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (
+            ("solve", str(path), "--strategy", "random_equal"),
+            ("gen-scenario", "--n", "4", "--output", str(out), "--distortion-file", str(table)),
+        ):
+            assert run(*argv) == EXIT_INVALID_INPUT
+            message = "no field takes an integer past the largest float"
+            assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+        assert not out.exists()
+
+    def test_a_deeply_nested_document_is_invalid_input(self, tmp_path, capsys):
+        # json raises RecursionError, which was reported as a numerical
+        # failure (exit 1).
+        path, out = tmp_path / "deep.json", tmp_path / "s.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        for argv, what in (
+            (("solve", str(path)), "scenario"),
+            (("gen-scenario", "--n", "4", "--output", str(out), "--distortion-file", str(path)), "distortion"),
+        ):
+            assert run(*argv) == EXIT_INVALID_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: invalid input: invalid {what} file {path}: maximum recursion")
+            assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "value",
+        ["x", 2, None, [0.0], [0.0, 1.0, 2.0], [0.0, "y"], [0.0, math.inf]],
+        ids=["string", "number", "null", "short", "long", "entry", "infinite"],
+    )
+    def test_a_position_that_is_not_a_pair_of_finite_numbers_is_invalid_input(
+        self, tmp_path, capsys, value
+    ):
+        path, out = tmp_path / "scn.json", tmp_path / "m.csv"
+        assert run("gen-scenario", "--n", "4", "--output", str(path)) == EXIT_OK
+        doc = json.loads(path.read_text())
+        doc["users"][0]["position"] = value
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for argv in (
+            ("sweep", str(path), "--bmax", "5e6", "--seeds", "2", "--output", str(out)),
+            ("solve", str(path), "--strategy", "random_equal"),
+        ):
+            assert run(*argv) == EXIT_INVALID_INPUT
+            message = "position must be a pair of finite numbers"
+            assert capsys.readouterr().err == f"error: invalid input: {message}\n"
+        assert not out.exists()
+
     def test_huge_deadline_keeps_baselines_feasible(self, tmp_path, capsys):
         # At T_max = 1e24 s the pair roots lie far below 1 Hz.
         path = tmp_path / "scn.json"

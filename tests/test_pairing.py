@@ -326,7 +326,7 @@ def test_prop_assignment_bound_and_cycle_matching_bracket_the_optimum(
     assert sorted(col_of.tolist()) == list(range(n))
     off = ~np.eye(n, dtype=bool)
     assert np.all((w[:, None] + w)[off] <= c[off] + 1e-12)
-    pairs = pairing._cycle_matching(c, c - w[:, None] - w, col_of)
+    pairs = pairing._cycle_matching(c - w[:, None] - w, col_of)
     assert sorted(k for p in pairs for k in p) == list(range(n))
     if best is not None:
         assert math.fsum(w) <= best.total_cost + 1e-12
@@ -419,21 +419,20 @@ def cycle_inputs(draw):
 @given(c=cycle_inputs())
 def test_prop_list_cycle_matching_is_the_numpy_one(c):
     # The list join keeps the numpy join's arithmetic, tie order and
-    # odd-cycle rule, and an involutive assignment is returned before
-    # 2-opt, which never moved one: the same pairs in the same order.
+    # odd-cycle rule: the same pairs in the same order.
     solved = pairing._assignment(c)
     assume(solved is not None)
     w, col_of = solved
     d = c - w[:, None] - w
     involution = np.array_equal(col_of[col_of], np.arange(c.shape[0]))
     event(f"involution: {involution}")
-    assert pairing._cycle_matching(c, d, col_of) == numpy_cycle_matching(c, d, col_of)
+    assert pairing._cycle_matching(d, col_of) == numpy_cycle_matching(d, col_of)
 
 
 def test_an_involutive_assignment_is_taken_without_join_or_two_opt(monkeypatch):
     # The fixture and certify-n32 pool seed 0's pair bounds both have an
     # assignment whose cycles are all 2-cycles: mwpm reads its pairs off
-    # the assignment and never joins or polishes them.
+    # the assignment, leaves no user exposed and so joins none.
     from pairband.scenario import ScenarioTemplate, generate_scenario
     from pairband.solver import _cost_matrix, _pair_bounds
 
@@ -443,10 +442,9 @@ def test_an_involutive_assignment_is_taken_without_join_or_two_opt(monkeypatch):
     assert np.array_equal(col_of[col_of], np.arange(32))
 
     def boom(*args):
-        raise AssertionError("an involutive assignment needs no join or 2-opt")
+        raise AssertionError("an involutive assignment needs no join")
 
     monkeypatch.setattr(pairing, "_join_exposed", boom)
-    monkeypatch.setattr(pairing, "_two_opt", boom)
     assert mwpm(four_user_fixture()).pairs == ((0, 1), (2, 3))
     best = mwpm(matrix(bounds))
     assert best.pairs == tuple((k, m) for k, m in enumerate(col_of.tolist()) if k < m)
@@ -470,29 +468,39 @@ def test_a_closed_gap_returns_the_cycle_matching_without_networkx(monkeypatch):
 
 def test_odd_cycles_are_joined_along_an_alternating_path():
     # Two triangles joined by one finite edge (2, 5): the assignment is
-    # the two 3-cycles, each leaves out its first user, and the edge
-    # (0, 3) between those two is infinite.  The path 0-1=2-5=4-3 pairs
-    # them at the optimum.
+    # the two 3-cycles, so every user is exposed.  The join pairs 0 with
+    # 1, then 2 along its one finite edge out of the triangle to 5, then
+    # 3 with 4: the optimum.
     c = np.full((6, 6), INFEASIBLE)
     for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
         c[i, j] = c[j, i] = 1.0
     c[2, 5] = c[5, 2] = 7.0
     w, _ = pairing._assignment(c)
-    pairs = pairing._cycle_matching(c, c - w[:, None] - w, np.array([1, 2, 0, 4, 5, 3]))
+    pairs = pairing._cycle_matching(c - w[:, None] - w, np.array([1, 2, 0, 4, 5, 3]))
     assert sorted((min(p), max(p)) for p in pairs) == [(0, 1), (2, 5), (3, 4)]
     assert mwpm(matrix(c)).pairs == ((0, 1), (2, 5), (3, 4))
 
 
 def test_a_path_that_meets_itself_is_paired_directly_and_repaired():
-    # Here the cheapest alternating path between the two left-over users
-    # runs round an odd cycle, so they are paired directly over an
-    # infinite edge, and 2-opt swaps partners back to the optimum (1.9).
+    # An assignment of one 8-cycle leaves every user exposed.  Here the
+    # join pairs them at the optimum (1.9).
     c = tenth_costs(np.random.default_rng(11498), 8, 0.6)
     w, col_of = pairing._assignment(c)
-    pairs = pairing._cycle_matching(c, c - w[:, None] - w, col_of)
+    pairs = pairing._cycle_matching(c - w[:, None] - w, col_of)
     assert sorted(k for p in pairs for k in p) == list(range(8))
     assert matching_cost(c, pairs) == pytest.approx(1.9)
     assert brute_force_mwpm(matrix(c)).total_cost == pytest.approx(1.9)
+    # Here the cheapest alternating path between the last two exposed
+    # users, 5 and 7, runs round an odd cycle, so they are paired
+    # directly over an infinite edge; the blossom, handed every finite
+    # edge, repairs the matching to the optimum (0.8).
+    c = tenth_costs(np.random.default_rng(3685), 8, 0.3)
+    w, col_of = pairing._assignment(c)
+    pairs = pairing._cycle_matching(c - w[:, None] - w, col_of)
+    assert sorted(k for p in pairs for k in p) == list(range(8))
+    assert (5, 7) in pairs and c[5, 7] == INFEASIBLE
+    assert mwpm(matrix(c)).total_cost == pytest.approx(0.8)
+    assert brute_force_mwpm(matrix(c)).total_cost == pytest.approx(0.8)
 
 
 def test_no_perfect_matching_behind_a_finite_assignment():
@@ -503,7 +511,7 @@ def test_no_perfect_matching_behind_a_finite_assignment():
     for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:
         c[i, j] = c[j, i] = 1.0
     w, col_of = pairing._assignment(c)
-    assert matching_cost(c, pairing._cycle_matching(c, c - w[:, None] - w, col_of)) == math.inf
+    assert matching_cost(c, pairing._cycle_matching(c - w[:, None] - w, col_of)) == math.inf
     assert mwpm(matrix(c)) is None
 
 

@@ -90,3 +90,13 @@ def test_energy_bound_decides_the_n64_rows_without_an_mwpm():
     keys = ("energy_probes", "bound_mwpms", "bound_blossoms")
     assert {tuple(line[k] for k in keys) for line in proved} == {(1, 0, 0)}
     assert {line["energy_probes"] for line in lines if line not in proved} == {0}
+
+
+def test_walk_set_prints_one_answer_line_per_instance():
+    lines = [json.loads(line) for line in run_script("walk_set.py", "--no-time")]
+    assert len(lines) == 221
+    assert len({line["key"] for line in lines}) == 221
+    assert {line["verdict"] for line in lines} == {"feasible", "infeasible"}
+    # The one bandwidth_sum walk the docstring names ends at candidate 5.
+    area = [line for line in lines if line["key"] == "area1000-s2"]
+    assert [(line["verdict"], line["candidates_tried"]) for line in area] == [("feasible", 5)]
