@@ -137,8 +137,11 @@ class AllocationReport:
     objective: float
     bandwidth_used: float
     energy_total: float
-    feasible: bool
     infeasibility_reason: str | None
+
+    @property
+    def feasible(self) -> bool:
+        return self.infeasibility_reason is None
 
 
 def _exceeds(value: float, limit: float) -> bool:
@@ -445,7 +448,6 @@ def _report(
         objective=obj,
         bandwidth_used=used,
         energy_total=fixed + obj,
-        feasible=reason is None,
         infeasibility_reason=reason,
     )
 
@@ -545,7 +547,6 @@ def kkt_allocate(
             objective=math.inf,
             bandwidth_used=math.inf,
             energy_total=math.inf,
-            feasible=False,
             infeasibility_reason="latency",
         )
 

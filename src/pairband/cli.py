@@ -193,11 +193,7 @@ def cmd_solve(args) -> int:
     path = Path(args.scenario)
     scn = load_scenario(path)
     overrides = _overrides(args)
-    scn = replace(
-        scn,
-        cfg=replace(scn.cfg, **overrides),
-        template=replace(scn.template, **overrides),
-    )
+    scn = replace(scn, cfg=replace(scn.cfg, **overrides))
     seed = args.seed if args.seed is not None else scn.seed
     res = solve(scn, args.strategy, matching_seed=seed)
     if args.output:

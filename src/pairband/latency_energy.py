@@ -171,16 +171,18 @@ def transmit_time(b: float, user: UserProfile, power: float, cfg: SystemConfig) 
     return cfg.payload_bits / fv
 
 
+def _airtime(pair: tuple[UserProfile, UserProfile], b: float, power: float, cfg: SystemConfig) -> float:
+    """max{t_i, t_j}: the pair's transmit phase, its slower user's airtime [s]."""
+    i, j = pair
+    return max(transmit_time(b, i, power, cfg), transmit_time(b, j, power, cfg))
+
+
 def group_time(
     pair: tuple[UserProfile, UserProfile], b: float, power: float, cfg: SystemConfig
 ) -> float:
     """End-to-end serving time of a pair at bandwidth b [s]."""
     i, j = pair
-    t_air = max(
-        transmit_time(b, i, power, cfg),
-        transmit_time(b, j, power, cfg),
-    )
-    return tau_bs(i, cfg) + tau_bs(j, cfg) + t_air + tau_rx(i, cfg) + tau_rx(j, cfg)
+    return tau_bs(i, cfg) + tau_bs(j, cfg) + _airtime(pair, b, power, cfg) + tau_rx(i, cfg) + tau_rx(j, cfg)
 
 
 def _compute_energy(coeff: float, hz: float, cycles: float, bits: float, params: float) -> float:
@@ -210,9 +212,4 @@ def transmit_energy(
     pair: tuple[UserProfile, UserProfile], b: float, power: float, cfg: SystemConfig
 ) -> float:
     """Radiated energy p_k * max{t_i, t_j} for one pair [J]."""
-    i, j = pair
-    t_air = max(
-        transmit_time(b, i, power, cfg),
-        transmit_time(b, j, power, cfg),
-    )
-    return power * t_air
+    return power * _airtime(pair, b, power, cfg)

@@ -218,8 +218,10 @@ def _join_exposed(r: list[list[float]], mate: list[int]) -> None:
     an edge (y, x) plus x's mate e reach e, at the cost r_yx - r_xe
     floored at 0, so no step lowers a settled user's distance, which is
     at most y's.  Ties go to the lowest user.  A path that meets itself
-    (an odd cycle) is not flipped; its two ends are paired directly.
-    Runs on Python lists, as :func:`_assignment` does.
+    (an odd cycle) is not flipped; its two ends are paired directly,
+    even over an infinite edge.  The upper bound is then +inf, and the
+    pricing stays sound: it keeps every finite edge.  Runs on Python
+    lists, as :func:`_assignment` does.
     """
     n = len(mate)
     while exposed := [k for k in range(n) if mate[k] < 0]:

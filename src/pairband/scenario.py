@@ -105,29 +105,17 @@ class ScenarioTemplate:
         if self.area_m <= 0:
             raise ValueError("area_m must be positive")
 
+    def _fill(self, cls, **given):
+        """A ``cls`` whose fields take this template's values of the same
+        name, except those ``given``; ``cls`` checks them."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls) if f.name not in given}, **given)
+
     def system_config(self) -> SystemConfig:
-        k = self.n_users // 2
-        return SystemConfig(
-            n_users=self.n_users,
-            b_max=self.b_max,
-            t_max=self.t_max,
-            e_max=self.e_max,
-            d_max=self.d_max,
-            noise_psd=self.noise_psd,
-            payload_bits=self.payload_bits,
-            bs_cpu_hz=self.bs_cpu_hz,
-            bs_cycles_per_bit=self.bs_cycles_per_bit,
-            bs_energy_coeff=self.bs_energy_coeff,
-            group_powers=(self.group_power_w,) * k,
-        )
+        """The budgets and base-station constants; every group sends at ``group_power_w``."""
+        return self._fill(SystemConfig, group_powers=(self.group_power_w,) * (self.n_users // 2))
 
     def similarity_model(self) -> SimilarityModel:
-        return SimilarityModel(
-            kappa=self.kappa,
-            base_distortion=self.base_distortion,
-            similarity_weight=self.similarity_weight,
-            feature_dim=self.feature_dim,
-        )
+        return self._fill(SimilarityModel)
 
 
 @dataclass(frozen=True)

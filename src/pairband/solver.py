@@ -38,6 +38,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import product
+from numbers import Integral
 
 import numpy as np
 
@@ -86,15 +88,18 @@ class SolveResult:
     ``matching`` is None when the strategy could not produce a pairing
     at all (global infeasibility for the proposed strategy, dead-end
     for greedy).  ``total_distortion`` is the matching cost under the
-    quality-capped edge weights, so it is +inf whenever the pairing
-    violates the per-user distortion cap.
+    quality-capped edge weights: +inf without a matching, or where the
+    pairing violates the per-user distortion cap.
     """
 
     matching: Matching | None
     allocation: AllocationReport | None
-    total_distortion: float
     candidates_tried: int
     strategy: str
+
+    @property
+    def total_distortion(self) -> float:
+        return self.matching.total_cost if self.matching is not None else math.inf
 
     @property
     def feasible(self) -> bool:
@@ -133,7 +138,6 @@ def _no_pairing(candidates_tried: int, strategy: str) -> SolveResult:
     return SolveResult(
         matching=None,
         allocation=None,
-        total_distortion=math.inf,
         candidates_tried=candidates_tried,
         strategy=strategy,
     )
@@ -175,7 +179,6 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
                 return SolveResult(
                     matching=matching,
                     allocation=report,
-                    total_distortion=matching.total_cost,
                     candidates_tried=tried,
                     strategy="proposed",
                 )
@@ -279,7 +282,6 @@ def solve(
     return SolveResult(
         matching=matching,
         allocation=report,
-        total_distortion=matching.total_cost,
         candidates_tried=1,
         strategy=strategy,
     )
@@ -289,30 +291,14 @@ def solve(
 # Bandwidth sweeps
 
 
-def _sweep_cell_records(args) -> list[dict]:
-    """All (b_max, strategy) records for one seed; runs in a worker."""
+def _sweep_cell_records(args) -> list[SolveResult]:
+    """One seed's results in (b_max, strategy) order; runs in a worker.
+    No draw depends on B_max, so the scenario is drawn once, under the
+    first listed budget, and each budget is set on its config."""
     template, b_max_values, strategies, seed = args
-    records = []
-    for b_max in b_max_values:
-        scn = generate_scenario(replace(template, b_max=b_max), seed)
-        for strategy in strategies:
-            res = solve(scn, strategy)
-            records.append(
-                {
-                    "b_max_hz": b_max,
-                    "strategy": strategy,
-                    "seed": seed,
-                    "feasible": res.feasible,
-                    "total_distortion": res.total_distortion,
-                    "bandwidth_used": (
-                        res.allocation.bandwidth_used
-                        if res.allocation is not None
-                        else math.nan
-                    ),
-                    "candidates_tried": res.candidates_tried,
-                }
-            )
-    return records
+    scn = generate_scenario(replace(template, b_max=b_max_values[0]), seed)
+    cells = [replace(scn, cfg=replace(scn.cfg, b_max=b_max)) for b_max in b_max_values]
+    return [solve(cell, strategy) for cell in cells for strategy in strategies]
 
 
 def sweep_bandwidth(
@@ -322,14 +308,15 @@ def sweep_bandwidth(
     seeds: list[int] = tuple(range(50)),
     jobs: int = 1,
 ) -> list[dict]:
-    """Average each strategy over fresh scenarios per seed, for every
-    B_max value.
+    """Average each strategy over one scenario per seed, drawn once for
+    every B_max value.
 
     Returns one aggregate row per (b_max, strategy): mean total
     distortion and mean bandwidth over the feasible draws, feasibility
     rate, and mean candidate count.  Up to ``jobs`` workers, never more
-    than there are seeds, split the seeds; results merge by cell key
-    with exact sums, so any ``jobs`` count produces the identical table.
+    than there are seeds, split the seeds; row k merges result k of each
+    seed with exact sums, so any ``jobs`` count produces the identical
+    table.
     """
     if not b_max_values:
         raise ValueError("b_max_values must be non-empty")
@@ -344,13 +331,16 @@ def sweep_bandwidth(
         raise ValueError(f"strategies must be distinct, got {list(strategies)}")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must be distinct, got {list(seeds)}")
+    if bad := [s for s in seeds if not isinstance(s, Integral) or s < 0]:
+        raise ValueError(f"seeds must be non-negative integers, got {bad[0]!r}")
 
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    # Every template value is checked here, by the type it fills, not in
-    # the first worker to draw.
+    # Every template value and budget is checked here, by the type it
+    # fills, not in the first worker to draw.
+    scn = generate_scenario(replace(template, b_max=b_max_values[0]), seeds[0])
     for b_max in b_max_values:
-        generate_scenario(replace(template, b_max=b_max), seeds[0])
+        replace(scn.cfg, b_max=b_max)
 
     tasks = [
         (template, tuple(b_max_values), tuple(strategies), seed)
@@ -365,29 +355,23 @@ def sweep_bandwidth(
     else:
         per_seed = [_sweep_cell_records(t) for t in tasks]
 
-    cells = {}
-    for seed_recs in per_seed:
-        for rec in seed_recs:
-            cells.setdefault((rec["b_max_hz"], rec["strategy"]), []).append(rec)
-
-    def mean(recs: list[dict], key: str) -> float:
-        return math.fsum(r[key] for r in recs) / len(recs) if recs else math.nan
+    def mean(values: list[float]) -> float:
+        return math.fsum(values) / len(values) if values else math.nan
 
     rows = []
-    for b_max in b_max_values:
-        for strategy in strategies:
-            cell = cells[b_max, strategy]
-            ok = [r for r in cell if r["feasible"]]
-            rows.append(
-                {
-                    "b_max_hz": b_max,
-                    "strategy": strategy,
-                    "n_seeds": len(cell),
-                    "n_feasible": len(ok),
-                    "feasibility_rate": len(ok) / len(cell),
-                    "mean_total_distortion": mean(ok, "total_distortion"),
-                    "mean_bandwidth_used": mean(ok, "bandwidth_used"),
-                    "mean_candidates_tried": mean(cell, "candidates_tried"),
-                }
-            )
+    for k, (b_max, strategy) in enumerate(product(b_max_values, strategies)):
+        cell = [results[k] for results in per_seed]
+        ok = [r for r in cell if r.feasible]
+        rows.append(
+            {
+                "b_max_hz": b_max,
+                "strategy": strategy,
+                "n_seeds": len(cell),
+                "n_feasible": len(ok),
+                "feasibility_rate": len(ok) / len(cell),
+                "mean_total_distortion": mean([r.total_distortion for r in ok]),
+                "mean_bandwidth_used": mean([r.allocation.bandwidth_used for r in ok]),
+                "mean_candidates_tried": mean([r.candidates_tried for r in cell]),
+            }
+        )
     return rows

@@ -857,6 +857,16 @@ class TestSweep:
         )
         assert code == EXIT_INVALID_INPUT
 
+    def test_negative_seed_is_invalid_input(self, small_scenario, tmp_path, capsys):
+        # It failed inside a worker, with numpy's message.
+        code = run(
+            "sweep", str(small_scenario), "--bmax", "9e6", "--seeds", "0,-1",
+            "--jobs", "2", "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: invalid input: seeds must be non-negative integers, got -1\n"
+        assert not (tmp_path / "m.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, small_scenario, tmp_path, capsys, jobs):
         code = run(

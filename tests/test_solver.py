@@ -4,6 +4,7 @@ the sweep driver's aggregation and parallel determinism."""
 
 import importlib.util
 import math
+import re
 import time
 from collections import Counter
 from dataclasses import replace
@@ -760,22 +761,50 @@ SWEEP_TEMPLATE = ScenarioTemplate(n_users=6, t_max=3.0, e_max=500.0, d_max=0.95)
 
 class TestSweep:
     def test_single_cell_matches_direct_solve(self):
-        rows = sweep_bandwidth(
-            SWEEP_TEMPLATE, [6.0e6], strategies=["proposed"], seeds=[3]
-        )
-        assert len(rows) == 1
-        row = rows[0]
-        scn = generate_scenario(replace(SWEEP_TEMPLATE, b_max=6.0e6), 3)
-        res = solve(scn, "proposed")
-        assert row["n_seeds"] == 1
-        assert row["n_feasible"] == 1
-        assert row["mean_total_distortion"] == pytest.approx(
-            res.total_distortion, rel=1e-12
-        )
-        assert row["mean_bandwidth_used"] == pytest.approx(
-            res.allocation.bandwidth_used, rel=1e-12
-        )
-        assert row["mean_candidates_tried"] == res.candidates_tried
+        # Every cell equals a solve on a scenario drawn under its own
+        # budget.  At 1.5 MHz the draw is infeasible: the proposed
+        # strategy proves it at 0 candidates, and greedy_equal's pairing
+        # misses the deadline.
+        budgets, strategies = [1.5e6, 6.0e6], ["proposed", "greedy_equal"]
+        rows = sweep_bandwidth(SWEEP_TEMPLATE, budgets, strategies=strategies, seeds=[3])
+        assert [(r["b_max_hz"], r["strategy"]) for r in rows] == [
+            (b, s) for b in budgets for s in strategies
+        ]
+        for row in rows:
+            scn = generate_scenario(replace(SWEEP_TEMPLATE, b_max=row["b_max_hz"]), 3)
+            res = solve(scn, row["strategy"])
+            assert row["n_seeds"] == 1
+            assert row["n_feasible"] == res.feasible
+            distortion, used = (
+                (res.total_distortion, res.allocation.bandwidth_used)
+                if res.feasible
+                else (math.nan, math.nan)
+            )
+            assert row["mean_total_distortion"] == pytest.approx(distortion, rel=0, abs=0, nan_ok=True)
+            assert row["mean_bandwidth_used"] == pytest.approx(used, rel=0, abs=0, nan_ok=True)
+            assert row["mean_candidates_tried"] == res.candidates_tried
+        assert [r["n_feasible"] for r in rows] == [0, 0, 1, 1]
+        assert [r["mean_candidates_tried"] for r in rows] == [0, 1, 1, 1]
+
+    def test_each_seed_is_drawn_once_for_every_budget(self, monkeypatch):
+        draws = []
+
+        def counted(template, seed):
+            draws.append(seed)
+            return generate_scenario(template, seed)
+
+        monkeypatch.setattr(solver, "generate_scenario", counted)
+        sweep_bandwidth(SWEEP_TEMPLATE, [5.0e6, 8.0e6, 12.0e6], ["proposed", "greedy_equal"], [4, 1, 2])
+        # The check of every value before the sweep, then one per seed.
+        assert draws == [4, 4, 1, 2]
+
+    def test_the_template_budget_is_never_read(self):
+        # Each seed is drawn under a listed budget, so a template whose
+        # own b_max no config accepts sweeps as any other.
+        args = ([5.0e6], ["greedy_equal"], [0, 1])
+        rows = sweep_bandwidth(ScenarioTemplate(n_users=4, b_max=0.0), *args)
+        assert rows == sweep_bandwidth(ScenarioTemplate(n_users=4), *args)
+        assert [r["n_seeds"] for r in rows] == [2]
 
     def test_aggregates_mean_over_seeds(self):
         seeds = [0, 1, 2]
@@ -911,6 +940,21 @@ class TestSweep:
         monkeypatch.setattr(BaseProcess, "start", counted)
         with pytest.raises(ValueError, match=message):
             sweep_bandwidth(template, [b_max], ["greedy_equal"], [0, 1, 2, 3], jobs=2)
+        assert started == []
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "2"], ids=["negative", "float", "string"])
+    def test_a_bad_seed_is_rejected_before_any_worker_starts(self, monkeypatch, seed):
+        # Only the worker that drew the seed failed, inside numpy.
+        started = []
+
+        def counted(process):
+            started.append(process)
+            raise AssertionError("a worker process started")
+
+        monkeypatch.setattr(BaseProcess, "start", counted)
+        message = f"seeds must be non-negative integers, got {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            sweep_bandwidth(ScenarioTemplate(n_users=4), [5.0e6], ["greedy_equal"], [0, seed], jobs=2)
         assert started == []
 
     @pytest.mark.parametrize("jobs", [0, -3])
