@@ -126,7 +126,7 @@ def main(argv: list[str] | None = None) -> None:
             "seed": args.seed,
             "edges": n * (n - 1) // 2,
             "cost": entry(costs, not args.no_time),
-            "bound": entry(PairCostMatrix(n=n, costs=bounds), not args.no_time),
+            "bound": entry(PairCostMatrix(bounds), not args.no_time),
         }
         line["cost"]["rank1_mwpms"] = rank1_mwpms(costs)
         if not args.no_time:

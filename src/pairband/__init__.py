@@ -8,7 +8,6 @@ distortion is minimized under bandwidth, latency, and energy budgets.
 """
 
 from .channel import (
-    ChannelGain,
     f_limit,
     f_prime,
     f_value,

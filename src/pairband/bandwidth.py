@@ -341,7 +341,7 @@ def energy_dual(users: list[UserProfile], cfg: SystemConfig, bounds: np.ndarray,
         value = (_half_edge(w) - price) / scale
         if _over_budget(value, budget):
             return value, math.nan
-        best = mwpm(PairCostMatrix(n=n, costs=w))
+        best = mwpm(PairCostMatrix(w))
         if best is None:  # every matching's price overflows: no energy fits
             return math.inf, 0.0
         bands = np.zeros((n, n))

@@ -30,12 +30,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ChannelGain",
     "path_loss_db",
     "gain_from_db",
     "f_value",
@@ -69,27 +67,6 @@ def gain_from_db(pathloss_db: float, shadowing_db: float) -> float:
         return 10.0 ** (-(pathloss_db + shadowing_db) / 10.0)
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class ChannelGain:
-    """One user's large-scale channel state.
-
-    ``gain_linear`` is the linear power gain |h|^2 and always equals
-    10^(-(pathloss_db + shadowing_db)/10).
-    """
-
-    pathloss_db: float
-    shadowing_db: float
-    gain_linear: float
-
-    @classmethod
-    def from_db(cls, pathloss_db: float, shadowing_db: float = 0.0) -> "ChannelGain":
-        return cls(pathloss_db, shadowing_db, gain_from_db(pathloss_db, shadowing_db))
-
-    def __post_init__(self) -> None:
-        if not 0 < self.gain_linear < math.inf:
-            raise ValueError("gain_linear must be positive and finite")
 
 
 def f_value(b, x):

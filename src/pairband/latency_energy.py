@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral
 
-from .channel import ChannelGain, f_value
+from .channel import f_value
 
 __all__ = [
     "UserProfile",
@@ -50,6 +50,8 @@ class UserProfile:
     enc_params / dec_params are the (dimensionless) per-bit workload
     scale factors of the encoder and decoder halves of the model;
     cpu_hz, cycles_per_bit and energy_coeff describe the user device.
+    gain_linear (|h|^2) is the channel value the rate law uses; the
+    generator draws it as 10^(-(pathloss_db + shadowing_db)/10).
     noise_psd, if set, overrides the system-wide value for this user.
     """
 
@@ -61,7 +63,9 @@ class UserProfile:
     cpu_hz: float
     cycles_per_bit: float
     energy_coeff: float
-    channel: ChannelGain
+    pathloss_db: float
+    shadowing_db: float
+    gain_linear: float
     noise_psd: float | None = None
 
     def __post_init__(self) -> None:
@@ -71,7 +75,7 @@ class UserProfile:
         pair = isinstance(pos, tuple) and len(pos) == 2
         if not (pair and all(isinstance(v, (int, float)) and math.isfinite(v) for v in pos)):
             raise ValueError("position must be a pair of finite numbers")
-        for name in ("q_bits", "cpu_hz", "cycles_per_bit"):
+        for name in ("q_bits", "cpu_hz", "cycles_per_bit", "gain_linear"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         for name in ("enc_params", "dec_params", "energy_coeff"):
@@ -129,7 +133,7 @@ class SystemConfig:
         """The link x = g*p/N0 [Hz] of ``user`` at ``power``, with N0 the
         user's own noise PSD if set, else the global one."""
         noise = user.noise_psd if user.noise_psd is not None else self.noise_psd
-        return user.channel.gain_linear * power / noise
+        return user.gain_linear * power / noise
 
 
 def tau_bs(user: UserProfile, cfg: SystemConfig) -> float:

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -81,19 +81,19 @@ Pair = tuple[int, int]
 
 @dataclass(frozen=True)
 class PairCostMatrix:
-    """Symmetric pairwise cost matrix with INFEASIBLE markers.
+    """Symmetric pairwise cost matrix with INFEASIBLE markers; ``n`` is derived.
 
     The diagonal is INFEASIBLE (a user cannot pair with itself); finite
     entries are non-negative distortions.
     """
 
-    n: int
     costs: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.costs, dtype=float)
-        if c.shape != (self.n, self.n):
-            raise ValueError(f"cost matrix must be {self.n}x{self.n}, got {c.shape}")
+        if c.ndim != 2 or c.shape[0] != c.shape[1]:
+            raise ValueError(f"cost matrix must be square, got shape {c.shape}")
         if not np.array_equal(c, c.T):
             raise ValueError("cost matrix must be symmetric")
         if not np.all(np.isinf(np.diag(c))):
@@ -102,6 +102,7 @@ class PairCostMatrix:
         if finite.size and finite.min() < 0:
             raise ValueError("finite costs must be non-negative")
         object.__setattr__(self, "costs", c)
+        object.__setattr__(self, "n", c.shape[0])
 
 
 @dataclass(frozen=True)
@@ -137,7 +138,7 @@ def build_cost_matrix(table: DistortionTable, d_max: float) -> PairCostMatrix:
     pu = table.per_user
     capped = (pu <= d_max) & (pu.T <= d_max)
     np.fill_diagonal(capped, False)
-    return PairCostMatrix(n=table.n, costs=np.where(capped, table.pair_sum, INFEASIBLE))
+    return PairCostMatrix(np.where(capped, table.pair_sum, INFEASIBLE))
 
 
 def _assignment(c: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelGain, path_loss_db
+from .channel import gain_from_db, path_loss_db
 from .distortion import DistortionTable, SimilarityModel, synthesize_distortions
 from .latency_energy import SystemConfig, UserProfile
 
@@ -132,8 +132,7 @@ class Scenario:
     template: ScenarioTemplate
 
     def __post_init__(self) -> None:
-        if not isinstance(self.seed, Integral):
-            raise ValueError("seed must be an integer")
+        _check_seed(self.seed)
         if len(self.users) != self.cfg.n_users:
             raise ValueError("user count must match cfg.n_users")
         if self.distortions.n != self.cfg.n_users:
@@ -145,11 +144,20 @@ class Scenario:
                 raise ValueError(f"user {u.id}'s link g*p/N0 must be positive and finite")
 
 
+def _check_seed(seed) -> int:
+    """``seed``, which every draw needs to be a non-negative integer."""
+    if not isinstance(seed, Integral):
+        raise ValueError("seed must be an integer")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
     """Draw one instance.  Draw order is fixed (positions, shadowing,
     CPU rates, model-size factors, then distortion features) so results
     are stable for a given (template, seed)."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     n = template.n_users
     half = template.area_m / 2.0
 
@@ -163,8 +171,7 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
     for i in range(n):
         dx, dy = positions[i, 0] - half, positions[i, 1] - half
         dist_m = max(math.hypot(dx, dy), template.min_dist_m)
-        pl = path_loss_db(dist_m / 1000.0)
-        channel = ChannelGain.from_db(pl, float(shadowing[i]))
+        pl, sh = path_loss_db(dist_m / 1000.0), float(shadowing[i])
         users.append(
             UserProfile(
                 id=i,
@@ -175,7 +182,9 @@ def generate_scenario(template: ScenarioTemplate, seed: int) -> Scenario:
                 cpu_hz=float(cpu[i]),
                 cycles_per_bit=template.cycles_per_bit,
                 energy_coeff=template.energy_coeff,
-                channel=channel,
+                pathloss_db=pl,
+                shadowing_db=sh,
+                gain_linear=gain_from_db(pl, sh),
             )
         )
 
@@ -195,17 +204,6 @@ def _from_json(cls, d: dict):
     return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in dict(d).items()})
 
 
-def _user_to_json(u: UserProfile) -> dict:
-    d = asdict(u)
-    return {**d.pop("channel"), **d}
-
-
-def _user_from_json(d: dict) -> UserProfile:
-    d = dict(d)
-    channel = ChannelGain(**{f.name: d.pop(f.name) for f in fields(ChannelGain)})
-    return _from_json(UserProfile, {**d, "channel": channel})
-
-
 def scenario_to_json(scn: Scenario, tool_version: str) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -213,7 +211,7 @@ def scenario_to_json(scn: Scenario, tool_version: str) -> str:
         "seed": scn.seed,
         "template": asdict(scn.template),
         "config": asdict(scn.cfg),
-        "users": [_user_to_json(u) for u in scn.users],
+        "users": [asdict(u) for u in scn.users],
         "distortion": {
             "per_user": [list(row) for row in scn.distortions.per_user],
         },
@@ -255,7 +253,7 @@ def scenario_from_json(text: str) -> Scenario:
         raise ValueError(f"unsupported scenario schema version: {version}")
     return Scenario(
         cfg=_from_json(SystemConfig, doc["config"]),
-        users=tuple(_user_from_json(d) for d in doc["users"]),
+        users=tuple(_from_json(UserProfile, d) for d in doc["users"]),
         distortions=_table_from_json(doc["distortion"]),
         seed=doc["seed"],
         template=_from_json(ScenarioTemplate, doc["template"]),

@@ -55,11 +55,13 @@ from .pairing import (
     INFEASIBLE,
     Matching,
     PairCostMatrix,
+    _canonical,
+    _total,
     build_cost_matrix,
     k_best_matchings,
     mwpm,
 )
-from .scenario import Scenario, ScenarioTemplate, generate_scenario
+from .scenario import Scenario, ScenarioTemplate, _check_seed, generate_scenario
 
 __all__ = [
     "Scenario",
@@ -160,7 +162,7 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
     # b_min edge weights (quality- and latency-violating edges removed).
     # If even that one overflows B_max, or none exists, no matching meets
     # latency and the bandwidth sum.
-    best = mwpm(PairCostMatrix(n=costs.n, costs=bounds))
+    best = mwpm(PairCostMatrix(bounds))
     if best is None or _overfills(best.total_cost, scenario.cfg.b_max):
         return _no_pairing(0, "proposed")
 
@@ -199,9 +201,7 @@ def solve_proposed(scenario: Scenario) -> SolveResult:
 def random_matching(n: int, rng: np.random.Generator) -> tuple[tuple[int, int], ...]:
     """Uniform random perfect matching: shuffle, pair consecutively."""
     perm = [int(x) for x in rng.permutation(n)]
-    return tuple(
-        sorted((min(a, b), max(a, b)) for a, b in zip(perm[::2], perm[1::2]))
-    )
+    return _canonical(zip(perm[::2], perm[1::2]))
 
 
 def greedy_matching(costs: PairCostMatrix) -> tuple[tuple[int, int], ...] | None:
@@ -224,19 +224,14 @@ def greedy_matching(costs: PairCostMatrix) -> tuple[tuple[int, int], ...] | None
             pairs.append((i, j))
     if 2 * len(pairs) != n:
         return None
-    return tuple(sorted(pairs))
+    return _canonical(pairs)
 
 
 def channel_balanced_matching(users) -> tuple[tuple[int, int], ...]:
     """Sort by channel gain and pair the strongest with the weakest."""
     n = len(users)
-    order = sorted(range(n), key=lambda i: -users[i].channel.gain_linear)
-    return tuple(
-        sorted(
-            (min(order[r], order[n - 1 - r]), max(order[r], order[n - 1 - r]))
-            for r in range(n // 2)
-        )
-    )
+    order = sorted(range(n), key=lambda i: -users[i].gain_linear)
+    return _canonical((order[r], order[n - 1 - r]) for r in range(n // 2))
 
 
 def solve(
@@ -249,16 +244,17 @@ def solve(
     A baseline ``<rule>_<split>`` draws its pairing with the rule and
     scores it under the split.  Random pairings come from a generator
     namespaced by (matching_seed or scenario.seed), so random_equal and
-    random_kkt pick the same pairing for the same seed.
+    random_kkt pick the same pairing for the same seed.  A given
+    matching_seed is checked under every strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+    seed = scenario.seed if matching_seed is None else _check_seed(matching_seed)
     if strategy == "proposed":
         return solve_proposed(scenario)
     rule, split = strategy.rsplit("_", 1)
     costs = _cost_matrix(scenario)
     if rule == "random":
-        seed = scenario.seed if matching_seed is None else matching_seed
         pairs = random_matching(scenario.cfg.n_users, np.random.default_rng([seed, 1]))
     elif rule == "greedy":
         pairs = greedy_matching(costs)
@@ -267,9 +263,7 @@ def solve(
     if pairs is None:
         return _no_pairing(1, strategy)
 
-    matching = Matching(
-        pairs=pairs, total_cost=float(math.fsum(costs.costs[i, j] for i, j in pairs))
-    )
+    matching = Matching(pairs=pairs, total_cost=_total(costs.costs, pairs))
     users, cfg = scenario.users, scenario.cfg
     bounds = b_min_pair(list(users), *np.transpose(pairs), cfg).tolist()
     if split == "kkt":

@@ -1,8 +1,8 @@
 """Shared builders for the test suite.
 
-Everything here constructs small, fully controlled instances: channels
-with an exact linear gain, users that differ only where the test says
-so, and configs with budgets wide open unless the test tightens them.
+Everything here constructs small, fully controlled instances: users
+with an exact linear gain that differ only where the test says so, and
+configs with budgets wide open unless the test tightens them.
 """
 
 from __future__ import annotations
@@ -14,22 +14,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 from pairband import bandwidth, pairing
-from pairband.channel import ChannelGain, psi
+from pairband.channel import psi
 from pairband.distortion import DistortionTable, SimilarityModel, similarity_gate
 from pairband.latency_energy import SystemConfig, UserProfile, group_time
 from pairband.pairing import Matching, PairCostMatrix
 from pairband.scenario import Scenario, ScenarioTemplate
 
 NOISE = 10.0 ** (-20.4)  # W/Hz
-
-
-def gain_channel(gain_linear: float) -> ChannelGain:
-    """A channel with an exact linear gain (path loss back-derived)."""
-    return ChannelGain(
-        pathloss_db=-10.0 * math.log10(gain_linear),
-        shadowing_db=0.0,
-        gain_linear=gain_linear,
-    )
 
 
 def make_link(
@@ -62,7 +53,9 @@ def make_user(
         cpu_hz=cpu_hz,
         cycles_per_bit=cycles,
         energy_coeff=coeff,
-        channel=gain_channel(gain),
+        pathloss_db=-10.0 * math.log10(gain),  # back-derived from the exact gain
+        shadowing_db=0.0,
+        gain_linear=gain,
         noise_psd=noise,
     )
 

@@ -229,14 +229,14 @@ def test_criterion_4_matching_exactness():
 
     for n in (4, 6, 8, 10):
         for _ in range(100):
-            costs = PairCostMatrix(n=n, costs=random_cost_matrix(rng, n))
+            costs = PairCostMatrix(random_cost_matrix(rng, n))
             fast = mwpm(costs)
             exact = brute_force_mwpm(costs)
             assert fast.total_cost == exact.total_cost
 
     for n in (6, 8):
         for _ in range(50):
-            costs = PairCostMatrix(n=n, costs=random_cost_matrix(rng, n))
+            costs = PairCostMatrix(random_cost_matrix(rng, n))
             ranked = k_best_matchings(costs, 5)
             oracle = sorted(
                 (math.fsum(costs.costs[i, j] for i, j in pairs), pairs)

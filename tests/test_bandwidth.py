@@ -1146,7 +1146,7 @@ def test_prop_the_half_edge_bound_is_at_most_the_brute_force_mwpm(n, seed, hole_
     c = c + c.T
     np.fill_diagonal(c, INFEASIBLE)
     half_edge = bandwidth._half_edge(c)
-    best = brute_force_mwpm(PairCostMatrix(n=n, costs=c))
+    best = brute_force_mwpm(PairCostMatrix(c))
     event(f"{kind}: {'no perfect matching' if best is None else 'matched'}")
     if np.isinf(c).all(axis=1).any():
         assert best is None and half_edge == math.inf

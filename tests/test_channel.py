@@ -6,6 +6,7 @@ differences; the closed forms must agree to 1e-5 relative.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairband.channel import (
-    ChannelGain,
     f_limit,
     f_prime,
     f_value,
     g_value,
+    gain_from_db,
     path_loss_db,
     phi,
     psi,
@@ -112,34 +113,34 @@ class TestPathLoss:
 
 
 class TestChannelGain:
+    """A user's gain: drawn from dB by gain_from_db, checked by UserProfile."""
+
     def test_gain_matches_db_budget(self):
-        ch = ChannelGain.from_db(111.0, 3.5)
-        assert ch.gain_linear == pytest.approx(10.0 ** (-11.45), rel=1e-12)
+        assert gain_from_db(111.0, 3.5) == pytest.approx(10.0 ** (-11.45), rel=1e-12)
 
     def test_shadowing_can_boost_gain(self):
-        base = ChannelGain.from_db(100.0, 0.0)
-        boosted = ChannelGain.from_db(100.0, -6.0)
-        assert boosted.gain_linear > base.gain_linear
+        assert gain_from_db(100.0, -6.0) > gain_from_db(100.0, 0.0)
 
     def test_rejects_nonpositive_gain(self):
-        with pytest.raises(ValueError):
-            ChannelGain(pathloss_db=100.0, shadowing_db=0.0, gain_linear=0.0)
+        with pytest.raises(ValueError, match="gain_linear must be positive and finite"):
+            replace(make_user(0), gain_linear=0.0)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_rejects_nonfinite_gain(self, bad):
         with pytest.raises(ValueError, match="gain_linear must be positive and finite"):
-            ChannelGain(pathloss_db=100.0, shadowing_db=0.0, gain_linear=bad)
+            replace(make_user(0), gain_linear=bad)
 
     def test_a_gain_past_the_float_range_is_rejected(self):
         # 10^400 raised an OverflowError, from a sweep whose template drew
         # shadowing with a 1e308 dB deviation.
+        assert gain_from_db(100.0, -4100.0) == math.inf
         with pytest.raises(ValueError, match="gain_linear must be positive and finite"):
-            ChannelGain.from_db(100.0, -4100.0)
+            replace(make_user(0), gain_linear=gain_from_db(100.0, -4100.0))
 
 
 class TestRateParamsValidation:
     """A link x = g*p/N0 is only built from validated fields: the power
-    and the noise PSD by the config, the gain by the channel."""
+    and the noise PSD by the config, the gain by the user."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -152,9 +153,9 @@ class TestRateParamsValidation:
     )
     def test_rejects_bad_fields(self, kwargs):
         fields = {"power": 1.0, "gain": 1e-11, "noise": NOISE, **kwargs}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="must be positive and finite"):
             cfg = make_cfg(power=fields["power"], noise=fields["noise"])
-            cfg.link(make_user(0, gain=fields["gain"]), cfg.power)
+            cfg.link(replace(make_user(0), gain_linear=fields["gain"]), cfg.power)
 
     def test_rejects_negative_bandwidth(self):
         # Bandwidth is the rate's argument, not a link field; one negative

@@ -90,6 +90,13 @@ class TestGenScenario:
         assert capsys.readouterr().err == "error: invalid input: n_users must be even and >= 2\n"
         assert not out.exists()
 
+    def test_negative_seed_is_invalid_input(self, tmp_path, capsys):
+        # It ended in numpy's message, which did not name the seed.
+        out = tmp_path / "x.json"
+        assert run("gen-scenario", "--n", "4", "--seed", "-1", "--output", str(out)) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: invalid input: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
     def test_nonpositive_override_rejected(self, tmp_path):
         code = run(
             "gen-scenario", "--n", "4", "--output", str(tmp_path / "x.json"),
@@ -215,6 +222,26 @@ class TestSolve:
         run("solve", str(small_scenario), "--strategy", strategy,
             "--seed", "5", "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("strategy", ["random_equal", "proposed"])
+    def test_negative_matching_seed_is_invalid_input(self, small_scenario, tmp_path, capsys, strategy):
+        # random_equal ended in numpy's message, which did not name the
+        # seed; proposed, which draws nothing, exited 0.
+        out = tmp_path / "r.json"
+        code = run("solve", str(small_scenario), "--strategy", strategy, "--seed", "-1", "--output", str(out))
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == "error: invalid input: seed must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_negative_file_seed_is_invalid_input(self, small_scenario, tmp_path, capsys):
+        # random_equal ended in numpy's message; the rest exited 0.
+        doc = json.loads(small_scenario.read_text())
+        doc["seed"] = -1
+        small_scenario.write_text(json.dumps(doc))
+        capsys.readouterr()
+        for strategy in STRATEGIES:
+            assert run("solve", str(small_scenario), "--strategy", strategy) == EXIT_INVALID_INPUT
+            assert capsys.readouterr().err == "error: invalid input: seed must be non-negative, got -1\n"
 
     def test_equal_and_kkt_share_the_pairing(self, small_scenario, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -856,6 +883,17 @@ class TestSweep:
             "--seeds", "zero", "--output", str(tmp_path / "m.csv"),
         )
         assert code == EXIT_INVALID_INPUT
+
+    def test_a_zero_seed_count_is_invalid_input(self, small_scenario, tmp_path, capsys):
+        code = run(
+            "sweep", str(small_scenario), "--bmax", "9e6", "--seeds", "0",
+            "--output", str(tmp_path / "m.csv"),
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == (
+            "error: invalid input: --seeds must be a positive count or comma-separated integers: '0'\n"
+        )
+        assert not (tmp_path / "m.csv").exists()
 
     def test_negative_seed_is_invalid_input(self, small_scenario, tmp_path, capsys):
         # It failed inside a worker, with numpy's message.

@@ -24,7 +24,6 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from pairband.channel import ChannelGain
 from pairband.cli import EXIT_INFEASIBLE, EXIT_INVALID_INPUT, EXIT_OK, main
 from pairband.latency_energy import SystemConfig, UserProfile
 from pairband.scenario import ScenarioTemplate, generate_scenario
@@ -154,13 +153,12 @@ LEAF_VALUES = (
     True, False, None, "1", [], {}, 0, -1, 0.5, 2,
     1e308, -1e308, 5e-324, math.inf, -math.inf, math.nan,
 )
-USER_KEYS = [f.name for f in fields(UserProfile) if f.name != "channel"]
 # Every leaf of a gen-scenario --n 4 document, as a key path.
 LEAVES = (
     ("seed",),
     *(("config", f.name) for f in fields(SystemConfig)),
     *(("template", f.name) for f in fields(ScenarioTemplate)),
-    *(("users", k, key) for k in range(4) for key in USER_KEYS + [f.name for f in fields(ChannelGain)]),
+    *(("users", k, f.name) for k in range(4) for f in fields(UserProfile)),
     *(("distortion", "per_user", i, j) for i in range(4) for j in range(4)),
 )
 

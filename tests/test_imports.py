@@ -1,7 +1,8 @@
 """No unused imports in the package, the tests or the scripts.
 
 An imported name must be referenced somewhere in its file or listed in
-the file's ``__all__``.  ``from __future__`` imports and the package's
+the file's ``__all__``, and every ``__all__`` entry of the package must
+name an attribute of its module.  ``from __future__`` imports and the package's
 ``__init__`` re-exports are exempt.  Parsed with the standard ``ast``
 module, so no linter needs to be installed.
 
@@ -12,6 +13,7 @@ for its blossom.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -89,6 +91,17 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def test_every_all_entry_names_an_attribute():
+    # Nothing star-imports, and an __all__ entry counts as a use above,
+    # so a stale entry would otherwise fail no test.
+    stale = []
+    for path in sorted((ROOT / "src" / "pairband").glob("*.py")):
+        name = "pairband" if path.stem == "__init__" else f"pairband.{path.stem}"
+        module = importlib.import_module(name)
+        stale += [f"{name}.{entry}" for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
+    assert not stale, "__all__ entries with no attribute: " + ", ".join(stale)
+
+
 def _loaded_by(probe: str) -> set[str]:
     """Top-level modules that running ``probe`` loads in a fresh interpreter."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
@@ -127,11 +140,11 @@ def test_networkx_loads_on_the_first_open_gap():
         "import numpy as np\n"
         "from pairband.pairing import INFEASIBLE, PairCostMatrix, mwpm\n"
         "closed = np.array([[np.inf, 1, 5, 5], [1, np.inf, 5, 5], [5, 5, np.inf, 1], [5, 5, 1, np.inf]])\n"
-        "assert mwpm(PairCostMatrix(n=4, costs=closed)).pairs == ((0, 1), (2, 3))\n"
+        "assert mwpm(PairCostMatrix(closed)).pairs == ((0, 1), (2, 3))\n"
         "assert 'networkx' not in sys.modules\n"
         "c = np.full((6, 6), INFEASIBLE)\n"
         "for i, j in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]:\n"
         "    c[i, j] = c[j, i] = 1.0\n"
-        "assert mwpm(PairCostMatrix(n=6, costs=c)) is None\n"
+        "assert mwpm(PairCostMatrix(c)) is None\n"
     )
     assert "networkx" in _loaded_by(probe)

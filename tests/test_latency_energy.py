@@ -117,6 +117,12 @@ class TestTransmitTime:
     def test_zero_bandwidth_never_finishes(self):
         assert transmit_time(0.0, make_user(0), 1.0, make_cfg()) == math.inf
 
+    def test_a_rate_that_underflows_to_zero_never_finishes(self):
+        # b/x underflows to 0 at the smallest subnormal band, so F(b) is 0.
+        cfg = make_cfg()
+        assert f_value(5e-324, cfg.link(make_user(0), 1.0)) == 0.0
+        assert transmit_time(5e-324, make_user(0), 1.0, cfg) == math.inf
+
     def test_strictly_decreasing_in_bandwidth(self):
         cfg = make_cfg()
         u = make_user(0)

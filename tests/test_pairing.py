@@ -37,7 +37,7 @@ from support import (
 
 def matrix(costs) -> PairCostMatrix:
     c = np.asarray(costs, dtype=float)
-    return PairCostMatrix(n=c.shape[0], costs=c)
+    return PairCostMatrix(c)
 
 
 def four_user_fixture() -> PairCostMatrix:
@@ -128,12 +128,27 @@ class TestMatchingTypes:
     def test_cost_matrix_rejects_finite_diagonal(self):
         c = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            PairCostMatrix(n=2, costs=c)
+            PairCostMatrix(c)
 
     def test_cost_matrix_rejects_asymmetry(self):
         c = np.array([[INFEASIBLE, 1.0], [2.0, INFEASIBLE]])
         with pytest.raises(ValueError):
-            PairCostMatrix(n=2, costs=c)
+            PairCostMatrix(c)
+
+    def test_cost_matrix_size_is_derived_from_its_costs(self):
+        assert four_user_fixture().n == 4
+        with pytest.raises(TypeError):
+            PairCostMatrix(n=4, costs=four_user_fixture().costs)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_cost_matrix_rejects_a_non_square_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"cost matrix must be square, got shape \("):
+            PairCostMatrix(np.full(shape, INFEASIBLE))
+
+    def test_cost_matrix_rejects_a_negative_finite_cost(self):
+        c = np.array([[INFEASIBLE, -1.0], [-1.0, INFEASIBLE]])
+        with pytest.raises(ValueError, match="finite costs must be non-negative"):
+            PairCostMatrix(c)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pairband import __version__
-from pairband.channel import ChannelGain
 from pairband.latency_energy import UserProfile
 from pairband.scenario import (
     SCHEMA_VERSION,
@@ -36,10 +35,9 @@ class TestGeneration:
     def test_channel_fields_are_consistent(self):
         scn = generate_scenario(ScenarioTemplate(), seed=11)
         for u in scn.users:
-            ch = u.channel
-            expect = 10.0 ** (-(ch.pathloss_db + ch.shadowing_db) / 10.0)
-            assert ch.gain_linear == pytest.approx(expect, rel=1e-12)
-            assert ch.gain_linear > 0
+            expect = 10.0 ** (-(u.pathloss_db + u.shadowing_db) / 10.0)
+            assert u.gain_linear == pytest.approx(expect, rel=1e-12)
+            assert u.gain_linear > 0
 
     def test_minimum_distance_caps_the_gain(self):
         # Even a user drawn onto the cell center is treated as at least
@@ -49,7 +47,7 @@ class TestGeneration:
         for seed in range(30):
             scn = generate_scenario(template, seed)
             for u in scn.users:
-                assert u.channel.pathloss_db >= floor_pl - 1e-9
+                assert u.pathloss_db >= floor_pl - 1e-9
 
     def test_same_seed_same_instance(self):
         template = ScenarioTemplate()
@@ -136,8 +134,12 @@ class TestJsonRoundtrip:
     def test_user_keys_are_the_profile_and_channel_fields(self):
         scn = generate_scenario(ScenarioTemplate(n_users=4), seed=2)
         doc = json.loads(scenario_to_json(scn, __version__))
-        profile = {f.name for f in fields(UserProfile)} - {"channel"}
-        expected = profile | {f.name for f in fields(ChannelGain)}
+        # The file's user keys, pinned: a user is one flat record.
+        expected = {
+            "id", "position", "q_bits", "enc_params", "dec_params", "cpu_hz", "cycles_per_bit",
+            "energy_coeff", "pathloss_db", "shadowing_db", "gain_linear", "noise_psd",
+        }
+        assert {f.name for f in fields(UserProfile)} == expected
         assert [set(u) for u in doc["users"]] == [expected] * 4
 
     def test_user_noise_psd_roundtrips(self):

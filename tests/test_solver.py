@@ -196,7 +196,7 @@ class TestProposed:
         c = _costs(generate_scenario(ScenarioTemplate(b_max=5.0e6, e_max=110.0), 57)).costs
         w, col_of = pairing._assignment(c)
         cycle = pairing._cycle_matching(c - w[:, None] - w, col_of)
-        best = unpruned_mwpm(PairCostMatrix(n=16, costs=c))
+        best = unpruned_mwpm(PairCostMatrix(c))
         assert pairing._total(c, cycle) / best.total_cost - 1 == pytest.approx(0.0160, abs=5e-5)
         blossom_calls = _count_calls(monkeypatch, pairing.nx, "max_weight_matching")
         tau = 1e-9 * max(float(c[np.isfinite(c)].max()), 1.0)
@@ -657,7 +657,7 @@ class TestGreedy:
             c[blocked | blocked.T] = INFEASIBLE
             expect = reference(c)
             outcomes.add(expect is None)
-            assert greedy_matching(PairCostMatrix(n=n, costs=c)) == expect
+            assert greedy_matching(PairCostMatrix(c)) == expect
         assert outcomes == {True, False}
 
     def test_equal_split_allocation(self):
